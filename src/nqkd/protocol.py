@@ -12,18 +12,17 @@ rounds is announced for error-rate estimation, a common random flip
 mask is applied to the rest, and the surviving rounds are turned into
 key material at the asymptotic secret fraction of the estimates.
 
-Sampling backends
------------------
-Z rounds are drawn directly from the diagonal coefficients.  Parity
-rounds either go through the dense embedding (exact Born sampling of
-the chosen product basis) or, for symmetrised states, through a parity
-shortcut: conditioned on the bases, every strict subset of the
-outcomes is uniformly random -- any partial X/Y Pauli product maps
-|0>|j> to a computational string orthogonal to both branches of every
-basis state, so its expectation vanishes -- and only the full product
-carries signal, equal to +-1 with probability (1 +- f(kappa) <X..X>)/2.
-Sampling uniform outcomes for all parties but the last and fixing the
-last by the drawn product therefore reproduces the exact distribution.
+Parity-round sampler
+--------------------
+Z rounds are drawn directly from the diagonal coefficients.  In parity
+rounds every strict subset of the X/Y outcomes is uniformly random (a
+partial Pauli product maps |0>|j> off both branches of every basis
+state) and the full product is +-1 with probability (1 +- f(kappa) W[y])/2,
+where W[y] = sum_j Delta_j (-1)^{|j AND y|} is the Walsh-Hadamard
+transform of Delta = lambda^+ - lambda^- and y is the Bobs' Y mask in
+the bit order of j.  Uniform bits for all parties but the last, with the
+last fixed by the drawn product, give the exact distribution of any
+GHZ-diagonal state; ``DenseState`` inputs are Born-sampled instead.
 """
 
 from __future__ import annotations
@@ -35,8 +34,8 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .dense import DenseState, dense_cap, product_basis_probabilities
-from .ghz import GhzDiagonalState, dense_from_ghz_diagonal
+from .dense import DenseState, product_basis_probabilities
+from .ghz import GhzDiagonalState
 from .keyrate import RateInput, RateReport, binary_entropy, secret_fraction
 from .noise import depolarized_state
 
@@ -53,7 +52,6 @@ class ProtocolConfig:
     seed: int = 0
     announced_z_rounds: int | None = None
     shards: int = 1
-    sampling: str = "auto"  # auto | dense | parity
 
     def __post_init__(self):
         if self.n_rounds < 1:
@@ -65,8 +63,6 @@ class ProtocolConfig:
             raise ValueError(f"state has {state_n} parties, config says {self.n_parties}")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
-        if self.sampling not in ("auto", "dense", "parity"):
-            raise ValueError(f"unknown sampling mode {self.sampling!r}")
 
 
 @dataclass(frozen=True)
@@ -175,40 +171,18 @@ def sample_z_bits(state: GhzDiagonalState | DenseState, count: int, rng: np.rand
     return _bits_from_indices(full, n)
 
 
-def _resolve_sampling(state, n_parties: int, mode: str) -> str:
-    if mode == "dense" or isinstance(state, DenseState):
-        if isinstance(state, GhzDiagonalState) and n_parties > dense_cap():
-            raise ValueError("dense sampling requested above the dense cap")
-        return "dense"
-    if mode == "parity":
-        if not state.is_symmetric(1e-9):
-            raise ValueError("parity sampling requires a symmetrised state")
-        return "parity"
-    if n_parties <= dense_cap():
-        return "dense"
-    if not state.is_symmetric(1e-9):
-        raise ValueError(
-            f"N={n_parties} exceeds the dense cap and the state is not symmetrised; "
-            "no exact sampler is available"
-        )
-    return "parity"
-
-
 def sample_xy_bits(
     state: GhzDiagonalState | DenseState,
     bases: np.ndarray,
     rng: np.random.Generator,
-    method: str = "auto",
 ) -> np.ndarray:
     """Outcome bits for parity rounds with given bases (0 = X, 1 = Y)."""
     bases = np.asarray(bases, dtype=np.uint8)
     count, n = bases.shape
     if count == 0:
         return np.zeros((0, n), dtype=np.uint8)
-    method = _resolve_sampling(state, n, method)
-    if method == "dense":
-        dense = state if isinstance(state, DenseState) else dense_from_ghz_diagonal(state)
-        return _sample_xy_dense(dense, bases, rng)
+    if isinstance(state, DenseState):
+        return _sample_xy_dense(state, bases, rng)
     return _sample_xy_parity(state, bases, rng)
 
 
@@ -226,12 +200,27 @@ def _sample_xy_dense(state: DenseState, bases: np.ndarray, rng: np.random.Genera
     return out
 
 
+def _parity_expectations(state: GhzDiagonalState) -> np.ndarray:
+    """W = WHT(Delta) over the shortest power-of-two prefix holding every j with Delta_j != 0."""
+    differs = np.flatnonzero(state.lam_plus != state.lam_minus)
+    size = 1 << int(differs[-1]).bit_length() if differs.size else 1
+    w = state.lam_plus[:size] - state.lam_minus[:size]
+    h = 1
+    while h < size:
+        pairs = w.reshape(-1, 2, h)
+        w = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1).reshape(-1)
+        h *= 2
+    return w
+
+
 def _sample_xy_parity(state: GhzDiagonalState, bases: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     count, n = bases.shape
-    x_expect = float((state.lam_plus - state.lam_minus).sum())
+    w = _parity_expectations(state)
+    width = w.size.bit_length() - 1  # y & (size - 1) keeps the last `width` Bob bits
+    y = bases[:, n - width :] @ (1 << np.arange(width - 1, -1, -1, dtype=np.int64))
     kappa = bases.sum(axis=1)
     signs = _f_sign_array(kappa)
-    p_plus = 0.5 * (1.0 + signs * x_expect)
+    p_plus = 0.5 * (1.0 + signs * w[y])
     product_is_minus = rng.random(count) >= p_plus  # parity of the outcome bits
     bits = rng.integers(0, 2, size=(count, n), dtype=np.uint8)
     partial = bits[:, :-1].sum(axis=1) % 2
@@ -243,7 +232,6 @@ def sample_round(
     state: GhzDiagonalState | DenseState,
     round_type: str,
     rng: np.random.Generator,
-    sampling: str = "auto",
 ) -> RoundRecord:
     """Sample one protocol round from the exact outcome distribution."""
     n = state.n_parties if isinstance(state, GhzDiagonalState) else state.n_qubits
@@ -253,7 +241,7 @@ def sample_round(
     if round_type != XY_ROUND:
         raise ValueError(f"unknown round type {round_type!r}")
     bases = rng.integers(0, 2, size=(1, n), dtype=np.uint8)
-    bits = sample_xy_bits(state, bases, rng, sampling)[0]
+    bits = sample_xy_bits(state, bases, rng)[0]
     kappa = int(bases.sum())
     return RoundRecord(
         XY_ROUND,
@@ -364,7 +352,7 @@ def preshared_key_accounting(config: ProtocolConfig, second_type_rounds: int | N
 
 
 def toeplitz_hash(bits: np.ndarray, out_len: int, rng: np.random.Generator) -> np.ndarray:
-    """Two-universal hash: multiply by a random Toeplitz matrix over GF(2)."""
+    """Two-universal hash: multiply by a random Toeplitz matrix over GF(2), via one FFT product."""
     bits = np.asarray(bits, dtype=np.int64)
     n = bits.size
     if out_len < 0 or out_len > n:
@@ -372,8 +360,14 @@ def toeplitz_hash(bits: np.ndarray, out_len: int, rng: np.random.Generator) -> n
     if out_len == 0:
         return np.zeros(0, dtype=np.uint8)
     diagonals = rng.integers(0, 2, size=n + out_len - 1, dtype=np.int64)
-    full = np.convolve(diagonals, bits)
-    return (full[n - 1 : n - 1 + out_len] % 2).astype(np.uint8)
+    # circular wrap-around only reaches entries below the window once size >= n + out_len - 1
+    size = 1 << (n + out_len - 2).bit_length()
+    full = np.fft.irfft(np.fft.rfft(diagonals, size) * np.fft.rfft(bits, size), size)
+    window = full[n - 1 : n - 1 + out_len]
+    rounded = np.rint(window)
+    if np.abs(window - rounded).max() >= 0.25:
+        raise ArithmeticError("FFT rounding error too large for an exact Toeplitz hash")
+    return (rounded.astype(np.int64) % 2).astype(np.uint8)
 
 
 @dataclass(frozen=True)
@@ -438,7 +432,7 @@ class ProtocolRun:
         )
         self.xy_bases = xy_rng.integers(0, 2, size=(xy_count, n), dtype=np.uint8)
         self.xy_bits = _sharded(
-            lambda r, c, off: sample_xy_bits(config.state, self.xy_bases[off : off + c], r, config.sampling),
+            lambda r, c, off: sample_xy_bits(config.state, self.xy_bases[off : off + c], r),
             xy_rng,
             xy_count,
             config.shards,
@@ -551,10 +545,16 @@ def write_transcript(path: str, run: ProtocolRun) -> None:
             fh.write("\n")
 
 
+CONFIG_KEYS = {"n_parties", "n_rounds", "p_estimation", "seed", "state", "announced_z_rounds", "shards"}
+
+
 def protocol_config_from_json(obj: dict | str) -> ProtocolConfig:
     """Build a config from its JSON form (see README for the schema)."""
     if isinstance(obj, str):
         obj = json.loads(obj)
+    unknown = sorted(set(obj) - CONFIG_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     state_spec = obj["state"]
     n = int(obj["n_parties"])
     model = state_spec.get("model", "ghz_diagonal")
@@ -576,5 +576,4 @@ def protocol_config_from_json(obj: dict | str) -> ProtocolConfig:
         seed=int(obj.get("seed", 0)),
         announced_z_rounds=obj.get("announced_z_rounds"),
         shards=int(obj.get("shards", 1)),
-        sampling=obj.get("sampling", "auto"),
     )

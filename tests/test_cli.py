@@ -169,6 +169,50 @@ def test_simulate_config_errors(tmp_path):
     assert run_cli(["simulate", "--config", str(bad)]) == 2
 
 
+def test_simulate_rejects_unknown_config_key(tmp_path, capsys):
+    config = {
+        "n_parties": 3,
+        "n_rounds": 1000,
+        "state": {"model": "depolarized", "q": 0.1},
+        "sampling": "dense",
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(["simulate", "--config", str(cfg)]) == 2
+    assert "sampling" in capsys.readouterr().err
+
+
+def test_simulate_asymmetric_state_above_dense_cap(tmp_path, monkeypatch):
+    monkeypatch.setenv("NQKD_DENSE_CAP", "2")
+    config = {
+        "n_parties": 4,
+        "n_rounds": 20000,
+        "seed": 3,
+        "state": {
+            "model": "ghz_diagonal",
+            "lambda_plus": [0.7, 0.05, 0.0, 0.0, 0.05, 0.0, 0.0, 0.0],
+            "lambda_minus": [0.0, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.1],
+        },
+    }
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "summary.json"
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    estimates = json.loads(out.read_text())["estimates"]
+    assert estimates["n_plus"] + estimates["n_minus"] == estimates["xy_rounds_kept"] > 0
+
+
+def test_simulate_hash_rounding_failure_exits_3(tmp_path, monkeypatch):
+    import numpy as np
+
+    irfft = np.fft.irfft
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.3)
+    config = {"n_parties": 3, "n_rounds": 4000, "seed": 6, "state": {"model": "depolarized", "q": 0.05}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(["simulate", "--config", str(cfg), "--hash-key", "--out", str(tmp_path / "s.json")]) == 3
+
+
 def test_network_comparison_advantage_flags(tmp_path):
     out = tmp_path / "net.json"
     assert run_cli(

@@ -76,35 +76,79 @@ def test_xy_sampling_pure_ghz_all_x():
     assert np.all(products == 1)
 
 
+def _parity_signs(n):
+    idx = np.arange(1 << n)
+    parity = np.zeros(1 << n, dtype=np.int64)
+    for q in range(n):
+        parity ^= (idx >> q) & 1
+    return 1 - 2 * parity
+
+
+def _brute_force_walsh(state, y):
+    # sum_j Delta_j (-1)^{|j AND y|}, one term per j
+    overlap = np.bitwise_count(np.arange(state.lam_plus.size) & y).astype(np.int64)
+    return float(((state.lam_plus - state.lam_minus) * (1 - 2 * (overlap % 2))).sum())
+
+
+def _random_asymmetric_state(n, rng):
+    half = 1 << (n - 1)
+    lam_plus, lam_minus = rng.random(half), rng.random(half)
+    total = lam_plus.sum() + lam_minus.sum()
+    return GhzDiagonalState(n, lam_plus / total, lam_minus / total)
+
+
 def test_parity_shortcut_matches_dense_distribution():
     # the dense Born distribution of any X/Y product basis on a
-    # symmetrised state is uniform within each parity class
-    state = depolarized_state(3, 0.2)
+    # GHZ-diagonal state is uniform within each parity class, and the
+    # product expectation is f(kappa) W[y] with y the Bobs' Y mask; the
+    # symmetrised state has W[y] = Delta_0 for every y
     from nqkd.ghz import dense_from_ghz_diagonal
+    from nqkd.protocol import _parity_expectations
 
-    dense = dense_from_ghz_diagonal(state)
-    x_expect = float((state.lam_plus - state.lam_minus).sum())
-    for combo in range(8):
-        bases = [(combo >> (2 - q)) & 1 for q in range(3)]
-        letters = "".join("y" if b else "x" for b in bases)
-        probs = product_basis_probabilities(dense, letters)
-        kappa = sum(bases)
-        sign = f_sign(kappa)
-        idx = np.arange(8)
-        parity = 1 - 2 * ((idx ^ (idx >> 1) ^ (idx >> 2)) & 1)
-        expected = (1 + sign * x_expect * parity) / 8.0
-        assert np.abs(probs - expected).max() < 1e-12, letters
+    states = [depolarized_state(3, 0.2)]
+    states += [_random_asymmetric_state(n, np.random.default_rng(100 + n)) for n in range(2, 9)]
+    for state in states:
+        n = state.n_parties
+        dense = dense_from_ghz_diagonal(state)
+        walsh = _parity_expectations(state)
+        parity = _parity_signs(n)
+        half = 1 << (n - 1)
+        for combo in range(1 << n):
+            bases = [(combo >> (n - 1 - q)) & 1 for q in range(n)]
+            letters = "".join("y" if b else "x" for b in bases)
+            y = combo & (half - 1)
+            expectation = _brute_force_walsh(state, y)
+            assert abs(walsh[y & (walsh.size - 1)] - expectation) < 1e-12, letters
+            probs = product_basis_probabilities(dense, letters)
+            expected = (1 + f_sign(sum(bases)) * expectation * parity) / (1 << n)
+            assert np.abs(probs - expected).max() < 1e-12, letters
+    symmetric = states[0]
+    assert all(_brute_force_walsh(symmetric, y) == pytest.approx(1 - 2 * qber_x(symmetric)) for y in range(4))
+
+
+def test_walsh_prefix_covers_every_asymmetric_entry():
+    from nqkd.protocol import _parity_expectations
+
+    state = depolarized_state(20, 0.1)
+    assert _parity_expectations(state).tolist() == [state.lam_plus[0] - state.lam_minus[0]]
+    # Delta non-zero at j = 0 and 3: the prefix holds all four entries
+    wide = GhzDiagonalState(3, np.array([0.4, 0.1, 0.1, 0.0]), np.array([0.0, 0.1, 0.1, 0.2]))
+    assert _parity_expectations(wide).size == 4
+    # Delta non-zero at j = 0 and 1: a two-entry prefix
+    narrow = GhzDiagonalState(3, np.array([0.3, 0.3, 0.1, 0.0]), np.array([0.2, 0.0, 0.1, 0.0]))
+    assert _parity_expectations(narrow) == pytest.approx([0.4, -0.2])
 
 
 def test_parity_and_dense_samplers_statistically_agree():
+    from nqkd.ghz import dense_from_ghz_diagonal
     from nqkd.protocol import _estimate_qx_arrays
 
     state = depolarized_state(3, 0.2)
     n = 40000
     rng = np.random.default_rng(4)
     bases = rng.integers(0, 2, size=(n, 3), dtype=np.uint8)
-    bits_dense = sample_xy_bits(state, bases, np.random.default_rng(5), method="dense")
-    bits_parity = sample_xy_bits(state, bases, np.random.default_rng(6), method="parity")
+    bits_dense = sample_xy_bits(dense_from_ghz_diagonal(state), bases, np.random.default_rng(5))
+    bits_parity = sample_xy_bits(state, bases, np.random.default_rng(6))
     q_dense, _, _, kept_d = _estimate_qx_arrays(bases, bits_dense)
     q_parity, _, _, kept_p = _estimate_qx_arrays(bases, bits_parity)
     target = qber_x(state)
@@ -112,12 +156,30 @@ def test_parity_and_dense_samplers_statistically_agree():
     assert abs(q_parity - target) < three_sigma(target, kept_p)
 
 
-def test_parity_sampler_rejects_asymmetric_state():
-    lam_plus = np.array([0.6, 0.3, 0.0, 0.0])
-    lam_minus = np.array([0.0, 0.0, 0.1, 0.0])
-    state = GhzDiagonalState(3, lam_plus, lam_minus)
-    with pytest.raises(ValueError):
-        sample_xy_bits(state, np.zeros((4, 3), dtype=np.uint8), np.random.default_rng(0), "parity")
+def test_parity_sampler_asymmetric_state_above_dense_cap():
+    # N=14 exceeds the default dense cap of 12; the sampler needs no dense matrix
+    n = 14
+    half = 1 << (n - 1)
+    bob1, bob5 = 1 << (n - 2), 1 << (n - 6)
+    lam_plus = np.zeros(half)
+    lam_minus = np.zeros(half)
+    lam_plus[0] = 0.55
+    lam_minus[bob1] = 0.25
+    lam_minus[bob5] = 0.2
+    state = GhzDiagonalState(n, lam_plus, lam_minus)
+    count = 20000
+    y_pair = np.zeros(n, dtype=np.uint8)
+    y_pair[[1, n - 1]] = 1  # Bob 1 and the last Bob measure Y
+    for row, sign in ((np.zeros(n, dtype=np.uint8), 1), (y_pair, -1)):
+        bases = np.tile(row, (count, 1))
+        bits = sample_xy_bits(state, bases, np.random.default_rng(40 + int(row.sum())))
+        signed_mean = sign * (1 - 2 * (bits.sum(axis=1) % 2).astype(np.int64)).mean()
+        y = int("".join(str(b) for b in row[1:]), 2)
+        target = _brute_force_walsh(state, y)
+        assert abs(signed_mean - target) < 3.0 * np.sqrt((1 - target**2) / count)
+    # the Y-pair mask sees W[y] = 0.6, not W[0] = sum_j Delta_j = 0.1
+    assert _brute_force_walsh(state, 0) == pytest.approx(0.1)
+    assert _brute_force_walsh(state, (1 << (n - 2)) | 1) == pytest.approx(0.6)
 
 
 def test_sample_round_records():
@@ -391,6 +453,25 @@ def test_toeplitz_hash_properties():
         toeplitz_hash(x, 300, np.random.default_rng(0))
 
 
+def _toeplitz_reference(bits, out_len, rng):
+    # the quadratic direct product, kept here as the reference
+    bits = np.asarray(bits, dtype=np.int64)
+    diagonals = rng.integers(0, 2, size=bits.size + out_len - 1, dtype=np.int64)
+    return (np.convolve(diagonals, bits, "valid") % 2).astype(np.uint8)
+
+
+@pytest.mark.parametrize(
+    "n, out_len", [(1, 1), (2, 1), (17, 17), (1500, 700), (4097, 4000), (10000, 1000), (30000, 300)]
+)
+def test_toeplitz_hash_matches_convolution(n, out_len):
+    bits = np.random.default_rng(n).integers(0, 2, n, dtype=np.uint8)
+    fast = toeplitz_hash(bits, out_len, np.random.default_rng(out_len))
+    assert np.array_equal(fast, _toeplitz_reference(bits, out_len, np.random.default_rng(out_len)))
+    ones = np.ones(n, dtype=np.uint8)  # largest convolution values
+    fast = toeplitz_hash(ones, out_len, np.random.default_rng(1))
+    assert np.array_equal(fast, _toeplitz_reference(ones, out_len, np.random.default_rng(1)))
+
+
 def test_run_protocol_with_hashing():
     state = depolarized_state(3, 0.05)
     result = run_protocol(ProtocolConfig(3, 4000, state, seed=6), hash_key=True)
@@ -408,8 +489,6 @@ def test_config_validation():
         ProtocolConfig(3, 100, state, p_estimation=0.0)
     with pytest.raises(ValueError):
         ProtocolConfig(3, 100, state, shards=0)
-    with pytest.raises(ValueError):
-        ProtocolConfig(3, 100, state, sampling="magic")
 
 
 def test_config_from_json():
