@@ -10,8 +10,8 @@ Subpackages by concern:
   and enumerated,
 * :mod:`nqkd.keyrate`  -- secret fractions, rates and threshold solvers,
 * :mod:`nqkd.protocol` -- the seeded round-by-round protocol simulation,
-* :mod:`nqkd.network`  -- repetition-time schedules, the router fan-out
-  verification and the protocol comparison,
+* :mod:`nqkd.network`  -- schedules and hop counts computed from the graph
+  by max-flow, the router fan-out verification and the protocol comparison,
 * :mod:`nqkd.cli`      -- the ``nqkd`` command-line tool.
 """
 
@@ -67,8 +67,6 @@ from .network import (
     distribute_ghz_via_router,
     entanglement_bound_check,
     router_network,
-    schedule_butterfly,
-    schedule_star_router,
     star_network,
 )
 

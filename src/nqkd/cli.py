@@ -64,15 +64,14 @@ def parse_n_list(text: str) -> list[int | float]:
     return out
 
 
-def parse_noise(text: str | None, topology: str) -> noise_model.GateNoise | noise_model.ChannelNoise | None:
+def parse_noise(text: str | None) -> noise_model.GateNoise | noise_model.ChannelNoise | None:
     if text is None:
         return None
     kind, _, value = text.partition(":")
     if not value:
         raise ValueError(f"noise spec {text!r} is not kind:value")
     if kind == "gate":
-        gate_topology = noise_model.ROUTER if topology in ("router", "butterfly") else noise_model.STAR
-        return noise_model.GateNoise(float(value), gate_topology)
+        return noise_model.GateNoise(float(value))
     if kind == "channel":
         return noise_model.ChannelNoise(float(value))
     raise ValueError(f"unknown noise kind {kind!r}")
@@ -122,23 +121,27 @@ def cmd_rates(args) -> int:
         finite = not (isinstance(n, float) and math.isinf(n))
         if not finite and sweep.variable != "Q":
             raise ValueError("N=inf curves are only defined for Q sweeps")
-        t_n = networks.schedule_for(args.topology, networks.NQKD, int(n) if finite else 3).t_rep
-        t_2 = networks.schedule_for(args.topology, networks.TWOQKD, int(n) if finite else 3).t_rep
+        # an N=inf row reuses the N=3 schedules, which is right only where
+        # they do not depend on N: every Bob one hop from Alice
+        flows = networks.graph_flows(networks.TOPOLOGIES[args.topology](int(n) if finite else 3))
+        if not finite and set(flows.hops.values()) != {1}:
+            raise ValueError("N=inf curves are only defined on the star topology")
+        t_n = flows.schedules[networks.NQKD].t_rep
+        t_2 = flows.schedules[networks.TWOQKD].t_rep
+        hops = flows.common_hops() if sweep.variable != "Q" else None
         for value in sweep.values():
             if sweep.variable == "Q":
                 r_inf = keyrate.rate_depolarized(value, n)
                 link = value
             elif sweep.variable == "f_G":
-                gate_topology = noise_model.STAR if args.topology == "star" else noise_model.ROUTER
                 r_inf = keyrate.secret_fraction(
-                    keyrate.gate_noise_rate_input(int(n), value, gate_topology)
+                    keyrate.gate_noise_rate_input(int(n), value, networks.PREPARATION[hops])
                 ).r_inf
                 link = keyrate.TWOQKD_GATE_LINK_FACTOR * value
             else:  # f_C
                 q = noise_model.channel_qber(int(n), value)
                 r_inf = keyrate.rate_depolarized(q, int(n))
-                hops = 1 if args.topology == "star" else 2
-                link = 0.5 * (1.0 - (1.0 - value) ** hops)
+                link = networks.channel_link_qber(value, hops)
             rate_nqkd = max(r_inf, 0.0) / t_n
             # a link error beyond the six-state domain carries no key anyway
             rate_2qkd = max(keyrate.six_state_rate(link), 0.0) / t_2 if link <= 2 / 3 else 0.0
@@ -185,34 +188,20 @@ def cmd_network(args) -> int:
     if args.graph:
         with open(args.graph, "r", encoding="utf-8") as fh:
             model = networks.NetworkModel.from_json(fh.read())
-        topology = model.topology()
-        n = model.n_parties
     else:
-        topology = args.topology
-        n = int(args.n) if args.n else 3
-        model = None
+        model = networks.TOPOLOGIES[args.topology](int(args.n) if args.n else 3)
     if args.sweep:
         sweep = parse_sweep(args.sweep)
         if sweep.variable == "Q":
             raise ValueError("network sweeps run over f_G or f_C")
         rows = []
-        gate_topology = noise_model.STAR if topology == "star" else noise_model.ROUTER
         for value in sweep.values():
-            if sweep.variable == "f_G":
-                noise = noise_model.GateNoise(value, gate_topology)
-            else:
-                noise = noise_model.ChannelNoise(value)
-            result = networks.compare_rates(topology, noise, n)
-            rows.append(
-                [value, result["rate_nqkd"], result["rate_twoqkd"], result["advantage"]]
-            )
+            noise = (noise_model.GateNoise if sweep.variable == "f_G" else noise_model.ChannelNoise)(value)
+            result = networks.compare_rates(model, noise)
+            rows.append([value, result["rate_nqkd"], result["rate_twoqkd"], result["advantage"]])
         write_rows(args.out, ["f", "rate_nqkd", "rate_2qkd", "advantage"], rows, args.format)
         return 0
-    noise = parse_noise(args.noise, topology)
-    result = networks.compare_rates(topology, noise, n)
-    if model is not None:
-        networks.edge_loads(model, networks.NQKD)
-        networks.edge_loads(model, networks.TWOQKD)
+    result = networks.compare_rates(model, parse_noise(args.noise))
     write_text(args.out, networks.comparison_to_json(result))
     return 0
 
@@ -228,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     rates = sub.add_parser("rates", help="secret-fraction sweeps for a family of N")
     rates.add_argument("--sweep", required=True, help="var:start:stop:steps with var in Q, f_G, f_C")
     rates.add_argument("--n", required=True, help="party counts, e.g. 2..8 or 2,3,inf")
-    rates.add_argument("--topology", default="star", choices=["star", "router", "butterfly"])
+    rates.add_argument("--topology", default="star", choices=list(networks.TOPOLOGIES))
     rates.add_argument("--out", default="-")
     rates.add_argument("--format", default="csv", choices=["csv", "json"])
     rates.set_defaults(func=cmd_rates)
@@ -249,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.set_defaults(func=cmd_simulate)
 
     net = sub.add_parser("network", help="compare both protocols on a network")
-    net.add_argument("--topology", default="router", choices=["star", "router", "butterfly"])
+    net.add_argument("--topology", default="router", choices=list(networks.TOPOLOGIES))
     net.add_argument("--graph", default=None, help="JSON network description (overrides --topology)")
     net.add_argument("--n", default=None, help="number of parties")
     net.add_argument("--noise", default=None, help="gate:VALUE or channel:VALUE")

@@ -1,23 +1,25 @@
-"""Network models, repetition-time schedules and the coding advantage.
+"""Network models, schedules computed from the graph, and the coding advantage.
 
-Every channel carries one qubit per second, so the repetition time of a
-protocol round equals the number of sequential network uses it needs.
-Behind a bottleneck router the multipartite protocol distributes its
-resource state in a single use (the router entangles and fans out),
-while the bipartite relay must push N-1 Bell halves through the same
-inbound edge one at a time.  The butterfly multicast graph doubles the
-multipartite round rate instead.
-
-``distribute_ghz_via_router`` verifies the fan-out step for real, on
-state vectors, including both measurement branches of the router's
-correction and a coherent version of the same correction.
+Every channel carries one qubit per second, so a round's repetition time
+is the number of network uses it needs.  ``graph_flows`` computes both
+schedules by max-flow: the multipartite protocol gets the multicast
+capacity min_Bob maxflow(Alice -> Bob) in states per use (Ahlswede, Cai,
+Li and Yeung, IEEE TIT 2000; with free classical communication also for
+qubits: Kobayashi, Le Gall, Nishimura and Roetteler, ICALP 2009), the
+bipartite relay r*, the largest rate every Bob gets at once by routing.
+Breadth-first hop counts pick the noise model: all Bobs one hop from
+Alice prepare as a star, all two hops as a router; other graphs have none.
+``distribute_ghz_via_router`` verifies the router fan-out on state
+vectors, both measurement branches and a coherent correction included.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,59 +41,60 @@ TWOQKD = "2qkd"
 ALICE = "alice"
 BOB = "bob"
 ROUTER_ROLE = "router"
+ROLES = (ALICE, BOB, ROUTER_ROLE)
+PREPARATION = {1: noise_model.STAR, 2: noise_model.ROUTER}  # gate-noise circuit by Bob hop count
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     id: str
     role: str
 
 
 @dataclass(frozen=True)
 class NetworkModel:
-    """Directed graph with unit-capacity edges and party roles."""
+    """Directed graph with unit-capacity edges and party roles; ``hops``
+    is derived, the breadth-first distance from Alice of each node she reaches."""
 
     nodes: tuple[Node, ...]
     edges: tuple[tuple[str, str], ...]
+    hops: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ids = [n.id for n in self.nodes]
+        ids, roles = zip(*self.nodes) if self.nodes else ((), ())
         if len(set(ids)) != len(ids):
             raise ValueError("duplicate node ids")
-        known = set(ids)
-        for a, b in self.edges:
-            if a not in known or b not in known:
-                raise ValueError(f"edge ({a}, {b}) references unknown node")
-        if len(self.alices()) != 1:
-            raise ValueError("network needs exactly one alice")
-        unreachable = [b.id for b in self.bobs() if not self.has_path(self.alices()[0].id, b.id)]
+        unknown = sorted(set(roles) - set(ROLES))
+        if unknown:
+            raise ValueError(f"unknown node role(s) {unknown}; roles are {', '.join(ROLES)}")
+        stray = {node for edge in self.edges for node in edge} - set(ids)
+        if stray:
+            raise ValueError(f"edges reference unknown node(s) {sorted(stray)}")
+        if len(set(self.edges)) != len(self.edges):
+            raise ValueError("duplicate edges")
+        if roles.count(ALICE) != 1 or BOB not in roles:
+            raise ValueError("network needs exactly one alice and at least one bob")
+        queue = [ids[roles.index(ALICE)]]
+        hops = {queue[0]: 0}
+        for here in queue:
+            for a, b in self.edges:
+                if a == here and b not in hops:
+                    hops[b] = hops[here] + 1
+                    queue.append(b)
+        object.__setattr__(self, "hops", hops)
+        unreachable = [b.id for b in self.bobs() if b.id not in hops]
         if unreachable:
             raise ValueError(f"alice cannot reach {unreachable}")
 
-    def alices(self) -> list[Node]:
-        return [n for n in self.nodes if n.role == ALICE]
+    @property
+    def alice(self) -> str:
+        return next(n.id for n in self.nodes if n.role == ALICE)
 
     def bobs(self) -> list[Node]:
         return [n for n in self.nodes if n.role == BOB]
 
-    def routers(self) -> list[Node]:
-        return [n for n in self.nodes if n.role == ROUTER_ROLE]
-
     @property
     def n_parties(self) -> int:
         return 1 + len(self.bobs())
-
-    def has_path(self, src: str, dst: str) -> bool:
-        frontier, seen = [src], {src}
-        while frontier:
-            here = frontier.pop()
-            if here == dst:
-                return True
-            for a, b in self.edges:
-                if a == here and b not in seen:
-                    seen.add(b)
-                    frontier.append(b)
-        return False
 
     def to_json(self) -> str:
         return json.dumps(
@@ -108,14 +111,6 @@ class NetworkModel:
         edges = tuple((str(e["from"]), str(e["to"])) for e in obj["edges"])
         return cls(nodes, edges)
 
-    def topology(self) -> str:
-        routers = len(self.routers())
-        if routers == 0:
-            return "star"
-        if routers == 1:
-            return "router"
-        return "butterfly"
-
 
 def star_network(n_parties: int) -> NetworkModel:
     nodes = [Node("A", ALICE)] + [Node(f"B{i}", BOB) for i in range(1, n_parties)]
@@ -130,25 +125,17 @@ def router_network(n_parties: int) -> NetworkModel:
     return NetworkModel(tuple(nodes), tuple(edges))
 
 
-def butterfly_network() -> NetworkModel:
+def butterfly_network(n_parties: int = 3) -> NetworkModel:
     """The 3-party multicast graph whose network code yields two states per use."""
-    nodes = (
-        Node("A", ALICE),
-        Node("u", ROUTER_ROLE),
-        Node("v", ROUTER_ROLE),
-        Node("c", ROUTER_ROLE),
-        Node("d", ROUTER_ROLE),
-        Node("B1", BOB),
-        Node("B2", BOB),
-    )
-    edges = (
-        ("A", "u"), ("A", "v"),
-        ("u", "B1"), ("v", "B2"),
-        ("u", "c"), ("v", "c"),
-        ("c", "d"),
-        ("d", "B1"), ("d", "B2"),
-    )
+    if n_parties != 3:
+        raise ValueError("the butterfly comparison is defined for 3 parties")
+    nodes = (Node("A", ALICE), *(Node(i, ROUTER_ROLE) for i in "uvcd"), Node("B1", BOB), Node("B2", BOB))
+    edges = (("A", "u"), ("A", "v"), ("u", "B1"), ("v", "B2"), ("u", "c"), ("v", "c"), ("c", "d"),
+             ("d", "B1"), ("d", "B2"))
     return NetworkModel(nodes, edges)
+
+
+TOPOLOGIES = {"star": star_network, "router": router_network, "butterfly": butterfly_network}
 
 
 @dataclass(frozen=True)
@@ -178,84 +165,136 @@ class Schedule:
         )
 
 
-def schedule_star_router(n_parties: int, protocol: str) -> Schedule:
-    """Repetition times behind the single-router bottleneck.
+# ---------------------------------------------------------------------------
+# Flows: schedules, edge loads and hop counts read off the graph
+# ---------------------------------------------------------------------------
 
-    The multipartite state needs one use (each edge carries one qubit);
-    the bipartite relay needs N-1 uses of the inbound edge.
+def _max_flow(edges, capacities, source, sink, limit: int | None = None) -> tuple[int, list[int], set]:
+    """Maximum flow on integer capacities, stopping at ``limit`` if given.
+
+    Each round grows a breadth-first tree in the residual graph (arc 2i
+    is edge i, arc 2i+1 its reverse) and augments along it to every arc
+    entering the sink.  Returns the value, the flow on each edge and the
+    nodes last reached: a minimum cut's source side, unless ``limit`` hit.
     """
-    if protocol == NQKD:
-        return Schedule(NQKD, 1.0)
-    if protocol == TWOQKD:
-        return Schedule(TWOQKD, float(n_parties - 1))
-    raise ValueError(f"unknown protocol {protocol!r}")
+    arcs_from: dict = {}
+    for i, (a, b) in enumerate(edges):
+        arcs_from.setdefault(a, []).append(2 * i)
+        arcs_from.setdefault(b, []).append(2 * i + 1)
+    heads = [node for a, b in edges for node in (b, a)]
+    residual = [c for capacity in capacities for c in (capacity, 0)]
+    into_sink = [arc ^ 1 for arc in arcs_from.get(sink, ())]
+    value = pushed = 0
+    while value != limit:
+        reached = {source: -1, sink: None}  # node -> arc that reached it; no search from the sink
+        queue = [source]
+        for node in queue:
+            for arc in arcs_from.get(node, ()):
+                if residual[arc] and heads[arc] not in reached:
+                    reached[heads[arc]] = arc
+                    queue.append(heads[arc])
+        del reached[sink]
+        for last in into_sink:
+            path, node = [last], heads[last ^ 1]
+            if node not in reached or not residual[last]:
+                continue
+            push = residual[last] if limit is None else min(residual[last], limit - value)
+            while node != source:
+                path.append(reached[node])
+                push = min(push, residual[path[-1]])
+                node = heads[path[-1] ^ 1]
+            for arc in path:
+                residual[arc] -= push
+                residual[arc ^ 1] += push
+            value += push
+        if value == pushed:
+            break
+        pushed = value
+    return value, residual[1::2], set(reached)
 
 
-def schedule_butterfly(protocol: str, n_parties: int = 3, multicast_bits: int = 2) -> Schedule:
-    """Repetition times on a multicast network.
+class GraphFlows(NamedTuple):
+    """What the comparison reads off one graph: Bob hop counts, the
+    multicast capacity h, r* = p/q as (p, q), the relay flow that
+    delivers p to every Bob when each edge carries q, both schedules and
+    the report label."""
 
-    A graph that multicasts n classical bits per use yields n resource
-    states per use for the multipartite protocol, against n/(N-1)
-    relay rounds for the bipartite one (outgoing capacity at Alice).
+    hops: dict[str, int]
+    multicast: int
+    relay: tuple[int, int]
+    relay_flow: list[int]
+    schedules: dict[str, Schedule]
+    label: str
+
+    def common_hops(self) -> int:
+        """The Bobs' common hop count; the noise models know 1 and 2 only."""
+        common = set(self.hops.values())
+        if len(common) != 1 or not common <= set(PREPARATION):
+            raise ValueError(f"noisy comparisons need every Bob 1 or 2 hops from Alice; hops {self.hops}")
+        return common.pop()
+
+
+@lru_cache(maxsize=128)
+def graph_flows(network: NetworkModel) -> GraphFlows:
+    """Multicast capacity, relay rate and hop counts of one graph.
+
+    r* is the largest lambda with a flow delivering lambda to every Bob
+    at once.  Dinkelbach's iteration finds it exactly: for lambda = p/q,
+    scale the edges by q and add Bob -> sink edges of capacity p; while
+    the flow does not saturate them, set lambda to the minimum cut's
+    edges over the Bobs it cuts off.
     """
-    if multicast_bits < 1:
-        raise ValueError("multicast capacity must be at least 1")
-    if protocol == NQKD:
-        return Schedule(NQKD, 1.0, float(multicast_bits))
-    if protocol == TWOQKD:
-        return Schedule(TWOQKD, 1.0, multicast_bits / (n_parties - 1))
-    raise ValueError(f"unknown protocol {protocol!r}")
+    alice, edges = network.alice, network.edges
+    bobs = [b.id for b in network.bobs()]
+    # 1 <= h <= the edges leaving Alice or entering any Bob; each flow stops at the least h so far
+    out_of_alice = sum(1 for a, _ in edges if a == alice)
+    targets = [b for _, b in edges]
+    multicast = min(out_of_alice, *map(targets.count, bobs))
+    for bob in bobs if multicast > 1 else ():
+        multicast = _max_flow(edges, [1] * len(edges), alice, bob, multicast)[0]
+
+    # start from the smaller of two cut ratios: h, and Alice's out-edges over all Bobs
+    p, q = min((multicast, 1), (out_of_alice, len(bobs)), key=lambda r: r[0] / r[1])
+    relay_edges = edges + tuple((b, None) for b in bobs)  # None is the sink
+    while True:
+        common = math.gcd(p, q)
+        p, q = p // common, q // common
+        capacities = [q] * len(edges) + [p] * len(bobs)
+        value, flow, reached = _max_flow(relay_edges, capacities, alice, None, p * len(bobs))
+        if value == p * len(bobs):
+            break
+        p = sum(1 for a, b in edges if a in reached and b not in reached)
+        q = sum(1 for b in bobs if b not in reached)
+    hops = {b: network.hops[b] for b in bobs}
+    schedules = {NQKD: Schedule(NQKD, 1.0, float(multicast)), TWOQKD: Schedule(TWOQKD, float(q), float(p))}
+    label = "star" if set(hops.values()) == {1} else "butterfly" if multicast >= 2 else "router"
+    return GraphFlows(hops, multicast, (p, q), flow[: len(edges)], schedules, label)
 
 
-def schedule_for(network: NetworkModel | str, protocol: str, n_parties: int) -> Schedule:
-    topology = network if isinstance(network, str) else network.topology()
-    if topology == "star":
-        return Schedule(protocol, 1.0)
-    if topology == "router":
-        return schedule_star_router(n_parties, protocol)
-    if topology == "butterfly":
-        return schedule_butterfly(protocol, n_parties)
-    raise ValueError(f"unknown topology {topology!r}")
+def schedule_for(network: NetworkModel, protocol: str) -> Schedule:
+    schedules = graph_flows(network).schedules
+    if protocol not in schedules:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    return schedules[protocol]
 
 
 def edge_loads(network: NetworkModel, protocol: str) -> dict[tuple[str, str], float]:
-    """Qubits per second on each edge under the protocol's schedule.
+    """Qubits per use on each edge of the graph under the protocol's schedule.
 
-    One network use lasts one second.  The multipartite protocol sends
-    one qubit along every edge it touches per use; the bipartite relay
-    spreads its per-round transmissions over the scheduled uses (e.g.
-    one Bell half per use through the router's inbound edge).  No load
-    may exceed the unit capacity.
+    A multipartite load is the largest flow of h that any one Bob draws
+    through the edge, since network coding shares edges; a relay load is
+    the concurrent flow behind r*.  Flows never exceed the capacity.
     """
-    topology = network.topology()
-    n = network.n_parties
-    loads: dict[tuple[str, str], float] = {e: 0.0 for e in network.edges}
-    if topology == "star":
-        for edge in network.edges:
-            loads[edge] = 1.0
-    elif topology == "router":
-        if protocol == NQKD:
-            for edge in network.edges:
-                loads[edge] = 1.0
-        else:
-            # one Bell half crosses A->C per use; each Bob is served once
-            # every N-1 uses
-            for edge in network.edges:
-                loads[edge] = 1.0 if edge == ("A", "C") else 1.0 / (n - 1)
-    elif topology == "butterfly":
-        if protocol == NQKD:
-            for edge in network.edges:
-                loads[edge] = 1.0
-        else:
-            # two Bell halves leave Alice and travel the direct paths
-            for edge in (("A", "u"), ("A", "v"), ("u", "B1"), ("v", "B2")):
-                loads[edge] = 1.0
-    else:
-        raise ValueError(f"unknown topology {topology!r}")
-    overloaded = {e: l for e, l in loads.items() if l > 1.0 + 1e-12}
-    if overloaded:
-        raise ValueError(f"schedule exceeds unit capacity on {overloaded}")
-    return loads
+    flows, edges = graph_flows(network), network.edges
+    if protocol == NQKD:
+        coded = [0] * len(edges)
+        for bob in flows.hops:
+            flow = _max_flow(edges, [1] * len(edges), network.alice, bob, flows.multicast)[1]
+            coded = list(map(max, coded, flow))
+        return dict(zip(edges, map(float, coded)))
+    if protocol == TWOQKD:
+        return {e: f / flows.relay[1] for e, f in zip(edges, flows.relay_flow)}
+    raise ValueError(f"unknown protocol {protocol!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -363,49 +402,52 @@ def bell_pairs_entanglement(pairs: int) -> float:
 # Protocol comparison
 # ---------------------------------------------------------------------------
 
-def _twoqkd_link_qber(noise, topology: str) -> float:
-    if isinstance(noise, noise_model.GateNoise):
-        return keyrate.TWOQKD_GATE_LINK_FACTOR * noise.f_g
-    hops = 1 if topology == "star" else 2
-    return 0.5 * (1.0 - (1.0 - noise.f_c) ** hops)
+def channel_link_qber(f_c: float, hops: int) -> float:
+    """QBER of a relay link whose Bob is ``hops`` noisy channels from Alice."""
+    return 0.5 * (1.0 - (1.0 - f_c) ** hops)
 
 
 def compare_rates(
     network: NetworkModel | str,
     noise: noise_model.GateNoise | noise_model.ChannelNoise | None,
-    n_parties: int,
+    n_parties: int | None = None,
 ) -> dict:
     """Key rates of both protocols on one network under one noise model.
 
-    Returns both rate reports plus the advantage flag; ``noise`` may be
-    None for the ideal comparison.
+    ``network`` is a graph or a ``TOPOLOGIES`` name built for
+    ``n_parties``; ``noise`` may be None for the ideal comparison.  The
+    graph picks the gate-noise preparation, not ``GateNoise.topology``.
     """
-    topology = network if isinstance(network, str) else network.topology()
-    if topology == "butterfly" and n_parties != 3:
-        raise ValueError("the butterfly comparison is defined for 3 parties")
-    t_nqkd = schedule_for(topology, NQKD, n_parties).t_rep
-    t_twoqkd = schedule_for(topology, TWOQKD, n_parties).t_rep
+    if isinstance(network, str):
+        network = TOPOLOGIES[network](n_parties)
+    flows = graph_flows(network)
+    if n_parties is not None and n_parties != len(flows.hops) + 1:
+        raise ValueError(f"the graph has {len(flows.hops) + 1} parties, not {n_parties}")
+    n_parties = len(flows.hops) + 1
+    t_nqkd = flows.schedules[NQKD].t_rep
+    t_twoqkd = flows.schedules[TWOQKD].t_rep
 
     if noise is None:
         nqkd_input = keyrate.depolarized_rate_input(0.0, n_parties, t_nqkd)
         link = 0.0
-    elif isinstance(noise, noise_model.GateNoise):
-        gate_topology = noise_model.STAR if topology == "star" else noise_model.ROUTER
-        nqkd_input = keyrate.gate_noise_rate_input(n_parties, noise.f_g, gate_topology, t_nqkd)
-        link = _twoqkd_link_qber(noise, topology)
-    elif isinstance(noise, noise_model.ChannelNoise):
-        q = noise_model.channel_qber(n_parties, noise.f_c)
-        nqkd_input = keyrate.depolarized_rate_input(q, n_parties, t_nqkd)
-        link = _twoqkd_link_qber(noise, topology)
     else:
-        raise TypeError(f"unsupported noise model {noise!r}")
+        hops = flows.common_hops()
+        if isinstance(noise, noise_model.GateNoise):
+            nqkd_input = keyrate.gate_noise_rate_input(n_parties, noise.f_g, PREPARATION[hops], t_nqkd)
+            link = keyrate.TWOQKD_GATE_LINK_FACTOR * noise.f_g
+        elif isinstance(noise, noise_model.ChannelNoise):
+            q = noise_model.channel_qber(n_parties, noise.f_c)
+            nqkd_input = keyrate.depolarized_rate_input(q, n_parties, t_nqkd)
+            link = channel_link_qber(noise.f_c, hops)
+        else:
+            raise TypeError(f"unsupported noise model {noise!r}")
 
     nqkd_report = keyrate.secret_fraction(nqkd_input)
     twoqkd_report = keyrate.twoqkd_conference_rate([link] * (n_parties - 1), t_twoqkd)
     rate_n = nqkd_report.r_clamped / t_nqkd
     rate_2 = twoqkd_report.r_clamped / t_twoqkd
     return {
-        "topology": topology,
+        "topology": flows.label,
         "n_parties": n_parties,
         "nqkd": nqkd_report,
         "twoqkd": twoqkd_report,
@@ -426,21 +468,8 @@ def comparison_to_json(result: dict) -> str:
 
 
 __all__ = [
-    "NetworkModel",
-    "Node",
-    "Schedule",
-    "star_network",
-    "router_network",
-    "butterfly_network",
-    "schedule_star_router",
-    "schedule_butterfly",
-    "schedule_for",
-    "edge_loads",
-    "distribute_ghz_via_router",
-    "entanglement_bound_check",
-    "bell_pairs_entanglement",
-    "compare_rates",
-    "comparison_to_json",
-    "NQKD",
-    "TWOQKD",
+    "NetworkModel", "Node", "Schedule", "GraphFlows", "TOPOLOGIES", "PREPARATION", "NQKD", "TWOQKD",
+    "star_network", "router_network", "butterfly_network", "graph_flows", "schedule_for", "edge_loads",
+    "channel_link_qber", "compare_rates", "comparison_to_json",
+    "distribute_ghz_via_router", "entanglement_bound_check", "bell_pairs_entanglement",
 ]

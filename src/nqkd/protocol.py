@@ -51,7 +51,6 @@ class ProtocolConfig:
     p_estimation: float = 0.05
     seed: int = 0
     announced_z_rounds: int | None = None
-    shards: int = 1
 
     def __post_init__(self):
         if self.n_rounds < 1:
@@ -61,8 +60,6 @@ class ProtocolConfig:
         state_n = self.state.n_parties if isinstance(self.state, GhzDiagonalState) else self.state.n_qubits
         if state_n != self.n_parties:
             raise ValueError(f"state has {state_n} parties, config says {self.n_parties}")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -427,18 +424,9 @@ class ProtocolRun:
         xy_count = int(self.is_xy.sum())
         z_count = config.n_rounds - xy_count
 
-        self.z_bits = _sharded(
-            lambda r, c: sample_z_bits(config.state, c, r), z_rng, z_count, config.shards, n
-        )
+        self.z_bits = sample_z_bits(config.state, z_count, z_rng)
         self.xy_bases = xy_rng.integers(0, 2, size=(xy_count, n), dtype=np.uint8)
-        self.xy_bits = _sharded(
-            lambda r, c, off: sample_xy_bits(config.state, self.xy_bases[off : off + c], r),
-            xy_rng,
-            xy_count,
-            config.shards,
-            n,
-            with_offset=True,
-        )
+        self.xy_bits = sample_xy_bits(config.state, self.xy_bases, xy_rng)
         self._subset_rng = subset_rng
         self._post_rng = post_rng
 
@@ -459,19 +447,6 @@ class ProtocolRun:
                 bits = self.z_bits[z_pos]
                 yield RoundRecord(Z_ROUND, ("Z",) * n, tuple(1 - 2 * int(b) for b in bits), 0, True)
                 z_pos += 1
-
-
-def _sharded(sampler, rng: np.random.Generator, count: int, shards: int, n: int, with_offset: bool = False):
-    """Split ``count`` samples over seed-derived substreams."""
-    if shards == 1:
-        return sampler(rng, count) if not with_offset else sampler(rng, count, 0)
-    bounds = np.linspace(0, count, shards + 1).astype(int)
-    streams = rng.spawn(shards)
-    parts = []
-    for i, stream in enumerate(streams):
-        c = int(bounds[i + 1] - bounds[i])
-        parts.append(sampler(stream, c) if not with_offset else sampler(stream, c, int(bounds[i])))
-    return np.concatenate(parts) if parts else np.zeros((0, n), dtype=np.uint8)
 
 
 def run_protocol(config: ProtocolConfig, hash_key: bool = False, run: ProtocolRun | None = None) -> ProtocolResult:
@@ -545,7 +520,7 @@ def write_transcript(path: str, run: ProtocolRun) -> None:
             fh.write("\n")
 
 
-CONFIG_KEYS = {"n_parties", "n_rounds", "p_estimation", "seed", "state", "announced_z_rounds", "shards"}
+CONFIG_KEYS = {"n_parties", "n_rounds", "p_estimation", "seed", "state", "announced_z_rounds"}
 
 
 def protocol_config_from_json(obj: dict | str) -> ProtocolConfig:
@@ -575,5 +550,4 @@ def protocol_config_from_json(obj: dict | str) -> ProtocolConfig:
         p_estimation=float(obj.get("p_estimation", 0.05)),
         seed=int(obj.get("seed", 0)),
         announced_z_rounds=obj.get("announced_z_rounds"),
-        shards=int(obj.get("shards", 1)),
     )

@@ -29,9 +29,9 @@ def test_parse_helpers():
         parse_sweep("Q:0.3:0.1:5")
     with pytest.raises(ValueError):
         parse_sweep("Q:0:0.3:1")
-    assert parse_noise(None, "star") is None
+    assert parse_noise(None) is None
     with pytest.raises(ValueError):
-        parse_noise("gate", "star")
+        parse_noise("gate")
 
 
 def test_rates_csv_crosses_zero_near_threshold(tmp_path):
@@ -79,6 +79,23 @@ def test_rates_usage_errors(tmp_path, capsys):
     assert run_cli(["rates", "--sweep", "Q:0:0.3:1", "--n", "2"]) == 2
     assert run_cli(["rates", "--sweep", "f_G:0:0.2:5", "--n", "inf"]) == 2
     assert run_cli(["rates", "--sweep", "Q:0:0.95:5", "--n", "2"]) == 2  # beyond admissible Q
+
+
+@pytest.mark.parametrize("topology", ["router", "butterfly"])
+def test_rates_large_n_limit_needs_star(topology, capsys):
+    # the N=inf rows once reused the N=3 schedule behind a bottleneck
+    assert run_cli(["rates", "--sweep", "Q:0:0.3:5", "--n", "3,inf", "--topology", topology]) == 2
+    assert "star" in capsys.readouterr().err
+
+
+def test_rates_butterfly_needs_three_parties(tmp_path, capsys):
+    out = tmp_path / "fly.csv"
+    assert run_cli(["rates", "--sweep", "Q:0:0.3:5", "--n", "5", "--topology", "butterfly"]) == 2
+    assert "3 parties" in capsys.readouterr().err
+    assert run_cli(["rates", "--sweep", "Q:0:0.3:5", "--n", "3", "--topology", "butterfly",
+                    "--out", str(out)]) == 0
+    rows = [line.split(",") for line in out.read_text().split()[1:]]
+    assert float(rows[0][4]) == 2.0 and float(rows[0][5]) == 1.0  # t_rep 0.5 against 1
 
 
 def test_thresholds_qber_table(tmp_path):
@@ -180,6 +197,14 @@ def test_simulate_rejects_unknown_config_key(tmp_path, capsys):
     cfg.write_text(json.dumps(config))
     assert run_cli(["simulate", "--config", str(cfg)]) == 2
     assert "sampling" in capsys.readouterr().err
+
+
+def test_simulate_rejects_removed_shards_key(tmp_path, capsys):
+    config = {"n_parties": 3, "n_rounds": 1000, "state": {"model": "pure_ghz"}, "shards": 1}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(["simulate", "--config", str(cfg)]) == 2
+    assert "shards" in capsys.readouterr().err
 
 
 def test_simulate_asymmetric_state_above_dense_cap(tmp_path, monkeypatch):

@@ -1,15 +1,18 @@
 """Schedules, the router fan-out verification and protocol comparison."""
 
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
+from nqkd.cli import main
 from nqkd.network import (
     NQKD,
     TWOQKD,
     NetworkModel,
+    Node,
     bell_pairs_entanglement,
     butterfly_network,
     compare_rates,
@@ -17,34 +20,61 @@ from nqkd.network import (
     distribute_ghz_via_router,
     edge_loads,
     entanglement_bound_check,
+    graph_flows,
     router_network,
-    schedule_butterfly,
-    schedule_star_router,
+    schedule_for,
     star_network,
 )
 from nqkd.keyrate import nqkd_gate_threshold
 from nqkd.noise import ChannelNoise, GateNoise
 
 
+def graph(nodes: dict[str, str], edges: list[tuple[str, str]]) -> NetworkModel:
+    return NetworkModel(tuple(Node(i, role) for i, role in nodes.items()), tuple(edges))
+
+
+def fan_network(width: int, n_bobs: int) -> NetworkModel:
+    """A -> {x1..x_width} -> {B1..B_n_bobs}: multicast capacity ``width``."""
+    xs = [f"x{i}" for i in range(1, width + 1)]
+    bobs = [f"B{i}" for i in range(1, n_bobs + 1)]
+    nodes = {"A": "alice", **dict.fromkeys(xs, "router"), **dict.fromkeys(bobs, "bob")}
+    return graph(nodes, [("A", x) for x in xs] + [(x, b) for x in xs for b in bobs])
+
+
+CHAIN = graph(
+    {"A": "alice", "C1": "router", "C2": "router", "B1": "bob", "B2": "bob"},
+    [("A", "C1"), ("C1", "C2"), ("C2", "B1"), ("C2", "B2")],
+)
+LINE = graph(
+    {"A": "alice", "B1": "bob", "B2": "bob", "B3": "bob"},
+    [("A", "B1"), ("B1", "B2"), ("B2", "B3")],
+)
+
+
 def test_schedule_star_router():
-    assert schedule_star_router(3, NQKD).t_rep == 1.0
-    assert schedule_star_router(3, TWOQKD).t_rep == 2.0
-    assert schedule_star_router(7, TWOQKD).t_rep == 6.0
+    assert schedule_for(router_network(3), NQKD).t_rep == 1.0
+    assert schedule_for(router_network(3), TWOQKD).t_rep == 2.0
+    assert schedule_for(router_network(7), TWOQKD).t_rep == 6.0
+    assert schedule_for(star_network(7), NQKD).t_rep == 1.0
+    assert schedule_for(star_network(7), TWOQKD).t_rep == 1.0
     with pytest.raises(ValueError):
-        schedule_star_router(3, "telepathy")
+        schedule_for(router_network(3), "telepathy")
 
 
 def test_schedule_butterfly():
-    assert schedule_butterfly(NQKD).t_rep == pytest.approx(0.5)
-    assert schedule_butterfly(TWOQKD).t_rep == pytest.approx(1.0)
-    # n-multicast generalisation: n rounds vs n/(N-1) rounds per use
-    assert schedule_butterfly(NQKD, 3, multicast_bits=5).t_rep == pytest.approx(1 / 5)
-    assert schedule_butterfly(TWOQKD, 5, multicast_bits=8).t_rep == pytest.approx(4 / 8)
+    assert schedule_for(butterfly_network(), NQKD).t_rep == 0.5
+    assert schedule_for(butterfly_network(), TWOQKD).t_rep == 1.0
+    # multicast capacity h: h rounds per use, against r* = h/(N-1) relay
+    # rounds when Alice's h out-edges are the bottleneck
+    assert schedule_for(fan_network(5, 2), NQKD).t_rep == pytest.approx(1 / 5)
+    assert schedule_for(fan_network(8, 4), TWOQKD).t_rep == pytest.approx(4 / 8)
 
 
 def test_schedule_json():
-    obj = json.loads(schedule_butterfly(NQKD).to_json())
+    obj = json.loads(schedule_for(butterfly_network(), NQKD).to_json())
     assert obj == {"protocol": NQKD, "uses_per_round": 1.0, "states_per_use": 2.0, "t_rep": 0.5}
+    obj = json.loads(schedule_for(router_network(4), TWOQKD).to_json())
+    assert obj == {"protocol": TWOQKD, "uses_per_round": 3.0, "states_per_use": 1.0, "t_rep": 3.0}
 
 
 def test_ideal_rate_ratios():
@@ -143,10 +173,10 @@ def test_network_model_json_roundtrip():
     net = router_network(4)
     back = NetworkModel.from_json(net.to_json())
     assert back == net
-    assert back.topology() == "router"
+    assert graph_flows(back).label == "router"
     assert back.n_parties == 4
-    assert star_network(3).topology() == "star"
-    assert butterfly_network().topology() == "butterfly"
+    assert graph_flows(star_network(3)).label == "star"
+    assert graph_flows(butterfly_network()).label == "butterfly"
 
 
 def test_network_model_validation():
@@ -163,6 +193,147 @@ def test_network_model_validation():
         NetworkModel.from_json(
             json.dumps({"nodes": [{"id": "B1", "role": "bob"}], "edges": []})
         )
+    with pytest.raises(ValueError, match="duplicate edges"):
+        graph({"A": "alice", "B1": "bob"}, [("A", "B1"), ("A", "B1")])
+    with pytest.raises(ValueError, match="at least one bob"):
+        graph({"A": "alice", "C": "router"}, [("A", "C")])
+
+
+def test_network_model_rejects_unknown_roles(tmp_path, capsys):
+    # a mistyped role used to drop the party from n_parties silently
+    with pytest.raises(ValueError, match="Bob"):
+        graph({"A": "alice", "B1": "bob", "B2": "Bob"}, [("A", "B1"), ("A", "B2")])
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps({
+        "nodes": [{"id": "A", "role": "alice"}, {"id": "B1", "role": "bob"}, {"id": "B2", "role": "Bob"}],
+        "edges": [{"from": "A", "to": "B1"}, {"from": "A", "to": "B2"}],
+    }))
+    assert main(["network", "--graph", str(path)]) == 2
+    assert "unknown node role" in capsys.readouterr().err
+
+
+def run_graph(tmp_path, net: NetworkModel, *extra: str) -> int:
+    path = tmp_path / "graph.json"
+    path.write_text(net.to_json())
+    return main(["network", "--graph", str(path), "--out", str(tmp_path / "out.json"), *extra])
+
+
+def test_chain_graph_has_one_state_per_use(tmp_path):
+    # two routers in a row once read as a butterfly with t_rep 0.5
+    result = compare_rates(CHAIN, None)
+    assert result["nqkd"].t_rep == 1.0
+    assert result["twoqkd"].t_rep == 2.0
+    assert result["topology"] == "router"
+    assert graph_flows(CHAIN).hops == {"B1": 3, "B2": 3}
+    with pytest.raises(ValueError, match="1 or 2 hops"):
+        compare_rates(CHAIN, ChannelNoise(0.02))
+    assert run_graph(tmp_path, CHAIN) == 0
+    assert json.loads((tmp_path / "out.json").read_text())["rate_nqkd"] == 1.0
+    assert run_graph(tmp_path, CHAIN, "--noise", "channel:0.02") == 2
+    assert edge_loads(CHAIN, TWOQKD) == {
+        ("A", "C1"): 1.0, ("C1", "C2"): 1.0, ("C2", "B1"): 0.5, ("C2", "B2"): 0.5,
+    }
+
+
+def test_line_graph_relays_through_each_bob(tmp_path):
+    # the line once read as a star with relay t_rep 1
+    result = compare_rates(LINE, None)
+    assert result["twoqkd"].t_rep == 3.0
+    assert result["nqkd"].t_rep == 1.0
+    assert graph_flows(LINE).hops == {"B1": 1, "B2": 2, "B3": 3}
+    for noise in (GateNoise(0.01), ChannelNoise(0.02)):
+        with pytest.raises(ValueError):
+            compare_rates(LINE, noise)
+    assert run_graph(tmp_path, LINE, "--noise", "gate:0.01") == 2
+    assert run_graph(tmp_path, LINE, "--noise", "channel:0.02") == 2
+    assert run_graph(tmp_path, LINE, "--sweep", "f_C:0:0.1:5") == 2
+
+
+def test_router_loads_follow_the_graph_not_node_names():
+    for n in (3, 5):
+        net = graph(
+            {"A": "alice", "R": "router", **{f"B{i}": "bob" for i in range(1, n)}},
+            [("A", "R")] + [("R", f"B{i}") for i in range(1, n)],
+        )
+        loads = edge_loads(net, TWOQKD)
+        assert loads[("A", "R")] == 1.0
+        for i in range(1, n):
+            assert loads[("R", f"B{i}")] == pytest.approx(1 / (n - 1))
+        assert set(edge_loads(net, NQKD).values()) == {1.0}
+
+
+def test_renamed_butterfly_loads_cover_exactly_its_edges():
+    names = {"A": "s", "u": "left", "v": "right", "c": "mid", "d": "out", "B1": "p", "B2": "q"}
+    fly = butterfly_network()
+    renamed = NetworkModel(
+        tuple(Node(names[n.id], n.role) for n in reversed(fly.nodes)),
+        tuple((names[a], names[b]) for a, b in reversed(fly.edges)),
+    )
+    for protocol in (NQKD, TWOQKD):
+        assert set(edge_loads(renamed, protocol)) == set(renamed.edges)
+    assert set(edge_loads(renamed, NQKD).values()) == {1.0}
+    assert sum(edge_loads(renamed, TWOQKD).values()) == 4.0  # two direct two-hop paths
+    result = compare_rates(renamed, None)
+    assert result["nqkd"].t_rep == 0.5
+    assert result["twoqkd"].t_rep == 1.0
+    assert result["topology"] == "butterfly"
+
+
+def test_fan_graph_multicasts_three_states_per_use():
+    result = compare_rates(fan_network(3, 2), None)
+    assert result["nqkd"].t_rep == pytest.approx(1 / 3)
+    assert result["twoqkd"].t_rep == pytest.approx(2 / 3)
+    assert result["ratio"] == pytest.approx(2.0)
+
+
+def cut_bounds(net: NetworkModel) -> tuple[int, float]:
+    """Multicast capacity and r* by brute force over every cut that keeps Alice."""
+    alice = net.alice
+    others = [n.id for n in net.nodes if n.id != alice]
+    bobs = {b.id for b in net.bobs()}
+    multicast, relay = math.inf, math.inf
+    for size in range(len(others) + 1):
+        for side in itertools.combinations(others, size):
+            source_side = {alice, *side}
+            cut = sum(1 for a, b in net.edges if a in source_side and b not in source_side)
+            cut_off = len(bobs - source_side)
+            if cut_off:
+                multicast = min(multicast, cut)
+                relay = min(relay, cut / cut_off)
+    return multicast, relay
+
+
+def test_flows_match_brute_force_cuts_on_random_graphs():
+    rng = np.random.default_rng(12)
+    checked = 0
+    while checked < 60:
+        size = int(rng.integers(3, 8))
+        ids = [f"n{i}" for i in range(size)]
+        roles = ["alice"] + [str(rng.choice(["bob", "router"])) for _ in ids[1:]]
+        pairs = [(a, b) for a in ids for b in ids if a != b and rng.random() < 0.4]
+        try:
+            net = graph(dict(zip(ids, roles)), pairs)
+        except ValueError:
+            continue  # no bob, or a bob Alice cannot reach
+        checked += 1
+        flows = graph_flows(net)
+        multicast, relay = cut_bounds(net)
+        p, q = flows.relay
+        assert flows.multicast == multicast
+        assert p / q == pytest.approx(relay, abs=1e-12)
+        # the relay loads are a flow delivering r* to every Bob
+        for protocol in (NQKD, TWOQKD):
+            loads = edge_loads(net, protocol)
+            assert set(loads) == set(net.edges)
+            assert max(loads.values()) <= 1.0
+        loads = edge_loads(net, TWOQKD)
+        for node in net.nodes:
+            if node.role == "alice":
+                continue
+            net_in = sum(l for (a, b), l in loads.items() if b == node.id) - sum(
+                l for (a, b), l in loads.items() if a == node.id
+            )
+            assert net_in == pytest.approx(p / q if node.role == "bob" else 0.0, abs=1e-12)
 
 
 def test_comparison_json():

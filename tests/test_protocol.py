@@ -339,16 +339,6 @@ def test_run_protocol_deterministic_per_seed():
         assert r1 == r2
 
 
-def test_run_protocol_sharded_reproducible():
-    state = depolarized_state(3, 0.1)
-    a = run_protocol(ProtocolConfig(3, 8000, state, seed=1, shards=4))
-    b = run_protocol(ProtocolConfig(3, 8000, state, seed=1, shards=4))
-    assert a.estimate == b.estimate
-    # shard count is part of the reproducibility contract, not equality
-    target = qber_z(state)
-    assert abs(a.estimate.q_z_hat - target) < three_sigma(target, a.estimate.z_rounds_used)
-
-
 def test_discard_rule_half():
     state = depolarized_state(3, 0.1)
     result = run_protocol(ProtocolConfig(3, 60000, state, p_estimation=0.3, seed=17))
@@ -487,8 +477,6 @@ def test_config_validation():
         ProtocolConfig(3, 0, state)
     with pytest.raises(ValueError):
         ProtocolConfig(3, 100, state, p_estimation=0.0)
-    with pytest.raises(ValueError):
-        ProtocolConfig(3, 100, state, shards=0)
 
 
 def test_config_from_json():
