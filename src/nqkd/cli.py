@@ -9,6 +9,7 @@ so identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -206,7 +207,9 @@ def cmd_network(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The ``nqkd`` parser, built once; each ``parse_args`` call returns a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="nqkd",
         description="Conference key distribution with multiparty entangled states: "

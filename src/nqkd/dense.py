@@ -293,14 +293,6 @@ def entanglement_entropy(state: DenseState, subsystem: tuple[int, ...]) -> float
     return float(-(evals * np.log2(evals)).sum())
 
 
-def fidelity_with_pure(state: DenseState, target: np.ndarray) -> float:
-    """<target| rho |target> for a normalized target vector."""
-    target = np.asarray(target, dtype=complex)
-    if state.pure:
-        return float(abs(np.vdot(target, state.data)) ** 2)
-    return float(np.real(np.vdot(target, state.data @ target)))
-
-
 # X-basis and Y-basis eigenvector columns (+1 eigenvector first).
 _BASIS_COLUMNS = {
     "x": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2.0),

@@ -416,7 +416,7 @@ def compare_rates(
 
     ``network`` is a graph or a ``TOPOLOGIES`` name built for
     ``n_parties``; ``noise`` may be None for the ideal comparison.  The
-    graph picks the gate-noise preparation, not ``GateNoise.topology``.
+    graph's hop counts pick the gate-noise preparation.
     """
     if isinstance(network, str):
         network = TOPOLOGIES[network](n_parties)

@@ -37,16 +37,13 @@ ROUTER = "router"
 
 @dataclass(frozen=True)
 class GateNoise:
-    """Two-qubit gate failure probability plus the preparation topology."""
+    """Two-qubit gate failure probability."""
 
     f_g: float
-    topology: str = STAR
 
     def __post_init__(self):
         if not 0.0 <= self.f_g <= 1.0:
             raise ValueError(f"f_g={self.f_g} outside [0, 1]")
-        if self.topology not in (STAR, ROUTER):
-            raise ValueError(f"unknown topology {self.topology!r}")
 
 
 @dataclass(frozen=True)
@@ -60,15 +57,20 @@ class ChannelNoise:
             raise ValueError(f"f_c={self.f_c} outside [0, 1]")
 
 
+_NOISE_MODELS = {"gate": ("fG", GateNoise), "channel": ("fC", ChannelNoise)}
+
+
 def noise_from_json(text: str | dict) -> GateNoise | ChannelNoise:
-    """Parse {"model": "gate"|"channel", "fG"|"fC": x, "topology": ...}."""
+    """Parse {"model": "gate"|"channel", "fG"|"fC": x}; any other key is rejected."""
     obj = json.loads(text) if isinstance(text, str) else text
     model = obj.get("model")
-    if model == "gate":
-        return GateNoise(float(obj["fG"]), obj.get("topology", STAR))
-    if model == "channel":
-        return ChannelNoise(float(obj["fC"]))
-    raise ValueError(f"unknown noise model {model!r}")
+    if model not in _NOISE_MODELS:
+        raise ValueError(f"unknown noise model {model!r}")
+    key, cls = _NOISE_MODELS[model]
+    unknown = sorted(set(obj) - {"model", key})
+    if unknown:
+        raise ValueError(f"unknown noise key(s): {', '.join(unknown)}")
+    return cls(float(obj[key]))
 
 
 # ---------------------------------------------------------------------------

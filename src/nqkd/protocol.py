@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -430,24 +430,6 @@ class ProtocolRun:
         self._subset_rng = subset_rng
         self._post_rng = post_rng
 
-    def iter_round_records(self) -> Iterator[RoundRecord]:
-        n = self.config.n_parties
-        z_pos = 0
-        xy_pos = 0
-        for is_xy in self.is_xy:
-            if is_xy:
-                bases = tuple("Y" if b else "X" for b in self.xy_bases[xy_pos])
-                bits = self.xy_bits[xy_pos]
-                kappa = int(self.xy_bases[xy_pos].sum())
-                yield RoundRecord(
-                    XY_ROUND, bases, tuple(1 - 2 * int(b) for b in bits), kappa, kappa % 2 == 0
-                )
-                xy_pos += 1
-            else:
-                bits = self.z_bits[z_pos]
-                yield RoundRecord(Z_ROUND, ("Z",) * n, tuple(1 - 2 * int(b) for b in bits), 0, True)
-                z_pos += 1
-
 
 def run_protocol(config: ProtocolConfig, hash_key: bool = False, run: ProtocolRun | None = None) -> ProtocolResult:
     """Execute a full protocol run and account for the resulting key.
@@ -512,12 +494,76 @@ def run_protocol(config: ProtocolConfig, hash_key: bool = False, run: ProtocolRu
     )
 
 
+# Rounds formatted per block: the writer's buffers hold one block, whatever L is.
+TRANSCRIPT_BLOCK_ROUNDS = 1 << 16
+
+
+def _transcript_layout(n: int) -> tuple[np.ndarray, dict[str, int]]:
+    """Byte template of one transcript line and the start column of each variable slot.
+
+    Every field gets a fixed-width slot; bytes a round does not use are
+    masked out when the line is written.
+    """
+    parts = [
+        (None, b'{"type": "'), ("type", b"XY"), (None, b'", "bases": "'), ("bases", b"Z" * n),
+        (None, b'", "outcomes": ['), ("outcomes", (b"-1, " * n)[:-2]), (None, b'], "kappa_tilde": '),
+        ("kappa", b"0" * len(str(n))), (None, b', "kept": '), ("kept", b"false}"), (None, b"\n"),
+    ]
+    starts = {}
+    col = 0
+    for name, raw in parts:
+        if name is not None:
+            starts[name] = col
+        col += len(raw)
+    return np.frombuffer(b"".join(raw for _, raw in parts), dtype=np.uint8), starts
+
+
+def _transcript_block(template: np.ndarray, starts: dict[str, int], is_xy: np.ndarray,
+                      bases: np.ndarray, bits: np.ndarray) -> bytes:
+    """The ``RoundRecord.to_json`` lines of one block of rounds.
+
+    ``bases`` holds 0/1/2 for X/Y/Z per round and party, ``bits`` the
+    outcome bits (1 is the -1 outcome).
+    """
+    n = bases.shape[1]
+    chars = np.empty((is_xy.size, template.size), dtype=np.uint8)
+    chars[:] = template
+    keep = np.ones(chars.shape, dtype=bool)
+    t, b, o, k, c = (starts[name] for name in ("type", "bases", "outcomes", "kappa", "kept"))
+    chars[:, t] = np.where(is_xy, ord("X"), ord("Z"))
+    keep[:, t + 1] = is_xy
+    chars[:, b : b + n] = bases + ord("X")
+    keep[:, o : o + 4 * n : 4] = bits.astype(bool)  # the "-" of each -1
+    kappa = (bases == 1).sum(axis=1)
+    digits = len(str(n))  # kappa_tilde <= n
+    for place in range(digits):
+        chars[:, k + digits - 1 - place] += (kappa // 10**place % 10).astype(np.uint8)
+        if place:
+            keep[:, k + digits - 1 - place] = kappa >= 10**place
+    kept = kappa % 2 == 0
+    chars[kept, c : c + 5] = np.frombuffer(b"true}", dtype=np.uint8)
+    keep[:, c + 5] = ~kept
+    return chars[keep].tobytes()
+
+
 def write_transcript(path: str, run: ProtocolRun) -> None:
-    """Write one JSON round record per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in run.iter_round_records():
-            fh.write(record.to_json())
-            fh.write("\n")
+    """Write one JSON round record per line, in the format of ``RoundRecord.to_json``."""
+    n = run.config.n_parties
+    template, starts = _transcript_layout(n)
+    z_pos = xy_pos = 0
+    with open(path, "wb") as fh:
+        for start in range(0, run.is_xy.size, TRANSCRIPT_BLOCK_ROUNDS):
+            is_xy = run.is_xy[start : start + TRANSCRIPT_BLOCK_ROUNDS]
+            xy_count = int(is_xy.sum())
+            z_count = is_xy.size - xy_count
+            bases = np.full((is_xy.size, n), 2, dtype=np.uint8)
+            bases[is_xy] = run.xy_bases[xy_pos : xy_pos + xy_count]
+            bits = np.empty((is_xy.size, n), dtype=np.uint8)
+            bits[is_xy] = run.xy_bits[xy_pos : xy_pos + xy_count]
+            bits[~is_xy] = run.z_bits[z_pos : z_pos + z_count]
+            xy_pos += xy_count
+            z_pos += z_count
+            fh.write(_transcript_block(template, starts, is_xy, bases, bits))
 
 
 CONFIG_KEYS = {"n_parties", "n_rounds", "p_estimation", "seed", "state", "announced_z_rounds"}

@@ -162,6 +162,17 @@ def test_simulate_seed_override_changes_output(tmp_path):
     assert json.loads(out_a.read_text())["estimates"] != json.loads(out_b.read_text())["estimates"]
 
 
+def test_successive_calls_share_no_parsed_state(tmp_path):
+    # the parser is built once; a --seed given to one call must not reach the next
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_parties": 3, "n_rounds": 2000, "seed": 1, "state": {"model": "pure_ghz"}}))
+    out_a, out_b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run_cli(["simulate", "--config", str(cfg), "--seed", "5", "--out", str(out_a)]) == 0
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out_b)]) == 0
+    assert json.loads(out_a.read_text())["seed"] == 5
+    assert json.loads(out_b.read_text())["seed"] == 1
+
+
 def test_simulate_above_threshold_flags_zero_key(tmp_path):
     config = {
         "n_parties": 3,

@@ -136,8 +136,8 @@ def test_edge_loads_within_capacity():
 def test_gate_noise_advantage_brackets_threshold():
     n = 3
     thr = nqkd_gate_threshold(n)
-    below = compare_rates("router", GateNoise(thr - 5e-3, "router"), n)
-    above = compare_rates("router", GateNoise(thr + 5e-3, "router"), n)
+    below = compare_rates("router", GateNoise(thr - 5e-3), n)
+    above = compare_rates("router", GateNoise(thr + 5e-3), n)
     assert below["advantage"]
     assert not above["advantage"]
 
@@ -156,7 +156,7 @@ def test_rate_scaling_with_parties():
     nqkd_rates = []
     twoqkd_rates = []
     for n in range(3, 9):
-        result = compare_rates("router", GateNoise(f_g, "router"), n)
+        result = compare_rates("router", GateNoise(f_g), n)
         nqkd_rates.append(result["rate_nqkd"])
         twoqkd_rates.append(result["rate_twoqkd"])
     assert all(b < a for a, b in zip(nqkd_rates, nqkd_rates[1:]))

@@ -217,9 +217,11 @@ def test_gate_qber_curves_monotone_and_ordered():
 
 
 def test_noise_config_json():
-    gate = noise_from_json('{"model": "gate", "fG": 0.05, "topology": "router"}')
-    assert isinstance(gate, GateNoise)
-    assert gate.f_g == 0.05 and gate.topology == "router"
+    gate = noise_from_json('{"model": "gate", "fG": 0.05}')
+    assert gate == GateNoise(0.05)
+    # the preparation comes from the network graph; a topology key is rejected
+    with pytest.raises(ValueError, match="topology"):
+        noise_from_json('{"model": "gate", "fG": 0.05, "topology": "router"}')
     channel = noise_from_json({"model": "channel", "fC": 0.2})
     assert isinstance(channel, ChannelNoise)
     assert channel.f_c == 0.2

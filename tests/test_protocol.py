@@ -1,11 +1,14 @@
 """Round sampling, estimators, post-processing and full protocol runs."""
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from nqkd.dense import DenseState, product_basis_probabilities
+from nqkd import protocol
+from nqkd.cli import main
+from nqkd.dense import DenseState, ghz_state, product_basis_probabilities
 from nqkd.ghz import GhzDiagonalState, qber_pairwise_all, qber_x, qber_z
 from nqkd.keyrate import threshold_qber
 from nqkd.noise import depolarized_state
@@ -323,7 +326,7 @@ def test_run_protocol_above_threshold_clamps_to_zero():
     assert result.key_length_estimate == 0.0
 
 
-def test_run_protocol_deterministic_per_seed():
+def test_run_protocol_deterministic_per_seed(tmp_path):
     state = depolarized_state(3, 0.1)
     a = run_protocol(ProtocolConfig(3, 5000, state, seed=42))
     b = run_protocol(ProtocolConfig(3, 5000, state, seed=42))
@@ -332,11 +335,11 @@ def test_run_protocol_deterministic_per_seed():
     assert np.array_equal(a.flip_mask, b.flip_mask)
     c = run_protocol(ProtocolConfig(3, 5000, state, seed=43))
     assert not np.array_equal(a.key_bits, c.key_bits)
-    # transcripts match round for round
-    run1 = ProtocolRun(ProtocolConfig(3, 500, state, seed=9))
-    run2 = ProtocolRun(ProtocolConfig(3, 500, state, seed=9))
-    for r1, r2 in zip(run1.iter_round_records(), run2.iter_round_records()):
-        assert r1 == r2
+    # transcripts match byte for byte
+    paths = [tmp_path / "run1.jsonl", tmp_path / "run2.jsonl"]
+    for path in paths:
+        write_transcript(str(path), ProtocolRun(ProtocolConfig(3, 500, state, seed=9)))
+    assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
 def test_discard_rule_half():
@@ -414,6 +417,83 @@ def test_transcript_file(tmp_path):
             assert set(record.bases) <= {"X", "Y"}
             assert record.kept == (record.kappa_tilde % 2 == 0)
     assert sum(r.round_type == "XY" for r in records) == run.xy_bases.shape[0]
+
+
+def reference_transcript(run):
+    """The transcript built round by round from ``RoundRecord.to_json``."""
+    n = run.config.n_parties
+    lines = []
+    z_pos = xy_pos = 0
+    for is_xy in run.is_xy:
+        if is_xy:
+            bases = run.xy_bases[xy_pos]
+            kappa = int(bases.sum())
+            record = RoundRecord(
+                "XY",
+                tuple("Y" if b else "X" for b in bases),
+                tuple(1 - 2 * int(b) for b in run.xy_bits[xy_pos]),
+                kappa,
+                kappa % 2 == 0,
+            )
+            xy_pos += 1
+        else:
+            record = RoundRecord("Z", ("Z",) * n, tuple(1 - 2 * int(b) for b in run.z_bits[z_pos]), 0, True)
+            z_pos += 1
+        lines.append(record.to_json() + "\n")
+    return "".join(lines).encode()
+
+
+def assert_transcript_matches_reference(run, path):
+    write_transcript(str(path), run)
+    assert path.read_bytes() == reference_transcript(run)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 12, 20])
+def test_transcript_matches_round_records(tmp_path, n):
+    config = ProtocolConfig(n, 3000, depolarized_state(n, 0.1), p_estimation=0.4, seed=n)
+    run = ProtocolRun(config)
+    kappas = run.xy_bases.sum(axis=1)
+    assert (kappas % 2 == 1).any() and (kappas % 2 == 0).any()
+    if n == 20:
+        assert (kappas >= 10).any() and (kappas < 10).any()  # one- and two-digit kappa_tilde
+    assert_transcript_matches_reference(run, tmp_path / "t.jsonl")
+
+
+def test_transcript_without_parity_rounds(tmp_path):
+    run = ProtocolRun(ProtocolConfig(4, 200, depolarized_state(4, 0.1), p_estimation=1e-9, seed=1))
+    assert run.xy_bases.shape[0] == 0
+    assert_transcript_matches_reference(run, tmp_path / "t.jsonl")
+
+
+def test_transcript_of_dense_state_run(tmp_path):
+    run = ProtocolRun(ProtocolConfig(3, 1000, ghz_state(3), p_estimation=0.3, seed=4))
+    assert_transcript_matches_reference(run, tmp_path / "t.jsonl")
+
+
+@pytest.mark.parametrize("n_rounds", [1, 63, 192, 1001])
+def test_transcript_across_blocks(tmp_path, monkeypatch, n_rounds):
+    # 192 rounds fill three blocks exactly, 1001 end in a partial block
+    monkeypatch.setattr(protocol, "TRANSCRIPT_BLOCK_ROUNDS", 64)
+    config = ProtocolConfig(5, n_rounds, depolarized_state(5, 0.1), p_estimation=0.3, seed=8)
+    assert_transcript_matches_reference(ProtocolRun(config), tmp_path / "t.jsonl")
+
+
+@pytest.mark.parametrize(
+    "n, n_rounds, seed, digest",
+    [
+        (3, 2000, 7, "e1edf761c357d9f793838546e8e4345e67e5dcb58121df7c1fd8b9aa3f199791"),
+        (12, 5000, 3, "e137f210024fa185414ec9545d137061d03dc316c673db80764daa3661cd679d"),
+    ],
+)
+def test_simulate_transcript_bytes_pinned(tmp_path, n, n_rounds, seed, digest):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(
+        {"n_parties": n, "n_rounds": n_rounds, "seed": seed, "state": {"model": "depolarized", "q": 0.1}}
+    ))
+    transcript = tmp_path / "t.jsonl"
+    assert main(["simulate", "--config", str(cfg), "--transcript", str(transcript),
+                 "--out", str(tmp_path / "s.json")]) == 0
+    assert hashlib.sha256(transcript.read_bytes()).hexdigest() == digest
 
 
 def test_summary_json_schema():

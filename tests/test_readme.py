@@ -23,7 +23,7 @@ def readme_commands() -> list[list[str]]:
 
 def test_readme_commands_run(tmp_path, monkeypatch):
     config = json_block_after("### Simulation config")
-    config["n_rounds"] = 10**4  # the README's 1e6 rounds take seconds with a transcript
+    config["n_rounds"] = 10**4  # keeps the test fast; the README runs 1e6 rounds
     (tmp_path / "examples.json").write_text(json.dumps(config))
     (tmp_path / "mynet.json").write_text(json.dumps(json_block_after("### Network graph format")))
     monkeypatch.chdir(tmp_path)
