@@ -43,7 +43,6 @@ from .noise import (
     GateNoise,
     GatePattern,
     apply_channel_noise,
-    block_count,
     channel_qber,
     depolarized_state,
     lambda0_router,

@@ -55,7 +55,10 @@ def parse_n_list(text: str) -> list[int | float]:
         chunk = chunk.strip()
         if ".." in chunk:
             lo, hi = chunk.split("..")
-            out.extend(range(int(lo), int(hi) + 1))
+            values = range(int(lo), int(hi) + 1)
+            if not values:
+                raise ValueError(f"empty party range {chunk!r}")
+            out.extend(values)
         elif chunk.lower() in ("inf", "infinity"):
             out.append(math.inf)
         else:

@@ -67,10 +67,6 @@ class GhzDiagonalState:
         object.__setattr__(self, "lam_plus", lp)
         object.__setattr__(self, "lam_minus", lm)
 
-    def is_symmetric(self, atol: float = COEFF_ATOL) -> bool:
-        """True if lambda_j^+ == lambda_j^- for every j > 0."""
-        return bool(np.max(np.abs(self.lam_plus[1:] - self.lam_minus[1:]), initial=0.0) <= atol)
-
     def to_json(self) -> str:
         return json.dumps(
             {

@@ -107,9 +107,18 @@ class NetworkModel:
     @classmethod
     def from_json(cls, text: str | dict) -> "NetworkModel":
         obj = json.loads(text) if isinstance(text, str) else text
-        nodes = tuple(Node(str(n["id"]), str(n["role"])) for n in obj["nodes"])
-        edges = tuple((str(e["from"]), str(e["to"])) for e in obj["edges"])
-        return cls(nodes, edges)
+        if not isinstance(obj, dict):
+            raise ValueError("a network graph must be a JSON object with nodes and edges")
+        nodes = tuple(Node(*pair) for pair in _json_pairs(obj, "nodes", "id", "role"))
+        return cls(nodes, _json_pairs(obj, "edges", "from", "to"))
+
+
+def _json_pairs(obj: dict, name: str, first: str, second: str) -> tuple[tuple[str, str], ...]:
+    """(first, second) of each entry of ``obj[name]``, a list of objects holding both keys."""
+    items = obj[name]
+    if not isinstance(items, list) or not all(isinstance(i, dict) and first in i and second in i for i in items):
+        raise ValueError(f'"{name}" must be a list of objects with "{first}" and "{second}"')
+    return tuple((str(i[first]), str(i[second])) for i in items)
 
 
 def star_network(n_parties: int) -> NetworkModel:

@@ -1,13 +1,16 @@
 """Noise models: imperfect two-qubit gates and depolarising transmission.
 
-Two layers live side by side and must agree:
+Two layers live side by side:
 
 * closed-form coefficient / error-rate formulas (``lambda0_star``,
-  ``lambda0_router``, ``qab_average``, ``channel_qber``), cheap enough
-  for threshold solving at any N;
+  ``lambda0_router``, ``qab_average``, ``channel_qber``), the only path
+  the rates and thresholds take, polynomial in N;
 * brute-force circuit oracles on dense density matrices
   (``simulate_prep_circuit``, ``apply_channel_noise``) that recompute
   the same numbers by exhaustive enumeration for small N.
+
+The tests hold the two layers (and an enumeration of every gate-failure
+pattern) in agreement; no production path compares them at runtime.
 
 The gate model: a two-qubit gate fails with probability ``f_G``, in
 which case the two processed qubits are traced out and replaced by the
@@ -101,29 +104,6 @@ def depolarized_state(n_parties: int, q: float) -> GhzDiagonalState:
 # Gate-failure combinatorics
 # ---------------------------------------------------------------------------
 
-def block_count(pattern: str) -> int:
-    """Block count b of a success/failure pattern.
-
-    ``pattern`` holds one character per gate ('1' success, '0' failure);
-    a trailing '1' is appended and the result is the number of maximal
-    runs of ones plus the number of zeros in that extended string.
-    """
-    if pattern == "":
-        raise ValueError("empty pattern")
-    if set(pattern) - {"0", "1"}:
-        raise ValueError(f"pattern {pattern!r} is not binary")
-    s = pattern + "1"
-    runs = sum(1 for i, c in enumerate(s) if c == "1" and (i == 0 or s[i - 1] == "0"))
-    return runs + s.count("0")
-
-
-def pattern_prefactor(pattern: str) -> float:
-    """Weight of a failure pattern's contribution to lambda_0^{+/-}."""
-    if "0" not in pattern:
-        return 1.0
-    return 2.0 ** (-block_count(pattern))
-
-
 @dataclass(frozen=True)
 class GatePattern:
     """Success/failure pattern of the N-1 preparation gates."""
@@ -140,75 +120,45 @@ class GatePattern:
     def weight(self) -> int:
         return sum(self.bits)
 
-    @property
-    def as_string(self) -> str:
-        return "".join(str(b) for b in self.bits)
-
-    @property
-    def blocks(self) -> int:
-        return block_count(self.as_string)
-
-    @property
-    def prefactor(self) -> float:
-        return pattern_prefactor(self.as_string)
-
     def probability(self, f_g: float) -> float:
         w = self.weight
         return f_g ** (len(self.bits) - w) * (1.0 - f_g) ** w
 
 
-def _subset_count_coefficient(w: int, n: int) -> float:
-    """Compact combinatorial form of the summed pattern prefactors at weight w."""
-    return sum(
-        comb(w, n - beta) * comb(n - w - 1, beta - n + w) * 2.0 ** (-beta)
-        for beta in range(n - w, n + 1)
-    )
-
-
 @lru_cache(maxsize=None)
-def _prefactor_sums(n_parties: int) -> tuple[np.ndarray, np.ndarray]:
-    """Summed prefactors per Hamming weight, computed two independent ways.
+def _subset_count_coefficients(n_parties: int) -> np.ndarray:
+    """Summed pattern prefactors 2^-b per success count w = 0..N-2.
 
-    Returns (enumerated, compact) arrays of length N-1 covering weights
-    0..N-2 (the all-success pattern is excluded; it carries prefactor 1
-    and is handled separately).
+    A pattern of N-1 gate outcomes, extended by one trailing success, has
+    block count b = (maximal runs of successes) + (failures); entry w is
+    the sum of 2^-b over the patterns with w successes, counted in
+    closed form by b.  The all-success pattern (prefactor 1) is excluded.
+    O(N^2) work and O(N) memory for any N.
     """
-    n_gates = n_parties - 1
-    x = np.arange(1 << n_gates, dtype=np.uint64)
-    y = (x << np.uint64(1)) | np.uint64(1)  # append the extra success
-    ones = np.bitwise_count(y)
-    runs = np.bitwise_count(y & ~(y << np.uint64(1)))
-    blocks = runs + (np.uint64(n_gates + 1) - ones)
-    pref = 2.0 ** (-blocks.astype(float))
-    weights = np.bitwise_count(x).astype(int)
-    keep = x != (1 << n_gates) - 1
-    enumerated = np.bincount(weights[keep], weights=pref[keep], minlength=n_gates)[:n_gates]
-    compact = np.array([_subset_count_coefficient(w, n_parties) for w in range(n_gates)])
-    if np.max(np.abs(enumerated - compact), initial=0.0) > 1e-12:
-        raise ArithmeticError(
-            f"pattern-sum and combinatorial prefactors disagree for N={n_parties}"
-        )
-    return enumerated, compact
+    n = n_parties
+    coefficients = np.array([
+        sum(comb(w, n - beta) * comb(n - w - 1, beta - n + w) * 2.0 ** (-beta) for beta in range(n - w, n + 1))
+        for w in range(n - 1)
+    ])
+    coefficients.flags.writeable = False  # shared by every caller through the cache
+    return coefficients
 
 
 def lambda0_star(n_parties: int, f_g: float) -> tuple[float, float]:
     """(lambda_0^+, lambda_0^-) of the gate-noise preparation circuit.
 
-    Evaluated from the exhaustive pattern sum and from the compact
-    per-weight combinatorial form; the two must agree to 1e-12.
+    lambda_0^- sums, over the success counts w < N-1, the per-weight
+    prefactors times the probability f^(N-1-w) (1-f)^w of one such
+    pattern; lambda_0^+ adds the all-success term (1-f)^(N-1).
     """
     if n_parties < 2:
         raise ValueError("need at least 2 parties")
     if not 0.0 <= f_g <= 1.0:
         raise ValueError(f"f_g={f_g} outside [0, 1]")
-    enumerated, compact = _prefactor_sums(n_parties)
     n_gates = n_parties - 1
     w = np.arange(n_gates)
     poly = f_g ** (n_gates - w) * (1.0 - f_g) ** w
-    lam_minus = float(enumerated @ poly)
-    lam_minus_compact = float(compact @ poly)
-    if abs(lam_minus - lam_minus_compact) > 1e-12:
-        raise ArithmeticError("independent lambda_0^- evaluations disagree")
+    lam_minus = float(_subset_count_coefficients(n_parties) @ poly)
     lam_plus = (1.0 - f_g) ** n_gates + lam_minus
     return lam_plus, lam_minus
 
@@ -355,8 +305,8 @@ def simulate_prep_circuit(
     returned as a dense matrix (star topology only).  Without one, all
     2^(N-1) patterns are enumerated, weighted by their probabilities,
     averaged over every gate order, twirled, and returned as a
-    coefficient vector.  Exhaustive order averaging is factorial in N;
-    use the closed forms beyond small N.
+    coefficient vector.  Exhaustive order averaging is factorial in N,
+    so it is capped at N=6; the closed forms cover every N.
     """
     if not 0.0 <= f_g <= 1.0:
         raise ValueError(f"f_g={f_g} outside [0, 1]")
@@ -364,9 +314,9 @@ def simulate_prep_circuit(
         if topology != STAR:
             raise ValueError("per-pattern output is only defined for the star circuit")
         return prep_circuit_output(n_parties, pattern, order)
+    if n_parties > 6:
+        raise ValueError("exhaustive order enumeration is capped at N=6; use the closed forms beyond")
     check_cap(n_parties)
-    if n_parties > 8:
-        raise ValueError("exhaustive order enumeration is not sensible beyond N=8")
     n_gates = n_parties - 1
     w = np.arange(n_gates + 1)
     weight_probs = f_g ** (n_gates - w) * (1.0 - f_g) ** w

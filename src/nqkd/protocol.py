@@ -30,7 +30,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -39,8 +38,9 @@ from .ghz import GhzDiagonalState
 from .keyrate import RateInput, RateReport, binary_entropy, secret_fraction
 from .noise import depolarized_state
 
-Z_ROUND = "Z"
-XY_ROUND = "XY"
+
+def _is_integer(value) -> bool:
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -53,6 +53,12 @@ class ProtocolConfig:
     announced_z_rounds: int | None = None
 
     def __post_init__(self):
+        for name in ("n_parties", "n_rounds", "seed"):
+            if not _is_integer(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, not {getattr(self, name)!r}")
+        announced = self.announced_z_rounds
+        if announced is not None and not (_is_integer(announced) and announced >= 0):
+            raise ValueError(f"announced_z_rounds must be a non-negative integer or null, not {announced!r}")
         if self.n_rounds < 1:
             raise ValueError("need at least one round")
         if not 0.0 < self.p_estimation < 1.0:
@@ -118,22 +124,21 @@ class ResourceLedger:
     key_rounds: int
 
 
-def f_sign(kappa_tilde: int) -> int:
+_F_SIGNS = np.array([1, 0, -1, 0])  # f(kappa) by kappa mod 4
+
+
+def f_sign(kappa_tilde: int | np.ndarray) -> int | np.ndarray:
     """Sign carried by a parity round with ``kappa_tilde`` Y measurers.
 
     0 for odd counts (the round is discarded), +1 when the count is a
-    multiple of four and -1 otherwise.
+    multiple of four and -1 otherwise.  An int gives an int, an array of
+    counts an array of signs.
     """
-    if kappa_tilde < 0:
+    kappa = np.asarray(kappa_tilde)
+    if kappa.min(initial=0) < 0:
         raise ValueError("kappa_tilde must be non-negative")
-    if kappa_tilde % 2 == 1:
-        return 0
-    return 1 if kappa_tilde % 4 == 0 else -1
-
-
-def _f_sign_array(kappas: np.ndarray) -> np.ndarray:
-    out = np.where(kappas % 4 == 0, 1, -1)
-    return np.where(kappas % 2 == 1, 0, out)
+    signs = _F_SIGNS[kappa % 4]
+    return int(signs) if signs.ndim == 0 else signs
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +221,7 @@ def _sample_xy_parity(state: GhzDiagonalState, bases: np.ndarray, rng: np.random
     width = w.size.bit_length() - 1  # y & (size - 1) keeps the last `width` Bob bits
     y = bases[:, n - width :] @ (1 << np.arange(width - 1, -1, -1, dtype=np.int64))
     kappa = bases.sum(axis=1)
-    signs = _f_sign_array(kappa)
+    signs = f_sign(kappa)
     p_plus = 0.5 * (1.0 + signs * w[y])
     product_is_minus = rng.random(count) >= p_plus  # parity of the outcome bits
     bits = rng.integers(0, 2, size=(count, n), dtype=np.uint8)
@@ -225,37 +230,19 @@ def _sample_xy_parity(state: GhzDiagonalState, bases: np.ndarray, rng: np.random
     return bits
 
 
-def sample_round(
-    state: GhzDiagonalState | DenseState,
-    round_type: str,
-    rng: np.random.Generator,
-) -> RoundRecord:
-    """Sample one protocol round from the exact outcome distribution."""
-    n = state.n_parties if isinstance(state, GhzDiagonalState) else state.n_qubits
-    if round_type == Z_ROUND:
-        bits = sample_z_bits(state, 1, rng)[0]
-        return RoundRecord(Z_ROUND, ("Z",) * n, tuple(1 - 2 * int(b) for b in bits), 0, True)
-    if round_type != XY_ROUND:
-        raise ValueError(f"unknown round type {round_type!r}")
-    bases = rng.integers(0, 2, size=(1, n), dtype=np.uint8)
-    bits = sample_xy_bits(state, bases, rng)[0]
-    kappa = int(bases.sum())
-    return RoundRecord(
-        XY_ROUND,
-        tuple("Y" if b else "X" for b in bases[0]),
-        tuple(1 - 2 * int(b) for b in bits),
-        kappa,
-        kappa % 2 == 0,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Estimators
 # ---------------------------------------------------------------------------
 
-def _estimate_qx_arrays(bases: np.ndarray, bits: np.ndarray) -> tuple[float, int, int, int]:
+def estimate_qx(bases: np.ndarray, bits: np.ndarray) -> tuple[float, int, int, int]:
+    """Parity error estimate from the second-type rounds' bases (0 = X, 1 = Y) and outcome bits.
+
+    Alice's flip for Y counts that are not multiples of four enters as
+    the sign f(kappa); rounds with odd kappa contribute nothing.
+    Returns (Q_X, n_plus, n_minus, kept rounds).
+    """
     kappa = bases.sum(axis=1)
-    signs = _f_sign_array(kappa)
+    signs = f_sign(kappa)
     kept = signs != 0
     if not kept.any():
         raise ValueError("no parity rounds with an even Y count")
@@ -267,36 +254,12 @@ def _estimate_qx_arrays(bases: np.ndarray, bits: np.ndarray) -> tuple[float, int
     return 0.5 * (1.0 - x_hat), n_plus, n_minus, int(kept.sum())
 
 
-def estimate_qx(records: Sequence[RoundRecord]) -> tuple[float, int, int]:
-    """Parity error estimate from kept second-type rounds.
-
-    Alice's flip for Y counts that are not multiples of four enters as
-    the sign f(kappa); rounds with odd kappa contribute nothing.
-    """
-    rows = [r for r in records if r.round_type == XY_ROUND]
-    if not rows:
-        raise ValueError("no second-type rounds")
-    bases = np.array([[1 if b == "Y" else 0 for b in r.bases] for r in rows], dtype=np.uint8)
-    bits = np.array([[(1 - a) // 2 for a in r.outcomes] for r in rows], dtype=np.uint8)
-    q_x, n_plus, n_minus, _ = _estimate_qx_arrays(bases, bits)
-    return q_x, n_plus, n_minus
-
-
-def _estimate_qz_arrays(bits: np.ndarray) -> tuple[float, np.ndarray]:
+def estimate_qz(bits: np.ndarray) -> tuple[float, np.ndarray]:
+    """(Q_Z, per-Bob Q_AB) estimates from the outcome bits of announced Z rounds."""
     if bits.shape[0] == 0:
         raise ValueError("no announced Z rounds")
     diff = bits[:, 1:] != bits[:, :1]
     return float(diff.any(axis=1).mean()), diff.mean(axis=0)
-
-
-def estimate_qz(records: Sequence[RoundRecord]) -> tuple[float, list[float]]:
-    """(Q_Z, per-Bob Q_AB) estimates from announced Z rounds."""
-    rows = [r for r in records if r.round_type == Z_ROUND]
-    if not rows:
-        raise ValueError("no Z rounds")
-    bits = np.array([[(1 - a) // 2 for a in r.outcomes] for r in rows], dtype=np.uint8)
-    q_z, q_ab = _estimate_qz_arrays(bits)
-    return q_z, q_ab.tolist()
 
 
 def classical_depolarize(z_bits: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -320,21 +283,13 @@ def _schedule_rng_streams(config: ProtocolConfig) -> list[np.random.Generator]:
     return [np.random.default_rng(s) for s in seq.spawn(5)]
 
 
-def round_type_schedule(config: ProtocolConfig) -> np.ndarray:
-    """Boolean mask over rounds; True marks a second-type (parity) round."""
-    schedule_rng = _schedule_rng_streams(config)[0]
-    return schedule_rng.random(config.n_rounds) < config.p_estimation
-
-
-def preshared_key_accounting(config: ProtocolConfig, second_type_rounds: int | None = None) -> ResourceLedger:
+def preshared_key_accounting(config: ProtocolConfig, second_type_rounds: int) -> ResourceLedger:
     """Ledger of secret-bit and round consumption for one run.
 
     Marking the second-type rounds costs L*h(p) pre-shared bits (the
     marker string compresses to that); parameter estimation consumes the
     parity rounds plus an equally sized announced subset of Z rounds.
     """
-    if second_type_rounds is None:
-        second_type_rounds = int(round_type_schedule(config).sum())
     announced = config.announced_z_rounds
     if announced is None:
         announced = second_type_rounds
@@ -454,8 +409,8 @@ def run_protocol(config: ProtocolConfig, hash_key: bool = False, run: ProtocolRu
     key_mask = np.ones(z_count, dtype=bool)
     key_mask[announced_idx] = False
 
-    q_z_hat, q_ab_hat = _estimate_qz_arrays(run.z_bits[announced_idx])
-    q_x_hat, n_plus, n_minus, kept = _estimate_qx_arrays(run.xy_bases, run.xy_bits)
+    q_z_hat, q_ab_hat = estimate_qz(run.z_bits[announced_idx])
+    q_x_hat, n_plus, n_minus, kept = estimate_qx(run.xy_bases, run.xy_bits)
     estimate = EstimationResult(
         q_z_hat=q_z_hat,
         q_x_hat=min(q_x_hat, 1.0),
@@ -567,33 +522,54 @@ def write_transcript(path: str, run: ProtocolRun) -> None:
 
 
 CONFIG_KEYS = {"n_parties", "n_rounds", "p_estimation", "seed", "state", "announced_z_rounds"}
+STATE_KEYS = {"depolarized": {"q"}, "pure_ghz": set(), "ghz_diagonal": {"lambda_plus", "lambda_minus"}}
+
+
+def _json_number(value, key: str, integer: bool = False) -> int | float:
+    """A JSON number as a float, or with ``integer`` as an int (1e6 is taken, 3.7 is not)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{key} must be a number, not {value!r}")
+    if not integer:
+        return float(value)
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key} must be an integer, not {value!r}")
+    return int(value)
 
 
 def protocol_config_from_json(obj: dict | str) -> ProtocolConfig:
     """Build a config from its JSON form (see README for the schema)."""
     if isinstance(obj, str):
         obj = json.loads(obj)
+    if not isinstance(obj, dict):
+        raise ValueError("a protocol config must be a JSON object")
     unknown = sorted(set(obj) - CONFIG_KEYS)
     if unknown:
         raise ValueError(f"unknown config key(s): {', '.join(unknown)}")
     state_spec = obj["state"]
-    n = int(obj["n_parties"])
+    if not isinstance(state_spec, dict):
+        raise ValueError(f"state must be a JSON object with a model, not {state_spec!r}")
+    n = _json_number(obj["n_parties"], "n_parties", integer=True)
     model = state_spec.get("model", "ghz_diagonal")
+    if model not in STATE_KEYS:
+        raise ValueError(f"unknown state model {model!r}")
+    unknown = sorted(set(state_spec) - STATE_KEYS[model] - {"model"})
+    if unknown:
+        raise ValueError(f"unknown key(s) for state model {model}: {', '.join(unknown)}")
     if model == "depolarized":
-        state = depolarized_state(n, float(state_spec["q"]))
+        state = depolarized_state(n, _json_number(state_spec["q"], "state.q"))
     elif model == "pure_ghz":
         state = depolarized_state(n, 0.0)
-    elif model == "ghz_diagonal":
-        state = GhzDiagonalState(
-            n, np.asarray(state_spec["lambda_plus"]), np.asarray(state_spec["lambda_minus"])
-        )
     else:
-        raise ValueError(f"unknown state model {model!r}")
+        lam_plus, lam_minus = (np.asarray(state_spec[key]) for key in ("lambda_plus", "lambda_minus"))
+        if lam_plus.dtype.kind not in "iuf" or lam_minus.dtype.kind not in "iuf":
+            raise ValueError("lambda_plus and lambda_minus must be arrays of numbers")
+        state = GhzDiagonalState(n, lam_plus, lam_minus)
+    announced = obj.get("announced_z_rounds")
     return ProtocolConfig(
         n_parties=n,
-        n_rounds=int(obj["n_rounds"]),
+        n_rounds=_json_number(obj["n_rounds"], "n_rounds", integer=True),
         state=state,
-        p_estimation=float(obj.get("p_estimation", 0.05)),
-        seed=int(obj.get("seed", 0)),
-        announced_z_rounds=obj.get("announced_z_rounds"),
+        p_estimation=_json_number(obj.get("p_estimation", 0.05), "p_estimation"),
+        seed=_json_number(obj.get("seed", 0), "seed", integer=True),
+        announced_z_rounds=None if announced is None else _json_number(announced, "announced_z_rounds", integer=True),
     )

@@ -21,6 +21,9 @@ def test_parse_helpers():
     assert sweep.values()[-1] == pytest.approx(0.3)
     assert parse_n_list("2..5") == [2, 3, 4, 5]
     assert parse_n_list("2,9,inf") == [2, 9, math.inf]
+    assert parse_n_list("4..4") == [4]
+    with pytest.raises(ValueError, match="5..3"):
+        parse_n_list("2,5..3")
     with pytest.raises(ValueError):
         parse_sweep("Q:0:0.3")
     with pytest.raises(ValueError):
@@ -75,6 +78,13 @@ def test_rates_channel_sweep_json(tmp_path):
     assert rows[0]["r_inf"] == pytest.approx(1.0)
 
 
+def test_rates_reversed_party_range_exits_2(capsys):
+    # a reversed range used to be dropped silently, printing only N=2
+    assert run_cli(["rates", "--sweep", "Q:0:0.1:3", "--n", "2,5..3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "empty party range" in captured.err
+
+
 def test_rates_usage_errors(tmp_path, capsys):
     assert run_cli(["rates", "--sweep", "Q:0:0.3:1", "--n", "2"]) == 2
     assert run_cli(["rates", "--sweep", "f_G:0:0.2:5", "--n", "inf"]) == 2
@@ -120,6 +130,23 @@ def test_thresholds_gate_and_channel(tmp_path):
         assert 0.0 < float(row.split(",")[2]) < 1.0
     assert run_cli(["thresholds", "--kind", "gate", "--n", "2"]) == 2
     assert run_cli(["thresholds", "--kind", "gate", "--n", "inf"]) == 2
+
+
+def test_thresholds_gate_far_beyond_table():
+    # the compact coefficients need no 2^(N-1) pattern table; an
+    # enumeration at N=40 would need 2^39 entries
+    import io
+    from contextlib import redirect_stdout
+
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        assert run_cli(["thresholds", "--kind", "gate", "--n", "3..40"]) == 0
+    rows = buf.getvalue().strip().split("\n")[1:]
+    assert [int(row.split(",")[0]) for row in rows] == list(range(3, 41))
+    values = [float(row.split(",")[2]) for row in rows]
+    assert all(b < a for a, b in zip(values, values[1:]))
+    assert values[0] == pytest.approx(0.0725754, abs=2e-4)
+    assert values[-1] == pytest.approx(0.0112871, abs=2e-4)
 
 
 def test_simulate_reproducible_summary(tmp_path):
@@ -195,6 +222,45 @@ def test_simulate_config_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n_parties": 3, "n_rounds": 0, "state": {"model": "pure_ghz"}}))
     assert run_cli(["simulate", "--config", str(bad)]) == 2
+
+
+GOOD_CONFIG = {"n_parties": 3, "n_rounds": 1000, "state": {"model": "depolarized", "q": 0.1}}
+
+
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({**GOOD_CONFIG, "announced_z_rounds": 10.5}, "announced_z_rounds must be an integer"),
+        ({**GOOD_CONFIG, "announced_z_rounds": -5}, "announced_z_rounds must be a non-negative integer"),
+        ({**GOOD_CONFIG, "state": "depolarized"}, "state must be a JSON object"),
+        ([GOOD_CONFIG], "a protocol config must be a JSON object"),
+        ({**GOOD_CONFIG, "n_parties": 3.7}, "n_parties must be an integer"),
+        ({**GOOD_CONFIG, "state": {"model": "depolarized", "q": 0.1, "lambda_plus": [1]}}, "lambda_plus"),
+        ({**GOOD_CONFIG, "p_estimation": None}, "p_estimation must be a number"),
+        ({**GOOD_CONFIG, "state": {"model": "ghz_diagonal", "lambda_plus": {"a": 1}, "lambda_minus": [0, 0, 0, 0]}},
+         "arrays of numbers"),
+        ({**GOOD_CONFIG, "state": {"model": "ghz_diagonal", "lambda_plus": [None, 1, 0, 0], "lambda_minus": [0, 0, 0, 0]}},
+         "arrays of numbers"),
+    ],
+    ids=["fractional_announced", "negative_announced", "state_string", "top_level_list",
+         "fractional_n_parties", "unknown_state_key", "null_p_estimation", "lambda_object", "lambda_null"],
+)
+def test_simulate_malformed_config_shape_exits_2(tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(["simulate", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
+def test_simulate_accepts_integral_float_counts(tmp_path):
+    # 1e4 is how a JSON writer may spell an integer
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**GOOD_CONFIG, "n_rounds": 1e4, "seed": 3.0}))
+    out = tmp_path / "summary.json"
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    summary = json.loads(out.read_text())
+    assert summary["n_rounds"] == 10000 and summary["seed"] == 3
 
 
 def test_simulate_rejects_unknown_config_key(tmp_path, capsys):

@@ -199,6 +199,27 @@ def test_network_model_validation():
         graph({"A": "alice", "C": "router"}, [("A", "C")])
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('[{"id": "A", "role": "alice"}]', "must be a JSON object"),
+        ('{"nodes": "abc", "edges": []}', '"nodes" must be a list'),
+        ('{"nodes": [{"id": "A", "role": "alice"}, {"id": "B", "role": "bob"}], "edges": [["A", "B"]]}',
+         '"edges" must be a list'),
+        ('{"nodes": [{"id": "A", "role": "alice"}, {"id": "B"}], "edges": []}', '"nodes" must be a list'),
+    ],
+    ids=["top_level_list", "nodes_string", "edges_as_pairs", "node_without_role"],
+)
+def test_network_graph_malformed_shape_exits_2(tmp_path, capsys, text, message):
+    with pytest.raises(ValueError, match=message):
+        NetworkModel.from_json(text)
+    path = tmp_path / "graph.json"
+    path.write_text(text)
+    assert main(["network", "--graph", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and message in captured.err
+
+
 def test_network_model_rejects_unknown_roles(tmp_path, capsys):
     # a mistyped role used to drop the party from n_parties silently
     with pytest.raises(ValueError, match="Bob"):

@@ -5,6 +5,7 @@ import itertools
 import numpy as np
 import pytest
 
+from nqkd import noise
 from nqkd.dense import DenseState, ghz_state
 from nqkd.ghz import ghz_diagonal_from_dense, qber_pairwise_all, qber_x, qber_z
 from nqkd.noise import (
@@ -12,16 +13,60 @@ from nqkd.noise import (
     GateNoise,
     GatePattern,
     apply_channel_noise,
-    block_count,
     channel_qber,
     depolarized_state,
     lambda0_router,
     lambda0_star,
     noise_from_json,
-    pattern_prefactor,
     qab_average,
     simulate_prep_circuit,
 )
+
+# ---------------------------------------------------------------------------
+# References for the compact gate-failure coefficients of lambda0_star
+# ---------------------------------------------------------------------------
+
+
+def block_count(pattern: str) -> int:
+    """Block count b of a success/failure pattern.
+
+    ``pattern`` holds one character per gate ('1' success, '0' failure);
+    a trailing '1' is appended and the result is the number of maximal
+    runs of ones plus the number of zeros in that extended string.
+    """
+    if pattern == "":
+        raise ValueError("empty pattern")
+    if set(pattern) - {"0", "1"}:
+        raise ValueError(f"pattern {pattern!r} is not binary")
+    s = pattern + "1"
+    runs = sum(1 for i, c in enumerate(s) if c == "1" and (i == 0 or s[i - 1] == "0"))
+    return runs + s.count("0")
+
+
+def pattern_prefactor(pattern: str) -> float:
+    """Weight of a failure pattern's contribution to lambda_0^{+/-}."""
+    if "0" not in pattern:
+        return 1.0
+    return 2.0 ** (-block_count(pattern))
+
+
+def enumerated_prefactor_sums(n_parties: int) -> np.ndarray:
+    """Summed prefactors per success count 0..N-2, from all 2^(N-1) patterns.
+
+    x holds one bit per gate, the first gate in the highest bit, and the
+    appended success becomes the lowest bit of y; the all-success
+    pattern is excluded.
+    """
+    n_gates = n_parties - 1
+    x = np.arange(1 << n_gates, dtype=np.uint64)
+    y = (x << np.uint64(1)) | np.uint64(1)  # append the extra success
+    ones = np.bitwise_count(y)
+    runs = np.bitwise_count(y & ~(y << np.uint64(1)))
+    blocks = runs + (np.uint64(n_gates + 1) - ones)
+    pref = 2.0 ** (-blocks.astype(float))
+    weights = np.bitwise_count(x).astype(int)
+    keep = x != (1 << n_gates) - 1
+    return np.bincount(weights[keep], weights=pref[keep], minlength=n_gates)[:n_gates]
 
 
 def test_block_count_examples():
@@ -41,9 +86,22 @@ def test_pattern_prefactor():
     assert pattern_prefactor("01") == pytest.approx(1 / 4)
     p = GatePattern((0, 1))
     assert p.weight == 1
-    assert p.blocks == 2
-    assert p.prefactor == pytest.approx(1 / 4)
+    as_string = "".join(map(str, p.bits))
+    assert block_count(as_string) == 2
+    assert pattern_prefactor(as_string) == pytest.approx(1 / 4)
     assert p.probability(0.1) == pytest.approx(0.1 * 0.9)
+
+
+def test_enumerated_prefactor_sums_match_scalar_patterns():
+    # the vectorised enumeration reads bit strings the same way as the
+    # scalar block count: one character per gate, summed per success count
+    for n in range(2, 9):
+        expected = np.zeros(n - 1)
+        for bits in itertools.product("01", repeat=n - 1):
+            pattern = "".join(bits)
+            if "0" in pattern:
+                expected[pattern.count("1")] += pattern_prefactor(pattern)
+        assert np.abs(enumerated_prefactor_sums(n) - expected).max() < 1e-15
 
 
 def test_depolarized_state_examples():
@@ -75,11 +133,16 @@ def test_lambda0_star_limits():
 
 
 def test_lambda0_forms_agree_on_grid():
-    # the enumerated pattern sum and the combinatorial form are compared
-    # inside lambda0_star; exercise the full grid
-    for n in range(2, 17):
+    # lambda0_star evaluates only the compact per-weight form; the sum
+    # over every enumerated failure pattern must give the same value
+    # over the gate-table range N=2..18
+    for n in range(2, 19):
+        enumerated = enumerated_prefactor_sums(n)
+        w = np.arange(n - 1)
         for f in np.linspace(0.0, 1.0, 101):
             lam_plus, lam_minus = lambda0_star(n, float(f))
+            reference = float(enumerated @ (f ** (n - 1 - w) * (1 - f) ** w))
+            assert abs(lam_minus - reference) < 1e-12
             assert lam_plus == pytest.approx(lam_minus + (1 - f) ** (n - 1), abs=1e-12)
             assert 0.0 <= lam_minus <= lam_plus <= 1.0 + 1e-12
 
@@ -159,6 +222,16 @@ def test_prep_circuit_router_variant():
         lam_plus, lam_minus = lambda0_router(3, f)
         assert out.lam_plus[0] == pytest.approx(lam_plus, abs=1e-12)
         assert out.lam_minus[0] == pytest.approx(lam_minus, abs=1e-12)
+
+
+def test_prep_circuit_caps_exhaustive_oracle_at_six(monkeypatch):
+    def enumerate_tables(*args):
+        raise AssertionError("the N=7 oracle started enumerating")
+
+    monkeypatch.setattr(noise, "_pattern_tables", enumerate_tables)
+    for topology in ("star", "router"):
+        with pytest.raises(ValueError, match="N=6"):
+            simulate_prep_circuit(7, 0.1, topology=topology)
 
 
 def test_prep_circuit_fixed_pattern_output():

@@ -23,7 +23,6 @@ from nqkd.protocol import (
     preshared_key_accounting,
     protocol_config_from_json,
     run_protocol,
-    sample_round,
     sample_xy_bits,
     sample_z_bits,
     toeplitz_hash,
@@ -37,8 +36,13 @@ def three_sigma(p, n):
 
 def test_f_sign_values():
     assert [f_sign(k) for k in range(8)] == [1, 0, -1, 0, 1, 0, -1, 0]
+    assert all(type(f_sign(k)) is int for k in range(8))
+    assert f_sign(np.arange(8)).tolist() == [1, 0, -1, 0, 1, 0, -1, 0]
+    assert f_sign(np.arange(8, dtype=np.uint64)).tolist() == [1, 0, -1, 0, 1, 0, -1, 0]
     with pytest.raises(ValueError):
         f_sign(-1)
+    with pytest.raises(ValueError):
+        f_sign(np.array([2, -1]))
 
 
 def test_z_sampling_pure_state():
@@ -144,7 +148,6 @@ def test_walsh_prefix_covers_every_asymmetric_entry():
 
 def test_parity_and_dense_samplers_statistically_agree():
     from nqkd.ghz import dense_from_ghz_diagonal
-    from nqkd.protocol import _estimate_qx_arrays
 
     state = depolarized_state(3, 0.2)
     n = 40000
@@ -152,8 +155,8 @@ def test_parity_and_dense_samplers_statistically_agree():
     bases = rng.integers(0, 2, size=(n, 3), dtype=np.uint8)
     bits_dense = sample_xy_bits(dense_from_ghz_diagonal(state), bases, np.random.default_rng(5))
     bits_parity = sample_xy_bits(state, bases, np.random.default_rng(6))
-    q_dense, _, _, kept_d = _estimate_qx_arrays(bases, bits_dense)
-    q_parity, _, _, kept_p = _estimate_qx_arrays(bases, bits_parity)
+    q_dense, _, _, kept_d = estimate_qx(bases, bits_dense)
+    q_parity, _, _, kept_p = estimate_qx(bases, bits_parity)
     target = qber_x(state)
     assert abs(q_dense - target) < three_sigma(target, kept_d)
     assert abs(q_parity - target) < three_sigma(target, kept_p)
@@ -185,75 +188,61 @@ def test_parity_sampler_asymmetric_state_above_dense_cap():
     assert _brute_force_walsh(state, (1 << (n - 2)) | 1) == pytest.approx(0.6)
 
 
-def test_sample_round_records():
-    rng = np.random.default_rng(7)
-    state = depolarized_state(3, 0.1)
-    z = sample_round(state, "Z", rng)
-    assert z.round_type == "Z" and z.bases == ("Z", "Z", "Z") and z.kappa_tilde == 0 and z.kept
-    xy = sample_round(state, "XY", rng)
-    assert xy.round_type == "XY"
-    assert set(xy.bases) <= {"X", "Y"}
-    assert xy.kappa_tilde == sum(1 for b in xy.bases if b == "Y")
-    assert xy.kept == (xy.kappa_tilde % 2 == 0)
-    assert set(xy.outcomes) <= {-1, 1}
-    with pytest.raises(ValueError):
-        sample_round(state, "W", rng)
-
-
 def test_estimate_qx_pure_state_is_exact_zero():
     rng = np.random.default_rng(8)
     state = depolarized_state(4, 0.0)
-    records = [sample_round(state, "XY", rng) for _ in range(400)]
-    q_x, n_plus, n_minus = estimate_qx(records)
+    bases = rng.integers(0, 2, size=(400, 4), dtype=np.uint8)
+    bits = sample_xy_bits(state, bases, rng)
+    q_x, n_plus, n_minus, kept = estimate_qx(bases, bits)
     assert q_x == 0.0
     assert n_minus == 0
-    assert n_plus == sum(1 for r in records if r.kept)
+    assert n_plus == kept == int((bases.sum(axis=1) % 2 == 0).sum())
 
 
 def test_estimate_qx_maximally_mixed():
     rng = np.random.default_rng(9)
     dim = 16
     state = DenseState.from_matrix(np.eye(dim) / dim)
-    records = [sample_round(state, "XY", rng) for _ in range(4000)]
-    q_x, n_plus, n_minus = estimate_qx(records)
-    kept = n_plus + n_minus
+    bases = rng.integers(0, 2, size=(4000, 4), dtype=np.uint8)
+    bits = sample_xy_bits(state, bases, rng)
+    q_x, n_plus, n_minus, kept = estimate_qx(bases, bits)
+    assert kept == n_plus + n_minus
     assert abs(q_x - 0.5) < three_sigma(0.5, kept)
 
 
 def test_estimate_qx_depolarized():
     rng = np.random.default_rng(10)
     state = depolarized_state(4, 0.2)
-    records = [sample_round(state, "XY", rng) for _ in range(6000)]
-    q_x, n_plus, n_minus = estimate_qx(records)
+    bases = rng.integers(0, 2, size=(6000, 4), dtype=np.uint8)
+    bits = sample_xy_bits(state, bases, rng)
+    q_x, n_plus, n_minus, _ = estimate_qx(bases, bits)
     target = qber_x(state)
     assert target == pytest.approx(4 / 7 * 0.2, abs=1e-12)
     assert abs(q_x - target) < three_sigma(target, n_plus + n_minus)
 
 
 def test_estimate_qx_requires_kept_rounds():
-    record = RoundRecord("XY", ("X", "Y", "X"), (1, 1, 1), 1, False)
+    # one round with a single Y measurer: odd kappa, discarded
     with pytest.raises(ValueError):
-        estimate_qx([record])
+        estimate_qx(np.array([[0, 1, 0]], dtype=np.uint8), np.zeros((1, 3), dtype=np.uint8))
     with pytest.raises(ValueError):
-        estimate_qx([])
+        estimate_qx(np.zeros((0, 3), dtype=np.uint8), np.zeros((0, 3), dtype=np.uint8))
 
 
 def test_estimate_qz_values():
     rng = np.random.default_rng(11)
     clean = depolarized_state(3, 0.0)
-    records = [sample_round(clean, "Z", rng) for _ in range(200)]
-    q_z, q_ab = estimate_qz(records)
-    assert q_z == 0.0 and q_ab == [0.0, 0.0]
+    q_z, q_ab = estimate_qz(sample_z_bits(clean, 200, rng))
+    assert q_z == 0.0 and q_ab.tolist() == [0.0, 0.0]
 
     noisy = depolarized_state(3, 0.24)
-    records = [sample_round(noisy, "Z", rng) for _ in range(20000)]
-    q_z, q_ab = estimate_qz(records)
+    q_z, q_ab = estimate_qz(sample_z_bits(noisy, 20000, rng))
     assert abs(q_z - 0.24) < three_sigma(0.24, 20000)
     target_ab = 4 / 6 * 0.24
     for value in q_ab:
         assert abs(value - target_ab) < three_sigma(target_ab, 20000)
     with pytest.raises(ValueError):
-        estimate_qz([])
+        estimate_qz(np.zeros((0, 3), dtype=np.uint8))
 
 
 def test_estimate_qz_orders_asymmetric_bobs():
@@ -265,8 +254,7 @@ def test_estimate_qz_orders_asymmetric_bobs():
     expected = qber_pairwise_all(state)
     assert expected[0] > expected[1]
     rng = np.random.default_rng(12)
-    records = [sample_round(state, "Z", rng) for _ in range(20000)]
-    _, q_ab = estimate_qz(records)
+    _, q_ab = estimate_qz(sample_z_bits(state, 20000, rng))
     assert q_ab[0] > q_ab[1]
     for est, ref in zip(q_ab, expected):
         assert abs(est - ref) < three_sigma(ref, 20000)
@@ -285,10 +273,8 @@ def test_classical_depolarize_properties():
     # estimates are flip-invariant
     noisy = sample_z_bits(depolarized_state(3, 0.2), 5000, rng)
     flipped, _ = classical_depolarize(noisy, rng)
-    from nqkd.protocol import _estimate_qz_arrays
-
-    q1, ab1 = _estimate_qz_arrays(noisy)
-    q2, ab2 = _estimate_qz_arrays(flipped)
+    q1, ab1 = estimate_qz(noisy)
+    q2, ab2 = estimate_qz(flipped)
     assert q1 == q2
     assert np.array_equal(ab1, ab2)
 
@@ -371,12 +357,10 @@ def test_basis_rule_equivalence():
     """Alice's deterministic basis rule reproduces discard-and-flip sampling."""
     state = depolarized_state(3, 0.15)
     n_rounds = 30000
-    from nqkd.protocol import _estimate_qx_arrays
-
     rng = np.random.default_rng(21)
     free_bases = rng.integers(0, 2, size=(n_rounds, 3), dtype=np.uint8)
     free_bits = sample_xy_bits(state, free_bases, rng)
-    q_free, _, _, kept_free = _estimate_qx_arrays(free_bases, free_bits)
+    q_free, _, _, kept_free = estimate_qx(free_bases, free_bits)
 
     rule_rng = np.random.default_rng(22)
     bob_bases = rule_rng.integers(0, 2, size=(n_rounds, 2), dtype=np.uint8)
@@ -385,7 +369,7 @@ def test_basis_rule_equivalence():
     rule_bases = np.column_stack([alice_is_y, bob_bases])
     assert np.all(rule_bases.sum(axis=1) % 2 == 0)  # every round is kept
     rule_bits = sample_xy_bits(state, rule_bases, rule_rng)
-    q_rule, _, _, kept_rule = _estimate_qx_arrays(rule_bases, rule_bits)
+    q_rule, _, _, kept_rule = estimate_qx(rule_bases, rule_bits)
     assert kept_rule == n_rounds
 
     target = qber_x(state)
@@ -557,6 +541,18 @@ def test_config_validation():
         ProtocolConfig(3, 0, state)
     with pytest.raises(ValueError):
         ProtocolConfig(3, 100, state, p_estimation=0.0)
+
+
+def test_config_rejects_non_integer_counts():
+    state = depolarized_state(3, 0.1)
+    for kwargs in ({"n_rounds": 100.5}, {"seed": 1.5}, {"seed": True},
+                   {"announced_z_rounds": 10.5}, {"announced_z_rounds": -1}):
+        with pytest.raises(ValueError):
+            ProtocolConfig(**{"n_parties": 3, "n_rounds": 100, "state": state, **kwargs})
+    with pytest.raises(ValueError, match="n_parties"):
+        ProtocolConfig(3.0, 100, state)
+    config = ProtocolConfig(3, np.int64(2000), state, seed=np.uint32(4), announced_z_rounds=50)
+    assert run_protocol(config).ledger.announced_z_rounds == 50
 
 
 def test_config_from_json():
