@@ -19,6 +19,7 @@ from . import keyrate, network as networks, noise as noise_model, protocol as pr
 
 USAGE_ERROR = 2
 NUMERIC_ERROR = 3
+NOISE_SWEEPS = {"f_G": noise_model.GateNoise, "f_C": noise_model.ChannelNoise}
 
 
 @dataclass(frozen=True)
@@ -29,7 +30,7 @@ class SweepSpec:
     steps: int
 
     def __post_init__(self):
-        if self.variable not in ("Q", "f_G", "f_C"):
+        if self.variable != "Q" and self.variable not in NOISE_SWEEPS:
             raise ValueError(f"unknown sweep variable {self.variable!r}")
         if self.steps < 2:
             raise ValueError("sweep needs at least 2 steps")
@@ -136,20 +137,11 @@ def cmd_rates(args) -> int:
         for value in sweep.values():
             if sweep.variable == "Q":
                 r_inf = keyrate.rate_depolarized(value, n)
-                link = value
-            elif sweep.variable == "f_G":
-                r_inf = keyrate.secret_fraction(
-                    keyrate.gate_noise_rate_input(int(n), value, networks.PREPARATION[hops])
-                ).r_inf
-                link = keyrate.TWOQKD_GATE_LINK_FACTOR * value
-            else:  # f_C
-                q = noise_model.channel_qber(int(n), value)
-                r_inf = keyrate.rate_depolarized(q, int(n))
-                link = networks.channel_link_qber(value, hops)
-            rate_nqkd = max(r_inf, 0.0) / t_n
-            # a link error beyond the six-state domain carries no key anyway
-            rate_2qkd = max(keyrate.six_state_rate(link), 0.0) / t_2 if link <= 2 / 3 else 0.0
-            rows.append([n_label(n), sweep.variable, value, r_inf, rate_nqkd, rate_2qkd])
+                # a link error beyond the six-state domain carries no key anyway
+                r_link = keyrate.six_state_rate(value) if value <= 2 / 3 else 0.0
+            else:
+                r_inf, r_link = keyrate.noisy_fractions(int(n), NOISE_SWEEPS[sweep.variable](value), hops)
+            rows.append([n_label(n), sweep.variable, value, r_inf, max(r_inf, 0.0) / t_n, max(r_link, 0.0) / t_2])
     write_rows(args.out, ["n", "variable", "value", "r_inf", "rate_nqkd", "rate_2qkd"], rows, args.format)
     return 0
 
@@ -180,10 +172,9 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         obj["seed"] = args.seed
     config = protocol_sim.protocol_config_from_json(obj)
-    run = protocol_sim.ProtocolRun(config)
-    result = protocol_sim.run_protocol(config, hash_key=args.hash_key, run=run)
+    result = protocol_sim.run_protocol(config, hash_key=args.hash_key)
     if args.transcript:
-        protocol_sim.write_transcript(args.transcript, run)
+        protocol_sim.write_transcript(args.transcript, result.run)
     write_text(args.out, result.summary_json())
     return 0
 
@@ -200,8 +191,7 @@ def cmd_network(args) -> int:
             raise ValueError("network sweeps run over f_G or f_C")
         rows = []
         for value in sweep.values():
-            noise = (noise_model.GateNoise if sweep.variable == "f_G" else noise_model.ChannelNoise)(value)
-            result = networks.compare_rates(model, noise)
+            result = networks.compare_rates(model, NOISE_SWEEPS[sweep.variable](value))
             rows.append([value, result["rate_nqkd"], result["rate_twoqkd"], result["advantage"]])
         write_rows(args.out, ["f", "rate_nqkd", "rate_2qkd", "advantage"], rows, args.format)
         return 0

@@ -60,7 +60,7 @@ class GhzDiagonalState:
         if lp.min(initial=0.0) < -COEFF_ATOL or lm.min(initial=0.0) < -COEFF_ATOL:
             raise ValueError("negative coefficient")
         total = lp.sum() + lm.sum()
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:  # written so that NaN fails it
             raise ValueError(f"coefficients sum to {total}, not 1")
         lp.flags.writeable = False
         lm.flags.writeable = False

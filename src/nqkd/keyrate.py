@@ -9,6 +9,10 @@ code paths are kept independent and cross-checked in the tests.
 The bipartite baseline runs one six-state link per Bob and relays a
 one-time-padded conference key, so its rate is the slowest link's rate
 divided by the rounds the network needs.
+
+``noisy_rate_input`` is the one map from a noise model and the Bobs' hop
+count to multipartite error rates; rate sweeps, the network comparison
+and both threshold solvers (through ``noisy_fractions``) read it.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 from . import noise as noise_model
 
@@ -114,10 +119,10 @@ def secret_fraction(inp: RateInput) -> RateReport:
 
 
 def depolarized_rate_input(q: float, n_parties: int, t_rep: float = 1.0) -> RateInput:
-    """Error rates of the white-noise mixture at Z error rate ``q``."""
-    q_x = 2.0 ** (n_parties - 2) / (2.0 ** (n_parties - 1) - 1.0) * q
-    q_ab = 2.0 ** (n_parties - 1) / (2.0 ** n_parties - 2.0) * q
-    return RateInput(q, q_x, (q_ab,) * (n_parties - 1), n_parties, t_rep)
+    """Error rates of the white-noise mixture at Z error rate ``q``: Q_X and
+    every Q_AB are q 2^(N-2)/(2^(N-1)-1), written so that large N cannot overflow."""
+    q_x = 0.5 / (1.0 - 2.0 ** (1 - n_parties)) * q
+    return RateInput(q, q_x, (q_x,) * (n_parties - 1), n_parties, t_rep)
 
 
 def rate_depolarized(q: float, n_parties: int | float) -> float:
@@ -208,56 +213,53 @@ def twoqkd_conference_rate(q_links: list[float] | tuple[float, ...], t_rep: floa
     )
 
 
-def gate_noise_rate_input(n_parties: int, f_g: float, topology: str = noise_model.ROUTER,
-                          t_rep: float = 1.0) -> RateInput:
-    """Error rates of the gate-noise preparation circuit."""
-    if topology == noise_model.ROUTER:
-        lam_plus, lam_minus = noise_model.lambda0_router(n_parties, f_g)
-    else:
-        lam_plus, lam_minus = noise_model.lambda0_star(n_parties, f_g)
+def noisy_rate_input(n_parties: int, noise: noise_model.GateNoise | noise_model.ChannelNoise, hops: int,
+                     t_rep: float = 1.0) -> RateInput:
+    """Multipartite error rates under gate or channel noise, every Bob ``hops`` channels from Alice.
+
+    Gate noise runs the preparation circuit ``noise.PREPARATION`` assigns
+    to the hop count; channel noise yields the white-noise mixture.
+    """
+    if isinstance(noise, noise_model.ChannelNoise):
+        return depolarized_rate_input(noise_model.channel_qber(n_parties, noise.f_c), n_parties, t_rep)
+    router = noise_model.PREPARATION[hops] == noise_model.ROUTER
+    lam_plus, lam_minus = (noise_model.lambda0_router if router else noise_model.lambda0_star)(n_parties, noise.f_g)
     q_z = 1.0 - lam_plus - lam_minus
     q_x = 0.5 * (1.0 - (lam_plus - lam_minus))
-    q_ab = noise_model.qab_average(n_parties, f_g)
+    q_ab = noise_model.qab_average(n_parties, noise.f_g)
     return RateInput(q_z, q_x, (q_ab,) * (n_parties - 1), n_parties, t_rep)
 
 
-TWOQKD_GATE_LINK_FACTOR = 0.5  # one noisy pair-preparation gate: link QBER f_G/2
+def noisy_fractions(n_parties: int, noise: noise_model.GateNoise | noise_model.ChannelNoise,
+                    hops: int) -> tuple[float, float]:
+    """Unclamped secret fractions of the multipartite protocol and of one relay link;
+    channel noise takes the white-noise closed form ``rate_depolarized``."""
+    if isinstance(noise, noise_model.ChannelNoise):
+        nqkd = rate_depolarized(noise_model.channel_qber(n_parties, noise.f_c), n_parties)
+    else:
+        nqkd = secret_fraction(noisy_rate_input(n_parties, noise, hops)).r_inf
+    return nqkd, six_state_rate(noise.link_qber(hops))
+
+
+def _router_gap(level: float, n_parties: int, noise: type) -> float:
+    """Multipartite minus relay secret fraction per use of the router network at
+    noise ``level``: every Bob two hops out, one use per multipartite state against N-1."""
+    if n_parties < 3:
+        raise ValueError("need at least 3 parties for the comparison")
+    nqkd, link = noisy_fractions(n_parties, noise(level), 2)
+    return nqkd - link / (n_parties - 1)
 
 
 def nqkd_gate_threshold(n_parties: int) -> float:
-    """Gate failure probability at which the multipartite advantage vanishes.
-
-    Compares the router-network multipartite rate (one network use per
-    round) against N-1 six-state links prepared with one noisy gate each
-    (link QBER f_G/2) over N-1 network uses.
-    """
-    if n_parties < 3:
-        raise ValueError("need at least 3 parties for the comparison")
-
-    def gap(f_g: float) -> float:
-        nqkd = secret_fraction(gate_noise_rate_input(n_parties, f_g)).r_inf
-        twoqkd = six_state_rate(TWOQKD_GATE_LINK_FACTOR * f_g) / (n_parties - 1)
-        return nqkd - twoqkd
-
-    return bisect_root(gap, 1e-9, 0.5, xtol=1e-7)
+    """Gate failure probability at which the router's multipartite advantage
+    vanishes; each relay link is prepared by one noisy gate (QBER f_G/2)."""
+    return bisect_root(partial(_router_gap, n_parties=n_parties, noise=noise_model.GateNoise), 1e-9, 0.5, xtol=1e-7)
 
 
 def nqkd_channel_threshold(n_parties: int) -> float:
-    """Transmission noise level at which the multipartite advantage vanishes.
-
-    The multipartite protocol sends N qubits per round (one use of the
-    router network); the bipartite relay needs two hops per Bell pair,
-    so each link sees QBER (1 - (1-f_C)^2)/2, and N-1 network uses.
-    """
-    if n_parties < 3:
-        raise ValueError("need at least 3 parties for the comparison")
-
-    def gap(f_c: float) -> float:
-        nqkd = rate_depolarized(noise_model.channel_qber(n_parties, f_c), n_parties)
-        link = 0.5 * (1.0 - (1.0 - f_c) ** 2)
-        twoqkd = six_state_rate(link) / (n_parties - 1)
-        return nqkd - twoqkd
-
+    """Transmission noise level at which the router's multipartite advantage
+    vanishes; each relay link crosses two channels (QBER (1 - (1-f_C)^2)/2)."""
+    gap = partial(_router_gap, n_parties=n_parties, noise=noise_model.ChannelNoise)
     hi = 0.999
     # the gap is positive at 0; march right until it flips sign
     probe = 0.05

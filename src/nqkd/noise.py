@@ -18,7 +18,8 @@ maximally mixed state.  The resource state is built by entangling
 qubit 0 (in |+>) with each Bob qubit (in |0>) via controlled-NOTs, in a
 random order.  In the router variant one extra such gate acts before
 the fan-out and only degrades the parity coherence, not the Z
-statistics.
+statistics.  ``PREPARATION`` maps the Bobs' hop count to the circuit,
+and each model's ``link_qber`` gives the QBER of a bipartite relay link.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from .ghz import GhzDiagonalState, coefficients_from_dense, twirl_dense
 
 STAR = "star"
 ROUTER = "router"
+PREPARATION = {1: STAR, 2: ROUTER}  # gate-noise circuit by the Bobs' hop count from Alice
 
 
 @dataclass(frozen=True)
@@ -48,6 +50,10 @@ class GateNoise:
         if not 0.0 <= self.f_g <= 1.0:
             raise ValueError(f"f_g={self.f_g} outside [0, 1]")
 
+    def link_qber(self, hops: int) -> float:
+        """QBER f_G/2 of a six-state link whose pair is prepared by one noisy gate, at any hop count."""
+        return 0.5 * self.f_g
+
 
 @dataclass(frozen=True)
 class ChannelNoise:
@@ -58,6 +64,10 @@ class ChannelNoise:
     def __post_init__(self):
         if not 0.0 <= self.f_c <= 1.0:
             raise ValueError(f"f_c={self.f_c} outside [0, 1]")
+
+    def link_qber(self, hops: int) -> float:
+        """QBER (1 - (1-f_C)^hops)/2 of a six-state link whose Bob is ``hops`` channels from Alice."""
+        return 0.5 * (1.0 - (1.0 - self.f_c) ** hops)
 
 
 _NOISE_MODELS = {"gate": ("fG", GateNoise), "channel": ("fC", ChannelNoise)}
@@ -199,8 +209,8 @@ def channel_qber(n_parties: int, f_c: float) -> float:
         raise ValueError("need at least 2 parties")
     if not 0.0 <= f_c <= 1.0:
         raise ValueError(f"f_c={f_c} outside [0, 1]")
-    two_n = 2.0 ** n_parties
-    return (two_n - 2.0) / two_n * (1.0 - (1.0 - f_c) ** n_parties)
+    # (2^N - 2)/2^N written as 1 - 2^(1-N), which does not overflow at large N
+    return (1.0 - 2.0 ** (1 - n_parties)) * (1.0 - (1.0 - f_c) ** n_parties)
 
 
 def apply_channel_noise(state: DenseState, f_c: float) -> DenseState:

@@ -333,6 +333,7 @@ class ProtocolResult:
     key_bits: np.ndarray          # Alice's flipped key-round bits
     flip_mask: np.ndarray
     hashed_key: np.ndarray | None
+    run: ProtocolRun              # the sampled rounds, for the transcript
 
     def summary_json(self) -> str:
         return json.dumps(
@@ -386,7 +387,7 @@ class ProtocolRun:
         self._post_rng = post_rng
 
 
-def run_protocol(config: ProtocolConfig, hash_key: bool = False, run: ProtocolRun | None = None) -> ProtocolResult:
+def run_protocol(config: ProtocolConfig, hash_key: bool = False) -> ProtocolResult:
     """Execute a full protocol run and account for the resulting key.
 
     Error correction and privacy amplification enter as information
@@ -396,8 +397,7 @@ def run_protocol(config: ProtocolConfig, hash_key: bool = False, run: ProtocolRu
     corrected string is additionally compressed through a seeded
     Toeplitz hash to the estimated length.
     """
-    if run is None:
-        run = ProtocolRun(config)
+    run = ProtocolRun(config)
     z_count = run.z_bits.shape[0]
     xy_count = run.xy_bases.shape[0]
     if z_count == 0:
@@ -446,6 +446,7 @@ def run_protocol(config: ProtocolConfig, hash_key: bool = False, run: ProtocolRu
         key_bits=alice_key,
         flip_mask=flip_mask,
         hashed_key=hashed,
+        run=run,
     )
 
 

@@ -149,6 +149,38 @@ def test_thresholds_gate_far_beyond_table():
     assert values[-1] == pytest.approx(0.0112871, abs=2e-4)
 
 
+@pytest.mark.parametrize("kind, variable", [("gate", "f_G"), ("channel", "f_C")])
+def test_thresholds_are_where_router_rates_cross(capsys, kind, variable):
+    # the solvers hold the router's facts (Bobs two hops out, one use
+    # against N-1); the rates rows take them from the graph's schedules
+    assert run_cli(["thresholds", "--kind", kind, "--n", "3..8", "--format", "json"]) == 0
+    thresholds = {int(row["n"]): row["threshold"] for row in json.loads(capsys.readouterr().out)}
+    delta = 1e-5
+    for n, threshold in thresholds.items():
+        sweep = f"{variable}:{threshold - delta}:{threshold + delta}:2"
+        assert run_cli(["rates", "--sweep", sweep, "--n", str(n), "--topology", "router", "--format", "json"]) == 0
+        below, above = json.loads(capsys.readouterr().out)
+        assert below["rate_nqkd"] > below["rate_2qkd"]
+        assert above["rate_nqkd"] < above["rate_2qkd"]
+
+
+def test_channel_noise_at_large_n_does_not_overflow(capsys):
+    # the white-noise ratios used to go through 2.0**N and exit 3 past N=1023
+    assert run_cli(["rates", "--sweep", "f_C:0:0.1:3", "--n", "2000", "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert [row["value"] for row in rows] == [0.0, 0.05, 0.1]
+    assert rows[0]["r_inf"] == pytest.approx(1.0) and rows[0]["rate_2qkd"] == pytest.approx(1.0)
+    assert rows[-1]["rate_nqkd"] == 0.0 and rows[-1]["r_inf"] < 0.0
+
+    assert run_cli(["thresholds", "--kind", "channel", "--n", "60,2000", "--format", "json"]) == 0
+    at_60, at_2000 = (row["threshold"] for row in json.loads(capsys.readouterr().out))
+    assert 0.0 < at_2000 < at_60
+
+    assert run_cli(["network", "--topology", "star", "--n", "1100", "--noise", "channel:0.01"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["n_parties"] == 1100 and report["rate_nqkd"] == 0.0 and report["advantage"] is False
+
+
 def test_simulate_reproducible_summary(tmp_path):
     config = {
         "n_parties": 3,
@@ -241,9 +273,13 @@ GOOD_CONFIG = {"n_parties": 3, "n_rounds": 1000, "state": {"model": "depolarized
          "arrays of numbers"),
         ({**GOOD_CONFIG, "state": {"model": "ghz_diagonal", "lambda_plus": [None, 1, 0, 0], "lambda_minus": [0, 0, 0, 0]}},
          "arrays of numbers"),
+        ({**GOOD_CONFIG, "state": {"model": "ghz_diagonal", "lambda_plus": [math.nan, 0, 0, 0],
+                                   "lambda_minus": [0, 0, 0, 0]}},
+         "coefficients sum to nan"),
     ],
     ids=["fractional_announced", "negative_announced", "state_string", "top_level_list",
-         "fractional_n_parties", "unknown_state_key", "null_p_estimation", "lambda_object", "lambda_null"],
+         "fractional_n_parties", "unknown_state_key", "null_p_estimation", "lambda_object", "lambda_null",
+         "lambda_nan"],
 )
 def test_simulate_malformed_config_shape_exits_2(tmp_path, capsys, config, message):
     cfg = tmp_path / "cfg.json"

@@ -234,6 +234,8 @@ def test_diagonal_state_validation():
         GhzDiagonalState(3, np.array([1.5, -0.5, 0, 0]), np.zeros(4))
     with pytest.raises(ValueError):
         GhzDiagonalState(3, np.full(3, 1 / 6), np.full(3, 1 / 6))  # wrong length
+    with pytest.raises(ValueError, match="nan"):
+        GhzDiagonalState(3, np.array([np.nan, 0, 0, 0]), np.zeros(4))
 
 
 def test_embedding_is_valid_density_matrix():

@@ -12,16 +12,17 @@ from nqkd.keyrate import (
     binary_entropy,
     bisect_root,
     depolarized_rate_input,
-    gate_noise_rate_input,
     nqkd_channel_threshold,
     nqkd_gate_threshold,
+    noisy_fractions,
+    noisy_rate_input,
     rate_depolarized,
     secret_fraction,
     six_state_rate,
     threshold_qber,
     twoqkd_conference_rate,
 )
-from nqkd.noise import channel_qber
+from nqkd.noise import ChannelNoise, GateNoise, channel_qber, lambda0_router, lambda0_star
 
 TABLE_QBER = {
     2: 0.126193, 3: 0.209716, 4: 0.263087, 5: 0.295974, 6: 0.315562,
@@ -191,8 +192,8 @@ def test_gate_threshold_table_rows():
 def test_gate_threshold_is_the_crossover():
     n = 5
     thr = nqkd_gate_threshold(n)
-    below = gate_noise_rate_input(n, thr - 1e-3)
-    above = gate_noise_rate_input(n, thr + 1e-3)
+    below = noisy_rate_input(n, GateNoise(thr - 1e-3), hops=2)
+    above = noisy_rate_input(n, GateNoise(thr + 1e-3), hops=2)
     two_below = six_state_rate((thr - 1e-3) / 2) / (n - 1)
     two_above = six_state_rate((thr + 1e-3) / 2) / (n - 1)
     assert secret_fraction(below).r_inf > two_below
@@ -216,3 +217,22 @@ def test_channel_threshold_properties():
     peak = values.index(max(values))
     tail = values[peak:]
     assert all(b < a for a, b in zip(tail, tail[1:]))
+
+
+def test_noisy_fractions_follow_the_noise_model_and_hops():
+    for n in (2, 3, 5, 9, 30):
+        for hops, lambda0 in ((1, lambda0_star), (2, lambda0_router)):
+            for f in (0.0, 0.01, 0.05, 0.2):
+                # channel noise: the closed form agrees with the general formula
+                nqkd, link = noisy_fractions(n, ChannelNoise(f), hops)
+                general = secret_fraction(noisy_rate_input(n, ChannelNoise(f), hops)).r_inf
+                assert nqkd == pytest.approx(general, abs=1e-12)
+                assert link == six_state_rate(0.5 * (1.0 - (1.0 - f) ** hops))
+                # gate noise: the hop count picks the star or router circuit
+                nqkd, link = noisy_fractions(n, GateNoise(f), hops)
+                lam_plus, lam_minus = lambda0(n, f)
+                inp = noisy_rate_input(n, GateNoise(f), hops)
+                assert inp.q_z == 1.0 - lam_plus - lam_minus
+                assert inp.q_x == 0.5 * (1.0 - (lam_plus - lam_minus))
+                assert nqkd == secret_fraction(inp).r_inf
+                assert link == six_state_rate(f / 2)

@@ -149,6 +149,26 @@ def test_channel_noise_comparison_runs():
     assert not heavy["advantage"]
 
 
+@pytest.mark.parametrize("topology, kind, variable", [("router", "channel", "f_C"), ("star", "gate", "f_G")])
+def test_equal_rates_show_no_advantage(tmp_path, topology, kind, variable):
+    # at N=2 the multipartite state is one six-state pair; on the router
+    # both protocols cross the same two channels, on the star one noisy
+    # gate prepares both, so the rates agree and rounding must not set the flag
+    out = tmp_path / "cmp.json"
+    for k in range(1, 101):
+        assert main(["network", "--topology", topology, "--n", "2", "--noise", f"{kind}:{k / 1000}",
+                     "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["rate_nqkd"] == pytest.approx(report["rate_twoqkd"], rel=1e-14)
+        assert report["advantage"] is False
+    assert main(["network", "--topology", topology, "--n", "2", "--sweep", f"{variable}:0.001:0.1:100",
+                 "--format", "json", "--out", str(out)]) == 0
+    rows = json.loads(out.read_text())
+    assert len(rows) == 100
+    assert all(row["rate_nqkd"] == pytest.approx(row["rate_2qkd"], rel=1e-14) for row in rows)
+    assert not any(row["advantage"] for row in rows)
+
+
 def test_rate_scaling_with_parties():
     # fixed gate noise: the multipartite rate decays with N while the
     # bipartite relay shows the 1/(N-1) bottleneck scaling

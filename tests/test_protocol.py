@@ -480,6 +480,24 @@ def test_simulate_transcript_bytes_pinned(tmp_path, n, n_rounds, seed, digest):
     assert hashlib.sha256(transcript.read_bytes()).hexdigest() == digest
 
 
+def test_simulate_transcript_is_the_summarised_run(tmp_path):
+    # the transcript comes from the run that run_protocol sampled, not a second one
+    obj = {"n_parties": 4, "n_rounds": 3000, "p_estimation": 0.2, "seed": 6,
+           "state": {"model": "depolarized", "q": 0.1}}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(obj))
+    transcript = tmp_path / "t.jsonl"
+    assert main(["simulate", "--config", str(cfg), "--hash-key", "--transcript", str(transcript),
+                 "--out", str(tmp_path / "s.json")]) == 0
+    config = protocol_config_from_json(obj)
+    fresh = tmp_path / "fresh.jsonl"
+    write_transcript(str(fresh), ProtocolRun(config))
+    assert transcript.read_bytes() == fresh.read_bytes()
+    result = run_protocol(config, hash_key=True)
+    assert result.run.xy_bases.shape[0] == result.estimate.xy_rounds_total
+    assert result.summary_json() == (tmp_path / "s.json").read_text().rstrip("\n")
+
+
 def test_summary_json_schema():
     state = depolarized_state(3, 0.1)
     result = run_protocol(ProtocolConfig(3, 2000, state, seed=4))
