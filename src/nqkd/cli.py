@@ -75,11 +75,10 @@ def parse_noise(text: str | None) -> noise_model.GateNoise | noise_model.Channel
     kind, _, value = text.partition(":")
     if not value:
         raise ValueError(f"noise spec {text!r} is not kind:value")
-    if kind == "gate":
-        return noise_model.GateNoise(float(value))
-    if kind == "channel":
-        return noise_model.ChannelNoise(float(value))
-    raise ValueError(f"unknown noise kind {kind!r}")
+    if kind not in noise_model.NOISE_MODELS:
+        raise ValueError(f"unknown noise kind {kind!r}")
+    _, cls = noise_model.NOISE_MODELS[kind]
+    return cls(float(value))
 
 
 def fmt(x) -> str:
@@ -94,24 +93,21 @@ def n_label(n: int | float) -> str:
 
 def write_rows(path: str | None, header: list[str], rows: list[list], fmt_name: str) -> None:
     if fmt_name == "csv":
-        lines = [",".join(header)]
-        lines += [",".join(fmt(x) for x in row) for row in rows]
-        text = "\n".join(lines) + "\n"
+        text = "\n".join([",".join(header)] + [",".join(fmt(x) for x in row) for row in rows])
     else:
-        text = json.dumps([dict(zip(header, row)) for row in rows], indent=2) + "\n"
+        text = json.dumps([dict(zip(header, row)) for row in rows], indent=2)
+    write_text(path, text)
+
+
+def write_text(path: str | None, text: str) -> None:
+    """Write ``text`` with a final newline to ``path``, or to stdout for None or "-"."""
+    if not text.endswith("\n"):
+        text += "\n"
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-
-
-def write_text(path: str | None, text: str) -> None:
-    if path is None or path == "-":
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -180,22 +176,23 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_network(args) -> int:
+    n_parties = None if args.n is None else int(args.n)
     if args.graph:
         with open(args.graph, "r", encoding="utf-8") as fh:
             model = networks.NetworkModel.from_json(fh.read())
     else:
-        model = networks.TOPOLOGIES[args.topology](int(args.n) if args.n else 3)
+        model = networks.TOPOLOGIES[args.topology](3 if n_parties is None else n_parties)
     if args.sweep:
         sweep = parse_sweep(args.sweep)
         if sweep.variable == "Q":
             raise ValueError("network sweeps run over f_G or f_C")
         rows = []
         for value in sweep.values():
-            result = networks.compare_rates(model, NOISE_SWEEPS[sweep.variable](value))
+            result = networks.compare_rates(model, NOISE_SWEEPS[sweep.variable](value), n_parties)
             rows.append([value, result["rate_nqkd"], result["rate_twoqkd"], result["advantage"]])
         write_rows(args.out, ["f", "rate_nqkd", "rate_2qkd", "advantage"], rows, args.format)
         return 0
-    result = networks.compare_rates(model, parse_noise(args.noise))
+    result = networks.compare_rates(model, parse_noise(args.noise), n_parties)
     write_text(args.out, networks.comparison_to_json(result))
     return 0
 
@@ -236,9 +233,10 @@ def build_parser() -> argparse.ArgumentParser:
     net = sub.add_parser("network", help="compare both protocols on a network")
     net.add_argument("--topology", default="router", choices=list(networks.TOPOLOGIES))
     net.add_argument("--graph", default=None, help="JSON network description (overrides --topology)")
-    net.add_argument("--n", default=None, help="number of parties")
-    net.add_argument("--noise", default=None, help="gate:VALUE or channel:VALUE")
-    net.add_argument("--sweep", default=None, help="f_G:start:stop:steps or f_C:start:stop:steps")
+    net.add_argument("--n", default=None, help="number of parties; with --graph, the count the graph must have")
+    noise_or_sweep = net.add_mutually_exclusive_group()
+    noise_or_sweep.add_argument("--noise", default=None, help="gate:VALUE or channel:VALUE")
+    noise_or_sweep.add_argument("--sweep", default=None, help="f_G:start:stop:steps or f_C:start:stop:steps")
     net.add_argument("--out", default="-")
     net.add_argument("--format", default="csv", choices=["csv", "json"])
     net.set_defaults(func=cmd_network)

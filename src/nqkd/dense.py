@@ -22,29 +22,20 @@ Conventions, fixed once for the whole package:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-DEFAULT_DENSE_CAP = 12
+# Qubit cap of every dense array: one 13-qubit density matrix takes 1 GiB.
+DENSE_CAP = 12
 
 STATE_ATOL = 1e-12
 PSD_ATOL = 1e-10
 
 
-def dense_cap() -> int:
-    """Qubit cap for dense simulations (``NQKD_DENSE_CAP`` overrides)."""
-    return int(os.environ.get("NQKD_DENSE_CAP", DEFAULT_DENSE_CAP))
-
-
 def check_cap(n_qubits: int) -> None:
-    cap = dense_cap()
-    if n_qubits > cap:
-        raise ValueError(
-            f"dense simulation of {n_qubits} qubits exceeds the cap of {cap} "
-            "(set NQKD_DENSE_CAP to raise it)"
-        )
+    if n_qubits > DENSE_CAP:
+        raise ValueError(f"dense simulation of {n_qubits} qubits exceeds the cap of {DENSE_CAP}")
 
 
 def qubit_bits(indices: np.ndarray | int, qubit: int, n_qubits: int):

@@ -115,10 +115,9 @@ def coefficients_from_dense(state: DenseState) -> tuple[np.ndarray, np.ndarray]:
     return diag + cross, diag - cross
 
 
-def ghz_diagonal_from_dense(state: DenseState, validate: bool = True) -> GhzDiagonalState:
+def ghz_diagonal_from_dense(state: DenseState) -> GhzDiagonalState:
     """Twirl a dense state and return its diagonal coefficients."""
-    if validate:
-        state.validate(check_psd=state.n_qubits <= 8 and not state.pure)
+    state.validate(check_psd=state.n_qubits <= 8 and not state.pure)
     twirled = twirl_dense(state)
     lam_plus, lam_minus = coefficients_from_dense(twirled)
     return GhzDiagonalState(state.n_qubits, np.maximum(lam_plus, 0.0), np.maximum(lam_minus, 0.0))

@@ -27,11 +27,11 @@ import numpy as np
 
 from . import keyrate, noise as noise_model
 from .dense import (
+    DENSE_CAP,
     DenseState,
     apply_cz,
     apply_single_qubit,
     check_cap,
-    dense_cap,
     entanglement_entropy,
     partial_trace,
     qubit_bits,
@@ -390,7 +390,7 @@ def entanglement_bound_check(n_parties: int) -> dict:
         "single_use_sufficient": required <= 1.0,
     }
     pairs = n_parties - 1
-    if 2 * pairs <= dense_cap():
+    if 2 * pairs <= DENSE_CAP:
         report["dense_entanglement"] = bell_pairs_entanglement(pairs)
     return report
 

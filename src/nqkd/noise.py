@@ -70,16 +70,16 @@ class ChannelNoise:
         return 0.5 * (1.0 - (1.0 - self.f_c) ** hops)
 
 
-_NOISE_MODELS = {"gate": ("fG", GateNoise), "channel": ("fC", ChannelNoise)}
+NOISE_MODELS = {"gate": ("fG", GateNoise), "channel": ("fC", ChannelNoise)}
 
 
 def noise_from_json(text: str | dict) -> GateNoise | ChannelNoise:
     """Parse {"model": "gate"|"channel", "fG"|"fC": x}; any other key is rejected."""
     obj = json.loads(text) if isinstance(text, str) else text
     model = obj.get("model")
-    if model not in _NOISE_MODELS:
+    if model not in NOISE_MODELS:
         raise ValueError(f"unknown noise model {model!r}")
-    key, cls = _NOISE_MODELS[model]
+    key, cls = NOISE_MODELS[model]
     unknown = sorted(set(obj) - {"model", key})
     if unknown:
         raise ValueError(f"unknown noise key(s): {', '.join(unknown)}")
@@ -302,28 +302,17 @@ def _pattern_tables(n_parties: int, alice: str) -> tuple[np.ndarray, np.ndarray]
     return plus, minus
 
 
-def simulate_prep_circuit(
-    n_parties: int,
-    f_g: float,
-    pattern: GatePattern | None = None,
-    order: tuple[int, ...] | None = None,
-    topology: str = STAR,
-) -> DenseState | GhzDiagonalState:
+def simulate_prep_circuit(n_parties: int, f_g: float, topology: str = STAR) -> GhzDiagonalState:
     """Brute-force gate-noise oracle.
 
-    With an explicit ``pattern`` the conditional output state is
-    returned as a dense matrix (star topology only).  Without one, all
-    2^(N-1) patterns are enumerated, weighted by their probabilities,
-    averaged over every gate order, twirled, and returned as a
-    coefficient vector.  Exhaustive order averaging is factorial in N,
-    so it is capped at N=6; the closed forms cover every N.
+    All 2^(N-1) gate patterns are enumerated, weighted by their
+    probabilities, averaged over every gate order, twirled, and returned
+    as a coefficient vector; ``prep_circuit_output`` gives the dense
+    output of one pattern.  Exhaustive order averaging is factorial in
+    N, so it is capped at N=6; the closed forms cover every N.
     """
     if not 0.0 <= f_g <= 1.0:
         raise ValueError(f"f_g={f_g} outside [0, 1]")
-    if pattern is not None:
-        if topology != STAR:
-            raise ValueError("per-pattern output is only defined for the star circuit")
-        return prep_circuit_output(n_parties, pattern, order)
     if n_parties > 6:
         raise ValueError("exhaustive order enumeration is capped at N=6; use the closed forms beyond")
     check_cap(n_parties)

@@ -22,7 +22,7 @@ where W[y] = sum_j Delta_j (-1)^{|j AND y|} is the Walsh-Hadamard
 transform of Delta = lambda^+ - lambda^- and y is the Bobs' Y mask in
 the bit order of j.  Uniform bits for all parties but the last, with the
 last fixed by the drawn product, give the exact distribution of any
-GHZ-diagonal state; ``DenseState`` inputs are Born-sampled instead.
+GHZ-diagonal state.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dense import DenseState, product_basis_probabilities
 from .ghz import GhzDiagonalState
 from .keyrate import RateInput, RateReport, binary_entropy, secret_fraction
 from .noise import depolarized_state
@@ -47,7 +46,7 @@ def _is_integer(value) -> bool:
 class ProtocolConfig:
     n_parties: int
     n_rounds: int
-    state: GhzDiagonalState | DenseState
+    state: GhzDiagonalState
     p_estimation: float = 0.05
     seed: int = 0
     announced_z_rounds: int | None = None
@@ -63,9 +62,11 @@ class ProtocolConfig:
             raise ValueError("need at least one round")
         if not 0.0 < self.p_estimation < 1.0:
             raise ValueError("p_estimation must lie strictly between 0 and 1")
-        state_n = self.state.n_parties if isinstance(self.state, GhzDiagonalState) else self.state.n_qubits
-        if state_n != self.n_parties:
-            raise ValueError(f"state has {state_n} parties, config says {self.n_parties}")
+        if not isinstance(self.state, GhzDiagonalState):
+            raise ValueError(f"state must be a GhzDiagonalState, not {type(self.state).__name__}; "
+                             "twirl a dense state into one with ghz_diagonal_from_dense")
+        if self.state.n_parties != self.n_parties:
+            raise ValueError(f"state has {self.state.n_parties} parties, config says {self.n_parties}")
 
 
 @dataclass(frozen=True)
@@ -145,61 +146,24 @@ def f_sign(kappa_tilde: int | np.ndarray) -> int | np.ndarray:
 # Round sampling
 # ---------------------------------------------------------------------------
 
-def _bits_from_indices(indices: np.ndarray, n_bits: int) -> np.ndarray:
-    shifts = np.arange(n_bits - 1, -1, -1, dtype=np.uint64)
-    return ((indices[:, None].astype(np.uint64) >> shifts) & 1).astype(np.uint8)
+def sample_z_bits(state: GhzDiagonalState, count: int, rng: np.random.Generator) -> np.ndarray:
+    """Z-basis outcome bits, shape (count, N); bit 0 is the +1 outcome.
 
-
-def sample_z_bits(state: GhzDiagonalState | DenseState, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Z-basis outcome bits, shape (count, N); bit 0 is the +1 outcome."""
-    if count == 0:
-        n = state.n_parties if isinstance(state, GhzDiagonalState) else state.n_qubits
-        return np.zeros((0, n), dtype=np.uint8)
-    if isinstance(state, DenseState):
-        probs = state.z_probabilities()
-        probs = np.maximum(probs, 0.0)
-        probs /= probs.sum()
-        idx = rng.choice(probs.size, size=count, p=probs)
-        return _bits_from_indices(idx, state.n_qubits)
+    A round draws a branch j and Alice's bit; |j, sigma> gives the Bobs
+    the bits of j when Alice reads 0 and those of ~j when she reads 1.
+    """
     n = state.n_parties
     branch_probs = state.lam_plus + state.lam_minus
     branch_probs = np.maximum(branch_probs, 0.0)
     branch_probs /= branch_probs.sum()
     j = rng.choice(branch_probs.size, size=count, p=branch_probs)
-    alice = rng.integers(0, 2, size=count, dtype=np.uint64)
-    mask = (1 << np.uint64(n - 1)) - np.uint64(1)
-    bobs = np.where(alice == 1, (~j.astype(np.uint64)) & mask, j.astype(np.uint64))
-    full = (alice << np.uint64(n - 1)) | bobs
-    return _bits_from_indices(full, n)
-
-
-def sample_xy_bits(
-    state: GhzDiagonalState | DenseState,
-    bases: np.ndarray,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """Outcome bits for parity rounds with given bases (0 = X, 1 = Y)."""
-    bases = np.asarray(bases, dtype=np.uint8)
-    count, n = bases.shape
-    if count == 0:
-        return np.zeros((0, n), dtype=np.uint8)
-    if isinstance(state, DenseState):
-        return _sample_xy_dense(state, bases, rng)
-    return _sample_xy_parity(state, bases, rng)
-
-
-def _sample_xy_dense(state: DenseState, bases: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    count, n = bases.shape
-    out = np.zeros((count, n), dtype=np.uint8)
-    keys = bases @ (1 << np.arange(n - 1, -1, -1, dtype=np.int64))
-    for key in np.unique(keys):
-        rows = np.nonzero(keys == key)[0]
-        letters = "".join("y" if b else "x" for b in bases[rows[0]])
-        probs = np.maximum(product_basis_probabilities(state, letters), 0.0)
-        probs /= probs.sum()
-        idx = rng.choice(probs.size, size=rows.size, p=probs)
-        out[rows] = _bits_from_indices(idx, n)
-    return out
+    alice = rng.integers(0, 2, size=count, dtype=np.uint64).astype(np.uint8)
+    bits = np.empty((n, count), dtype=np.uint8)  # one contiguous row per party
+    bits[0] = alice
+    for bob in range(1, n):
+        bits[bob] = (j >> (n - 1 - bob)) & 1
+    bits[1:] ^= alice
+    return np.ascontiguousarray(bits.T)
 
 
 def _parity_expectations(state: GhzDiagonalState) -> np.ndarray:
@@ -215,7 +179,9 @@ def _parity_expectations(state: GhzDiagonalState) -> np.ndarray:
     return w
 
 
-def _sample_xy_parity(state: GhzDiagonalState, bases: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def sample_xy_bits(state: GhzDiagonalState, bases: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Outcome bits for parity rounds with given bases (0 = X, 1 = Y)."""
+    bases = np.asarray(bases, dtype=np.uint8)
     count, n = bases.shape
     w = _parity_expectations(state)
     width = w.size.bit_length() - 1  # y & (size - 1) keeps the last `width` Bob bits
@@ -413,7 +379,7 @@ def run_protocol(config: ProtocolConfig, hash_key: bool = False) -> ProtocolResu
     q_x_hat, n_plus, n_minus, kept = estimate_qx(run.xy_bases, run.xy_bits)
     estimate = EstimationResult(
         q_z_hat=q_z_hat,
-        q_x_hat=min(q_x_hat, 1.0),
+        q_x_hat=q_x_hat,
         q_ab_hat=tuple(q_ab_hat.tolist()),
         n_plus=n_plus,
         n_minus=n_minus,
@@ -422,7 +388,7 @@ def run_protocol(config: ProtocolConfig, hash_key: bool = False) -> ProtocolResu
         xy_rounds_kept=kept,
     )
 
-    key_rounds_bits, flip_mask = classical_depolarize(run.z_bits[key_mask], run._post_rng)
+    key_rounds_bits, flip_mask = classical_depolarize(run.z_bits[key_mask, :1], run._post_rng)
     report = secret_fraction(
         RateInput(
             q_z=estimate.q_z_hat,
@@ -432,7 +398,7 @@ def run_protocol(config: ProtocolConfig, hash_key: bool = False) -> ProtocolResu
         )
     )
     key_length = ledger.key_rounds * report.r_clamped
-    alice_key = key_rounds_bits[:, 0].copy()
+    alice_key = key_rounds_bits[:, 0]
     hashed = None
     if hash_key:
         hashed = toeplitz_hash(alice_key, int(math.floor(key_length)), run._post_rng)
@@ -442,7 +408,7 @@ def run_protocol(config: ProtocolConfig, hash_key: bool = False) -> ProtocolResu
         ledger=ledger,
         rate_report=report,
         key_length_estimate=key_length,
-        discard_fraction=1.0 - kept / xy_count if xy_count else 0.0,
+        discard_fraction=1.0 - kept / xy_count,
         key_bits=alice_key,
         flip_mask=flip_mask,
         hashed_key=hashed,

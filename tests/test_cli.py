@@ -6,6 +6,7 @@ import math
 import pytest
 
 from nqkd.cli import main, parse_n_list, parse_noise, parse_sweep
+from nqkd.noise import ChannelNoise, GateNoise
 
 TABLE_QBER_SUBSET = {2: 0.126193, 5: 0.295974, 17: 0.341045}
 
@@ -35,6 +36,10 @@ def test_parse_helpers():
     assert parse_noise(None) is None
     with pytest.raises(ValueError):
         parse_noise("gate")
+    assert parse_noise("gate:0.1") == GateNoise(0.1)
+    assert parse_noise("channel:0.2") == ChannelNoise(0.2)
+    with pytest.raises(ValueError, match="unknown noise kind 'fG'"):
+        parse_noise("fG:0.1")
 
 
 def test_rates_csv_crosses_zero_near_threshold(tmp_path):
@@ -203,7 +208,8 @@ def test_simulate_reproducible_summary(tmp_path):
     assert run_cli(
         ["simulate", "--config", str(cfg), "--transcript", str(transcript), "--out", str(out_a)]
     ) == 0
-    assert sum(1 for _ in transcript.open()) == 20000
+    with transcript.open() as fh:
+        assert sum(1 for _ in fh) == 20000
 
 
 def test_simulate_seed_override_changes_output(tmp_path):
@@ -320,8 +326,7 @@ def test_simulate_rejects_removed_shards_key(tmp_path, capsys):
     assert "shards" in capsys.readouterr().err
 
 
-def test_simulate_asymmetric_state_above_dense_cap(tmp_path, monkeypatch):
-    monkeypatch.setenv("NQKD_DENSE_CAP", "2")
+def test_simulate_asymmetric_state_above_dense_cap(tmp_path):
     config = {
         "n_parties": 4,
         "n_rounds": 20000,
@@ -388,6 +393,25 @@ def test_network_graph_file_and_sweep(tmp_path):
     flags = [row.split(",")[3] for row in lines[1:]]
     assert flags[0] == "True" and flags[-1] == "False"
     assert run_cli(["network", "--topology", "router", "--n", "3", "--sweep", "Q:0:0.1:5"]) == 2
+
+
+def test_network_graph_file_checks_party_count(tmp_path, capsys):
+    from nqkd.network import router_network
+
+    graph = tmp_path / "graph.json"
+    graph.write_text(router_network(3).to_json())
+    base = ["network", "--graph", str(graph)]
+    for extra in ([], ["--noise", "gate:0.05"], ["--sweep", "f_C:0:0.1:3"]):
+        assert run_cli(base + ["--n", "7"] + extra) == 2
+        assert "the graph has 3 parties, not 7" in capsys.readouterr().err
+        assert run_cli(base + ["--n", "3"] + extra + ["--out", str(tmp_path / "out.txt")]) == 0
+
+
+def test_network_noise_and_sweep_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(["network", "--topology", "router", "--n", "3", "--noise", "gate:0.05", "--sweep", "f_G:0:0.1:3"])
+    assert exit_info.value.code == 2
+    assert "not allowed with argument" in capsys.readouterr().err
 
 
 def test_numeric_failures_exit_three(monkeypatch):

@@ -1,13 +1,15 @@
 """Dense backend: basis vectors, twirl operators, traces and measurements."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from nqkd.dense import (
+    DENSE_CAP,
     DenseState,
     GhzBasisIndex,
     apply_twirl_operator,
-    dense_cap,
     entanglement_entropy,
     ghz_basis_vector,
     ghz_state,
@@ -59,13 +61,16 @@ def test_basis_vector_errors():
         GhzBasisIndex(0, 2)
 
 
-def test_dense_cap_env_override(monkeypatch):
-    monkeypatch.setenv("NQKD_DENSE_CAP", "3")
-    assert dense_cap() == 3
-    with pytest.raises(ValueError):
-        ghz_basis_vector(4, GhzBasisIndex(0, +1))
-    monkeypatch.delenv("NQKD_DENSE_CAP")
-    assert dense_cap() == 12
+def test_dense_cap_raises_before_allocating():
+    assert DENSE_CAP == 12
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cap of 12"):
+            ghz_basis_vector(13, GhzBasisIndex(0, +1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16  # the 2^13-entry complex vector alone takes 128 KiB
 
 
 def test_quarter_twirl_fixes_j0():

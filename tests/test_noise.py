@@ -236,11 +236,11 @@ def test_prep_circuit_caps_exhaustive_oracle_at_six(monkeypatch):
 
 def test_prep_circuit_fixed_pattern_output():
     # both gates fail for N=3: the state is maximally mixed
-    out = simulate_prep_circuit(3, 0.5, pattern=GatePattern((0, 0)))
+    out = noise.prep_circuit_output(3, GatePattern((0, 0)))
     assert isinstance(out, DenseState)
     assert np.allclose(out.data, np.eye(8) / 8, atol=1e-12)
     # all succeed: the exact resource state
-    out = simulate_prep_circuit(3, 0.5, pattern=GatePattern((1, 1)))
+    out = noise.prep_circuit_output(3, GatePattern((1, 1)))
     assert np.allclose(out.data, ghz_state(3).density(), atol=1e-12)
 
 
@@ -255,7 +255,7 @@ def test_prep_circuit_fixed_order_bob_error_rates():
         minus = np.zeros(4)
         for bits in itertools.product((0, 1), repeat=2):
             pattern = GatePattern(bits)
-            out = simulate_prep_circuit(3, f, pattern=pattern, order=order)
+            out = noise.prep_circuit_output(3, pattern, order)
             diag = ghz_diagonal_from_dense(out)
             weight = pattern.probability(f)
             plus += weight * diag.lam_plus

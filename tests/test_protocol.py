@@ -8,7 +8,7 @@ import pytest
 
 from nqkd import protocol
 from nqkd.cli import main
-from nqkd.dense import DenseState, ghz_state, product_basis_probabilities
+from nqkd.dense import ghz_state, product_basis_probabilities
 from nqkd.ghz import GhzDiagonalState, qber_pairwise_all, qber_x, qber_z
 from nqkd.keyrate import threshold_qber
 from nqkd.noise import depolarized_state
@@ -64,14 +64,16 @@ def test_z_sampling_depolarized_rate():
 
 
 def test_z_sampling_from_dense_state_matches():
-    rng = np.random.default_rng(2)
-    diag = depolarized_state(3, 0.3)
+    # every Z outcome of an asymmetric state against the Born rule of its density matrix
     from nqkd.ghz import dense_from_ghz_diagonal
 
-    dense = dense_from_ghz_diagonal(diag)
-    bits = sample_z_bits(dense, 30000, rng)
-    any_differ = (bits[:, 1:] != bits[:, :1]).any(axis=1).mean()
-    assert abs(any_differ - 0.3) < three_sigma(0.3, 30000)
+    n, count = 3, 30000
+    state = _random_asymmetric_state(n, np.random.default_rng(20))
+    bits = sample_z_bits(state, count, np.random.default_rng(2))
+    outcomes = bits @ (1 << np.arange(n - 1, -1, -1))
+    freqs = np.bincount(outcomes, minlength=1 << n) / count
+    for freq, p in zip(freqs, dense_from_ghz_diagonal(state).z_probabilities()):
+        assert abs(freq - p) < three_sigma(p, count)
 
 
 def test_xy_sampling_pure_ghz_all_x():
@@ -146,22 +148,6 @@ def test_walsh_prefix_covers_every_asymmetric_entry():
     assert _parity_expectations(narrow) == pytest.approx([0.4, -0.2])
 
 
-def test_parity_and_dense_samplers_statistically_agree():
-    from nqkd.ghz import dense_from_ghz_diagonal
-
-    state = depolarized_state(3, 0.2)
-    n = 40000
-    rng = np.random.default_rng(4)
-    bases = rng.integers(0, 2, size=(n, 3), dtype=np.uint8)
-    bits_dense = sample_xy_bits(dense_from_ghz_diagonal(state), bases, np.random.default_rng(5))
-    bits_parity = sample_xy_bits(state, bases, np.random.default_rng(6))
-    q_dense, _, _, kept_d = estimate_qx(bases, bits_dense)
-    q_parity, _, _, kept_p = estimate_qx(bases, bits_parity)
-    target = qber_x(state)
-    assert abs(q_dense - target) < three_sigma(target, kept_d)
-    assert abs(q_parity - target) < three_sigma(target, kept_p)
-
-
 def test_parity_sampler_asymmetric_state_above_dense_cap():
     # N=14 exceeds the default dense cap of 12; the sampler needs no dense matrix
     n = 14
@@ -201,8 +187,7 @@ def test_estimate_qx_pure_state_is_exact_zero():
 
 def test_estimate_qx_maximally_mixed():
     rng = np.random.default_rng(9)
-    dim = 16
-    state = DenseState.from_matrix(np.eye(dim) / dim)
+    state = GhzDiagonalState(4, np.full(8, 1 / 16), np.full(8, 1 / 16))
     bases = rng.integers(0, 2, size=(4000, 4), dtype=np.uint8)
     bits = sample_xy_bits(state, bases, rng)
     q_x, n_plus, n_minus, kept = estimate_qx(bases, bits)
@@ -449,9 +434,9 @@ def test_transcript_without_parity_rounds(tmp_path):
     assert_transcript_matches_reference(run, tmp_path / "t.jsonl")
 
 
-def test_transcript_of_dense_state_run(tmp_path):
-    run = ProtocolRun(ProtocolConfig(3, 1000, ghz_state(3), p_estimation=0.3, seed=4))
-    assert_transcript_matches_reference(run, tmp_path / "t.jsonl")
+def test_config_rejects_dense_state():
+    with pytest.raises(ValueError, match="ghz_diagonal_from_dense"):
+        ProtocolConfig(3, 1000, ghz_state(3), p_estimation=0.3, seed=4)
 
 
 @pytest.mark.parametrize("n_rounds", [1, 63, 192, 1001])
@@ -467,6 +452,8 @@ def test_transcript_across_blocks(tmp_path, monkeypatch, n_rounds):
     [
         (3, 2000, 7, "e1edf761c357d9f793838546e8e4345e67e5dcb58121df7c1fd8b9aa3f199791"),
         (12, 5000, 3, "e137f210024fa185414ec9545d137061d03dc316c673db80764daa3661cd679d"),
+        (20, 3000, 11, "6973921f9437a7b303590446b29e145ddad0522bb2206d1c9ead52a993de0b92"),
+        (2, 2000, 5, "445cc731c31ef20cef80301417c6fb44ffcc45494bc4609d938d6a548cac3cd0"),
     ],
 )
 def test_simulate_transcript_bytes_pinned(tmp_path, n, n_rounds, seed, digest):
