@@ -18,6 +18,7 @@ Subpackages by concern:
 from .dense import DenseState, GhzBasisIndex, ghz_basis_vector, ghz_state
 from .ghz import (
     GhzDiagonalState,
+    WeightClassState,
     dense_from_ghz_diagonal,
     ghz_diagonal_from_dense,
     pairwise_correlator,

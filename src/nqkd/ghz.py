@@ -7,8 +7,13 @@ twirl -- applying each operator of the depolarisation set with
 probability 1/2 -- projects any N-qubit state onto this diagonal family
 and additionally equalises ``lambda_j^+ = lambda_j^-`` for every j > 0.
 
+A state that is also invariant under permutations of the Bobs has
+coefficients that depend on j only through its Bob weight |j|;
+``WeightClassState`` stores it as one total per weight class, which is
+O(N) floats at any N, and ``expand`` turns it into the per-branch form.
+
 All protocol-relevant error rates are linear functionals of the
-coefficients:
+coefficients, with closed forms for either representation:
 
 * ``qber_z``        -- probability that some Bob's Z outcome differs
                        from Alice's,
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -34,6 +40,28 @@ from .dense import (
 )
 
 COEFF_ATOL = 1e-12
+
+# Largest array one object may ask for: the coefficient arrays of an expanded
+# state or the outcome matrix of a protocol run.  A larger request raises
+# ValueError before anything is allocated.  4 GiB is half of an 8 GB machine,
+# which leaves room for a run's per-round arrays beside its matrix.
+ARRAY_BYTE_BUDGET = 1 << 32
+
+
+def _frozen_coefficients(plus, minus, length: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only float copies of two coefficient arrays that together form a probability vector."""
+    lp = np.asarray(plus, dtype=float).copy()
+    lm = np.asarray(minus, dtype=float).copy()
+    if lp.shape != (length,) or lm.shape != (length,):
+        raise ValueError(f"coefficient arrays must have length {length}")
+    if lp.min(initial=0.0) < -COEFF_ATOL or lm.min(initial=0.0) < -COEFF_ATOL:
+        raise ValueError("negative coefficient")
+    total = lp.sum() + lm.sum()
+    if not abs(total - 1.0) <= 1e-9:  # written so that NaN fails it
+        raise ValueError(f"coefficients sum to {total}, not 1")
+    lp.flags.writeable = False
+    lm.flags.writeable = False
+    return lp, lm
 
 
 @dataclass(frozen=True)
@@ -52,18 +80,7 @@ class GhzDiagonalState:
     def __post_init__(self):
         if self.n_parties < 2:
             raise ValueError("need at least 2 parties")
-        half = 1 << (self.n_parties - 1)
-        lp = np.asarray(self.lam_plus, dtype=float).copy()
-        lm = np.asarray(self.lam_minus, dtype=float).copy()
-        if lp.shape != (half,) or lm.shape != (half,):
-            raise ValueError(f"coefficient arrays must have length {half}")
-        if lp.min(initial=0.0) < -COEFF_ATOL or lm.min(initial=0.0) < -COEFF_ATOL:
-            raise ValueError("negative coefficient")
-        total = lp.sum() + lm.sum()
-        if not abs(total - 1.0) <= 1e-9:  # written so that NaN fails it
-            raise ValueError(f"coefficients sum to {total}, not 1")
-        lp.flags.writeable = False
-        lm.flags.writeable = False
+        lp, lm = _frozen_coefficients(self.lam_plus, self.lam_minus, 1 << (self.n_parties - 1))
         object.__setattr__(self, "lam_plus", lp)
         object.__setattr__(self, "lam_minus", lm)
 
@@ -80,6 +97,46 @@ class GhzDiagonalState:
     def from_json(cls, text: str) -> "GhzDiagonalState":
         obj = json.loads(text)
         return cls(int(obj["n"]), np.asarray(obj["lambda_plus"]), np.asarray(obj["lambda_minus"]))
+
+
+@dataclass(frozen=True)
+class WeightClassState:
+    """A GHZ-diagonal state that is invariant under permutations of the Bobs.
+
+    Its coefficient of ``|j, sigma>`` depends on j only through the Bob
+    weight w = |j|, so the state is stored per weight class:
+    ``plus_by_weight[w]`` and ``minus_by_weight[w]`` hold the total
+    weight P_w^+- of the C(N-1, w) basis states ``|j, +->`` with |j| = w,
+    for w = 0..N-1.  These are 2N numbers in [0, 1] at any N; they must
+    be non-negative and sum to one (within ``COEFF_ATOL``).
+    """
+
+    n_parties: int
+    plus_by_weight: np.ndarray
+    minus_by_weight: np.ndarray
+
+    def __post_init__(self):
+        if self.n_parties < 2:
+            raise ValueError("need at least 2 parties")
+        plus, minus = _frozen_coefficients(self.plus_by_weight, self.minus_by_weight, self.n_parties)
+        object.__setattr__(self, "plus_by_weight", plus)
+        object.__setattr__(self, "minus_by_weight", minus)
+
+    def expand(self) -> GhzDiagonalState:
+        """The same state with one coefficient per branch j, lambda_j^+- = P_w^+- / C(N-1, w).
+
+        Raises ``ValueError`` before allocating when the two coefficient
+        arrays would exceed ``ARRAY_BYTE_BUDGET``.
+        """
+        n = self.n_parties
+        needed = 2 * 8 << (n - 1)
+        if needed > ARRAY_BYTE_BUDGET:
+            raise ValueError(f"expanding an N={n} state takes {needed} bytes, over the "
+                             f"{ARRAY_BYTE_BUDGET}-byte budget")
+        weight = np.bitwise_count(np.arange(1 << (n - 1)))
+        branches = np.array([comb(n - 1, w) for w in range(n)], dtype=float)
+        return GhzDiagonalState(n, (self.plus_by_weight / branches)[weight],
+                                (self.minus_by_weight / branches)[weight])
 
 
 def twirl_dense(state: DenseState) -> DenseState:
@@ -145,38 +202,54 @@ def dense_from_ghz_diagonal(state: GhzDiagonalState) -> DenseState:
 # Error rates
 # ---------------------------------------------------------------------------
 
-def qber_z(state: GhzDiagonalState) -> float:
+def diagonal_coefficients(state: GhzDiagonalState | WeightClassState) -> tuple[np.ndarray, np.ndarray]:
+    """(plus, minus) per branch j, or per Bob weight w of a weight-class state; entry 0 is j = 0 in both."""
+    if isinstance(state, WeightClassState):
+        return state.plus_by_weight, state.minus_by_weight
+    return state.lam_plus, state.lam_minus
+
+
+def qber_z(state: GhzDiagonalState | WeightClassState) -> float:
     """Probability that at least one Bob's Z outcome differs from Alice's."""
-    return float(1.0 - state.lam_plus[0] - state.lam_minus[0])
+    plus, minus = diagonal_coefficients(state)
+    return float(1.0 - plus[0] - minus[0])
 
 
-def qber_x(state: GhzDiagonalState) -> float:
+def qber_x(state: GhzDiagonalState | WeightClassState) -> float:
     """Probability of the unexpected outcome of the all-parties X parity.
 
     The parity expectation of a diagonal state is
     sum_j (lambda_j^+ - lambda_j^-), which reduces to
-    lambda_0^+ - lambda_0^- once the twirl has symmetrised j > 0.
+    lambda_0^+ - lambda_0^- once the twirl has symmetrised j > 0; for a
+    weight-class state it is sum_w (P_w^+ - P_w^-).
     """
-    expectation = float((state.lam_plus - state.lam_minus).sum())
+    plus, minus = diagonal_coefficients(state)
+    expectation = float((plus - minus).sum())
     return 0.5 * (1.0 - expectation)
 
 
-def qber_pairwise(state: GhzDiagonalState, bob: int) -> float:
+def qber_pairwise(state: GhzDiagonalState | WeightClassState, bob: int) -> float:
     """Probability that Bob ``bob`` (1..N-1) disagrees with Alice in Z.
 
     Sums lambda_j^+ + lambda_j^- over all j whose Bob-``bob`` bit is set;
-    for symmetrised states this equals twice the sum of lambda_j.
+    for symmetrised states this equals twice the sum of lambda_j.  A
+    weight-class state flips a given Bob in a fraction w/(N-1) of class
+    w, the same for every Bob.
     """
     n = state.n_parties
     if not 1 <= bob <= n - 1:
         raise ValueError(f"bob index {bob} outside 1..{n - 1}")
+    if isinstance(state, WeightClassState):
+        return float(np.arange(n) / (n - 1) @ (state.plus_by_weight + state.minus_by_weight))
     j = np.arange(1 << (n - 1))
     mask = ((j >> (n - 1 - bob)) & 1) == 1
     return float(state.lam_plus[mask].sum() + state.lam_minus[mask].sum())
 
 
-def qber_pairwise_all(state: GhzDiagonalState) -> np.ndarray:
+def qber_pairwise_all(state: GhzDiagonalState | WeightClassState) -> np.ndarray:
     """qber_pairwise for every Bob, as an array of length N-1."""
+    if isinstance(state, WeightClassState):
+        return np.full(state.n_parties - 1, qber_pairwise(state, 1))
     return np.array([qber_pairwise(state, i) for i in range(1, state.n_parties)])
 
 
@@ -224,12 +297,15 @@ def pairwise_correlator(psi: DenseState, alpha: str, beta: str, i: int, j: int) 
 
 
 __all__ = [
+    "ARRAY_BYTE_BUDGET",
     "GhzDiagonalState",
+    "WeightClassState",
     "GhzBasisIndex",
     "twirl_dense",
     "coefficients_from_dense",
     "ghz_diagonal_from_dense",
     "dense_from_ghz_diagonal",
+    "diagonal_coefficients",
     "qber_z",
     "qber_x",
     "qber_pairwise",

@@ -33,7 +33,7 @@ from math import comb
 import numpy as np
 
 from .dense import DenseState, apply_cnot, check_cap, replace_with_mixed
-from .ghz import GhzDiagonalState, coefficients_from_dense, twirl_dense
+from .ghz import GhzDiagonalState, WeightClassState, coefficients_from_dense, twirl_dense
 
 STAR = "star"
 ROUTER = "router"
@@ -90,24 +90,28 @@ def noise_from_json(text: str | dict) -> GateNoise | ChannelNoise:
 # White-noise mixture
 # ---------------------------------------------------------------------------
 
-def depolarized_state(n_parties: int, q: float) -> GhzDiagonalState:
+def depolarized_state(n_parties: int, q: float) -> WeightClassState:
     """Mixture of the resource state with white noise, at Z error rate ``q``.
 
-    lambda_0^+ = 1 - q (2^N - 1)/(2^N - 2) and all other coefficients are
-    equal, so that ``qber_z`` of the result is exactly ``q``.
+    lambda_0^+ = 1 - q (2^N - 1)/(2^N - 2) and all other coefficients
+    equal q/(2^N - 2), so that ``qber_z`` of the result is exactly ``q``.
+    Weight class w holds C(N-1, w) of them.  Every ratio is written in
+    powers 2^-N, which do not overflow at large N.
     """
     if n_parties < 2:
         raise ValueError("need at least 2 parties")
-    two_n = 2.0 ** n_parties
-    q_max = (two_n - 2.0) / (two_n - 1.0)
+    q_max = (1.0 - 2.0 ** (1 - n_parties)) / (1.0 - 2.0 ** -n_parties)  # (2^N - 2)/(2^N - 1)
     if not 0.0 <= q <= q_max:
         raise ValueError(f"q={q} outside [0, {q_max}] for N={n_parties}")
-    half = 1 << (n_parties - 1)
-    rest = q / (two_n - 2.0)
-    lam_plus = np.full(half, rest)
-    lam_minus = np.full(half, rest)
-    lam_plus[0] = 1.0 - q * (two_n - 1.0) / (two_n - 2.0)
-    return GhzDiagonalState(n_parties, lam_plus, lam_minus)
+    bobs = n_parties - 1
+    binomial, count, scale = [], 1, 2**bobs
+    for w in range(n_parties):
+        binomial.append(count / scale)  # C(N-1, w) 2^-(N-1), correctly rounded
+        count = count * (bobs - w) // (w + 1)
+    noise = q * np.array(binomial) / (2.0 - 2.0 ** (1 - bobs))  # q C(N-1, w)/(2^N - 2)
+    plus = noise.copy()
+    plus[0] = 1.0 - q * (1.0 - 2.0 ** -n_parties) / (1.0 - 2.0 ** (1 - n_parties))
+    return WeightClassState(n_parties, plus, noise)
 
 
 # ---------------------------------------------------------------------------

@@ -12,17 +12,28 @@ rounds is announced for error-rate estimation, a common random flip
 mask is applied to the rest, and the surviving rounds are turned into
 key material at the asymptotic secret fraction of the estimates.
 
-Parity-round sampler
---------------------
-Z rounds are drawn directly from the diagonal coefficients.  In parity
-rounds every strict subset of the X/Y outcomes is uniformly random (a
-partial Pauli product maps |0>|j> off both branches of every basis
-state) and the full product is +-1 with probability (1 +- f(kappa) W[y])/2,
-where W[y] = sum_j Delta_j (-1)^{|j AND y|} is the Walsh-Hadamard
-transform of Delta = lambda^+ - lambda^- and y is the Bobs' Y mask in
-the bit order of j.  Uniform bits for all parties but the last, with the
-last fixed by the drawn product, give the exact distribution of any
-GHZ-diagonal state.
+Samplers
+--------
+A run takes either state type of :mod:`nqkd.ghz`, and each round type
+has one sampler that reads the state's own coefficients.
+
+Z rounds draw a branch and Alice's bit.  A ``GhzDiagonalState`` draws
+the branch j from its 2^(N-1) coefficients.  A ``WeightClassState``
+draws only the Bob weight w = |j| from its N class masses; rounds with
+0 < w < N-1 then pick which Bobs are flipped by selection sampling, one
+Bob row at a time, which makes every w-subset equally likely.
+
+In parity rounds every strict subset of the X/Y outcomes is uniformly
+random (a partial Pauli product maps |0>|j> off both branches of every
+basis state) and the full product is +-1 with probability
+(1 +- f(kappa) W)/2.  For a ``GhzDiagonalState``,
+W[y] = sum_j Delta_j (-1)^{|j AND y|} is the Walsh-Hadamard transform of
+Delta = lambda^+ - lambda^- and y is the Bobs' Y mask in the bit order
+of j.  For a ``WeightClassState`` W depends only on the Bobs' Y count k:
+W(k) = sum_w (P_w^+ - P_w^-) K_w(k; N-1)/C(N-1, w), with the Krawtchouk
+polynomials K_w, computed once per call in O(N^2).  Uniform bits for all
+parties but the last, with the last fixed by the drawn product, give the
+exact distribution.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ghz import GhzDiagonalState
+from .ghz import ARRAY_BYTE_BUDGET, GhzDiagonalState, WeightClassState, diagonal_coefficients
 from .keyrate import RateInput, RateReport, binary_entropy, secret_fraction
 from .noise import depolarized_state
 
@@ -46,7 +57,7 @@ def _is_integer(value) -> bool:
 class ProtocolConfig:
     n_parties: int
     n_rounds: int
-    state: GhzDiagonalState
+    state: GhzDiagonalState | WeightClassState
     p_estimation: float = 0.05
     seed: int = 0
     announced_z_rounds: int | None = None
@@ -62,11 +73,16 @@ class ProtocolConfig:
             raise ValueError("need at least one round")
         if not 0.0 < self.p_estimation < 1.0:
             raise ValueError("p_estimation must lie strictly between 0 and 1")
-        if not isinstance(self.state, GhzDiagonalState):
-            raise ValueError(f"state must be a GhzDiagonalState, not {type(self.state).__name__}; "
-                             "twirl a dense state into one with ghz_diagonal_from_dense")
+        if not isinstance(self.state, (GhzDiagonalState, WeightClassState)):
+            raise ValueError(f"state must be a GhzDiagonalState or WeightClassState, not "
+                             f"{type(self.state).__name__}; twirl a dense state into one with "
+                             "ghz_diagonal_from_dense")
         if self.state.n_parties != self.n_parties:
             raise ValueError(f"state has {self.state.n_parties} parties, config says {self.n_parties}")
+        if self.n_rounds * self.n_parties > ARRAY_BYTE_BUDGET:
+            raise ValueError(f"{self.n_rounds} rounds of {self.n_parties} parties need a "
+                             f"{self.n_rounds * self.n_parties}-byte outcome matrix, over the "
+                             f"{ARRAY_BYTE_BUDGET}-byte budget")
 
 
 @dataclass(frozen=True)
@@ -146,24 +162,50 @@ def f_sign(kappa_tilde: int | np.ndarray) -> int | np.ndarray:
 # Round sampling
 # ---------------------------------------------------------------------------
 
-def sample_z_bits(state: GhzDiagonalState, count: int, rng: np.random.Generator) -> np.ndarray:
+def sample_z_bits(state: GhzDiagonalState | WeightClassState, count: int,
+                  rng: np.random.Generator) -> np.ndarray:
     """Z-basis outcome bits, shape (count, N); bit 0 is the +1 outcome.
 
-    A round draws a branch j and Alice's bit; |j, sigma> gives the Bobs
-    the bits of j when Alice reads 0 and those of ~j when she reads 1.
+    A round draws a branch j (for a weight-class state: its Bob weight
+    |j|) and Alice's bit; |j, sigma> gives the Bobs the bits of j when
+    Alice reads 0 and those of ~j when she reads 1.  The result is the
+    transpose of a party-major array, so only one layout is held.
     """
     n = state.n_parties
-    branch_probs = state.lam_plus + state.lam_minus
-    branch_probs = np.maximum(branch_probs, 0.0)
-    branch_probs /= branch_probs.sum()
-    j = rng.choice(branch_probs.size, size=count, p=branch_probs)
+    plus, minus = diagonal_coefficients(state)
+    probs = np.maximum(plus + minus, 0.0)
+    probs /= probs.sum()
+    drawn = rng.choice(probs.size, size=count, p=probs)
     alice = rng.integers(0, 2, size=count, dtype=np.uint64).astype(np.uint8)
     bits = np.empty((n, count), dtype=np.uint8)  # one contiguous row per party
     bits[0] = alice
-    for bob in range(1, n):
-        bits[bob] = (j >> (n - 1 - bob)) & 1
-    bits[1:] ^= alice
-    return np.ascontiguousarray(bits.T)
+    if isinstance(state, WeightClassState):
+        _write_weight_class_bobs(bits, drawn, alice, rng)
+    else:
+        for bob in range(1, n):
+            bits[bob] = (drawn >> (n - 1 - bob)) & 1
+        bits[1:] ^= alice
+    return bits.T
+
+
+def _write_weight_class_bobs(bits: np.ndarray, weight: np.ndarray, alice: np.ndarray,
+                             rng: np.random.Generator) -> None:
+    """Fill the Bob rows of ``bits`` for rounds whose branch flips ``weight`` uniformly chosen Bobs.
+
+    Weight 0 and N-1 fix every Bob; the other rounds pick their subset by
+    selection sampling, one Bob row at a time: Bob t joins with
+    probability (Bobs still needed)/(Bobs left), which gives each subset
+    of that weight probability 1/C(N-1, w).
+    """
+    bobs = bits.shape[0] - 1
+    bits[1:] = alice ^ (weight == bobs)
+    rounds = np.flatnonzero((weight > 0) & (weight < bobs))
+    needed = weight[rounds]
+    alice_bits = alice[rounds]
+    for t in range(bobs):
+        chosen = rng.random(rounds.size) * (bobs - t) < needed
+        bits[1 + t, rounds] = alice_bits ^ chosen
+        needed -= chosen
 
 
 def _parity_expectations(state: GhzDiagonalState) -> np.ndarray:
@@ -179,16 +221,49 @@ def _parity_expectations(state: GhzDiagonalState) -> np.ndarray:
     return w
 
 
-def sample_xy_bits(state: GhzDiagonalState, bases: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+def _krawtchouk_expectations(state: WeightClassState) -> np.ndarray:
+    """W(k) = sum_w Delta_w K_w(k; N-1)/C(N-1, w) for k = 0..N-1 Bobs measuring Y.
+
+    K_w(k; N-1)/C(N-1, w) is the mean of (-1)^|S & Y| over the w-subsets
+    S of the Bobs, for a Y set of k Bobs.  Whether one Y-measuring Bob is
+    in S splits class v of m Bobs into classes v-1 (sign -1, a share v/m)
+    and v (a share (m-v)/m) of m-1 Bobs, so W(k) is the total of Delta
+    after k such steps.  Each step mixes with non-negative shares that sum
+    to one, so rounding errors stay at the level of one step at any N.
+    Classes above the last non-zero Delta_w stay zero through every step
+    and are never stored; with Delta_0 alone (white noise) W is constant.
+    """
+    n = state.n_parties
+    delta = state.plus_by_weight - state.minus_by_weight
+    nonzero = np.flatnonzero(delta)
+    delta = delta[: nonzero[-1] + 1 if nonzero.size else 1]
+    out = np.empty(n)
+    for k in range(n):
+        out[k] = delta.sum()
+        if delta.size == 1:
+            out[k:] = delta[0]
+            break
+        m = n - 1 - k  # Bobs before the step
+        padded = np.append(delta, 0.0)
+        v = np.arange(min(delta.size, m))
+        delta = padded[v] * ((m - v) / m) - padded[v + 1] * ((v + 1) / m)
+    return out
+
+
+def sample_xy_bits(state: GhzDiagonalState | WeightClassState, bases: np.ndarray,
+                   rng: np.random.Generator) -> np.ndarray:
     """Outcome bits for parity rounds with given bases (0 = X, 1 = Y)."""
     bases = np.asarray(bases, dtype=np.uint8)
     count, n = bases.shape
-    w = _parity_expectations(state)
-    width = w.size.bit_length() - 1  # y & (size - 1) keeps the last `width` Bob bits
-    y = bases[:, n - width :] @ (1 << np.arange(width - 1, -1, -1, dtype=np.int64))
     kappa = bases.sum(axis=1)
-    signs = f_sign(kappa)
-    p_plus = 0.5 * (1.0 + signs * w[y])
+    if isinstance(state, WeightClassState):
+        expectation = _krawtchouk_expectations(state)[kappa - bases[:, 0]]  # by the Bobs' Y count
+    else:
+        w = _parity_expectations(state)
+        width = w.size.bit_length() - 1  # y & (size - 1) keeps the last `width` Bob bits
+        y = bases[:, n - width :] @ (1 << np.arange(width - 1, -1, -1, dtype=np.int64))
+        expectation = w[y]
+    p_plus = 0.5 * (1.0 + f_sign(kappa) * expectation)
     product_is_minus = rng.random(count) >= p_plus  # parity of the outcome bits
     bits = rng.integers(0, 2, size=(count, n), dtype=np.uint8)
     partial = bits[:, :-1].sum(axis=1) % 2

@@ -2,9 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import nqkd
 from nqkd.cli import main, parse_n_list, parse_noise, parse_sweep
 from nqkd.noise import ChannelNoise, GateNoise
 
@@ -327,15 +333,17 @@ def test_simulate_rejects_removed_shards_key(tmp_path, capsys):
 
 
 def test_simulate_asymmetric_state_above_dense_cap(tmp_path):
+    # N=14 exceeds the 12-qubit dense cap: the explicit GhzDiagonalState path runs without a dense matrix
+    n = 14
+    half = 1 << (n - 1)
+    bob1, bob5 = 1 << (n - 2), 1 << (n - 6)
+    lam_plus, lam_minus = [0.0] * half, [0.0] * half
+    lam_plus[0], lam_minus[bob1], lam_minus[bob5] = 0.55, 0.25, 0.2
     config = {
-        "n_parties": 4,
+        "n_parties": n,
         "n_rounds": 20000,
         "seed": 3,
-        "state": {
-            "model": "ghz_diagonal",
-            "lambda_plus": [0.7, 0.05, 0.0, 0.0, 0.05, 0.0, 0.0, 0.0],
-            "lambda_minus": [0.0, 0.1, 0.0, 0.0, 0.0, 0.0, 0.0, 0.1],
-        },
+        "state": {"model": "ghz_diagonal", "lambda_plus": lam_plus, "lambda_minus": lam_minus},
     }
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
@@ -343,6 +351,52 @@ def test_simulate_asymmetric_state_above_dense_cap(tmp_path):
     assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
     estimates = json.loads(out.read_text())["estimates"]
     assert estimates["n_plus"] + estimates["n_minus"] == estimates["xy_rounds_kept"] > 0
+    used = estimates["z_rounds_used"]
+    for bob, q_ab in enumerate(estimates["q_ab"], start=1):
+        expected = {1: 0.25, 5: 0.2}.get(bob, 0.0)
+        assert abs(q_ab - expected) <= 3.0 * math.sqrt(expected * (1 - expected) / used)
+
+
+@pytest.mark.parametrize("n", [40, 2000])
+def test_simulate_at_large_n_exits_0(tmp_path, n):
+    # N=40 asked for a 4 TiB array and N=2000 overflowed 2.0**N before the weight-class states
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_parties": n, "n_rounds": 1000, "seed": 4, "state": {"model": "depolarized", "q": 0.1}}))
+    out = tmp_path / "summary.json"
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(out)]) == 0
+    estimates = json.loads(out.read_text())["estimates"]
+    assert len(estimates["q_ab"]) == n - 1
+    assert estimates["z_rounds_used"] > 0 and 0.0 < estimates["q_z"] < 0.3
+
+
+def test_simulate_over_the_byte_budget_exits_2_before_allocating(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    # a 20 GB outcome matrix, and an 80 MB schedule before it
+    cfg.write_text(json.dumps({"n_parties": 2000, "n_rounds": 10**7, "state": {"model": "depolarized", "q": 0.1}}))
+    tracemalloc.start()
+    try:
+        assert run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.json")]) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 22
+    assert "budget" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_simulate_large_run_peak_memory(tmp_path):
+    # one (L, N) outcome layout at a time: N=64, L=1e6 holds a 64 MB matrix
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_parties": 64, "n_rounds": 10**6, "seed": 2, "state": {"model": "depolarized", "q": 0.1}}))
+    src = str(Path(nqkd.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    child = subprocess.Popen([sys.executable, "-m", "nqkd", "simulate", "--config", str(cfg),
+                              "--out", str(tmp_path / "s.json")], env=env)
+    _, status, usage = os.wait4(child.pid, 0)
+    child.returncode = os.waitstatus_to_exitcode(status)
+    assert child.returncode == 0
+    assert usage.ru_maxrss < 150 * 1024  # kilobytes
+    assert len(json.loads((tmp_path / "s.json").read_text())["estimates"]["q_ab"]) == 63
 
 
 def test_simulate_hash_rounding_failure_exits_3(tmp_path, monkeypatch):

@@ -1,13 +1,17 @@
 """Diagonal-family algebra: twirl projection, error rates, correlators."""
 
 import json
+import tracemalloc
+from math import comb
 
 import numpy as np
 import pytest
 
 from nqkd.dense import DenseState, GhzBasisIndex, ghz_state, qubit_bits
 from nqkd.ghz import (
+    ARRAY_BYTE_BUDGET,
     GhzDiagonalState,
+    WeightClassState,
     coefficients_from_dense,
     correlated_resource,
     dense_from_ghz_diagonal,
@@ -236,6 +240,63 @@ def test_diagonal_state_validation():
         GhzDiagonalState(3, np.full(3, 1 / 6), np.full(3, 1 / 6))  # wrong length
     with pytest.raises(ValueError, match="nan"):
         GhzDiagonalState(3, np.array([np.nan, 0, 0, 0]), np.zeros(4))
+
+
+def random_weight_class(n, rng):
+    plus, minus = rng.random(n), rng.random(n)
+    total = plus.sum() + minus.sum()
+    return WeightClassState(n, plus / total, minus / total)
+
+
+def test_weight_class_closed_forms_match_expanded_state():
+    rng = np.random.default_rng(31)
+    for n in range(2, 13):
+        for _ in range(3):
+            state = random_weight_class(n, rng)
+            full = state.expand()
+            assert abs(qber_z(state) - qber_z(full)) < 1e-12
+            assert abs(qber_x(state) - qber_x(full)) < 1e-12
+            assert np.abs(qber_pairwise_all(state) - qber_pairwise_all(full)).max() < 1e-12
+            assert abs(qber_pairwise(state, n - 1) - qber_pairwise(full, n - 1)) < 1e-12
+            # class w spreads its weight evenly over its C(N-1, w) branches
+            weight = np.bitwise_count(np.arange(1 << (n - 1)))
+            for w in range(n):
+                branches = full.lam_plus[weight == w]
+                assert branches.size == comb(n - 1, w)
+                assert np.abs(branches - state.plus_by_weight[w] / comb(n - 1, w)).max() < 1e-15
+                assert abs(full.lam_minus[weight == w].sum() - state.minus_by_weight[w]) < 1e-12
+
+
+def test_weight_class_state_validation():
+    state = WeightClassState(3, [0.5, 0.2, 0.1], [0.1, 0.0, 0.1])
+    assert not state.plus_by_weight.flags.writeable
+    with pytest.raises(ValueError, match="length 3"):
+        WeightClassState(3, np.full(4, 0.125), np.full(4, 0.125))
+    with pytest.raises(ValueError, match="negative"):
+        WeightClassState(3, [1.5, -0.5, 0.0], np.zeros(3))
+    with pytest.raises(ValueError, match="sum to 2"):
+        WeightClassState(3, np.full(3, 1 / 3), np.full(3, 1 / 3))
+    with pytest.raises(ValueError, match="nan"):
+        WeightClassState(3, [np.nan, 0.0, 0.0], np.zeros(3))
+    with pytest.raises(ValueError, match="2 parties"):
+        WeightClassState(1, [1.0], [0.0])
+    with pytest.raises(ValueError, match="bob index"):
+        qber_pairwise(state, 3)
+
+
+def test_weight_class_expand_raises_before_allocating():
+    n = 30  # two 2^29-entry float arrays take 8 GiB
+    assert 16 << (n - 1) > ARRAY_BYTE_BUDGET >= 16 << (n - 2)
+    state = WeightClassState(n, np.eye(1, n)[0], np.zeros(n))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="budget"):
+            state.expand()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    assert qber_z(state) == 0.0 and qber_x(state) == 0.0 and qber_pairwise(state, 29) == 0.0
 
 
 def test_embedding_is_valid_density_matrix():

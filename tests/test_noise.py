@@ -105,11 +105,11 @@ def test_enumerated_prefactor_sums_match_scalar_patterns():
 
 
 def test_depolarized_state_examples():
-    pure = depolarized_state(5, 0.0)
+    pure = depolarized_state(5, 0.0).expand()
     assert pure.lam_plus[0] == pytest.approx(1.0)
     assert abs(pure.lam_minus).max() == 0.0
 
-    state = depolarized_state(3, 0.2)
+    state = depolarized_state(3, 0.2).expand()
     assert state.lam_plus[0] == pytest.approx(1 - 0.2 * 7 / 6, abs=1e-15)
     assert np.allclose(state.lam_plus[1:], 0.2 / 6)
     assert np.allclose(state.lam_minus, 0.2 / 6)
@@ -121,6 +121,17 @@ def test_depolarized_state_examples():
         depolarized_state(3, 0.9)
     with pytest.raises(ValueError):
         depolarized_state(3, -0.1)
+
+
+@pytest.mark.parametrize("n", [2, 3, 7, 60, 1100, 2000])
+def test_depolarized_state_closed_forms_at_any_n(n):
+    # Q_X = q 2^(N-2)/(2^(N-1)-1) and Q_AB = q 2^(N-1)/(2^N-2) are both q/2/(1-2^(1-N))
+    q = 0.3
+    state = depolarized_state(n, q)
+    assert state.plus_by_weight.shape == (n,)
+    assert qber_z(state) == pytest.approx(q, abs=1e-15)
+    assert qber_x(state) == pytest.approx(0.5 * q / (1 - 2.0 ** (1 - n)), rel=1e-12)
+    assert np.abs(qber_pairwise_all(state) - 0.5 * q / (1 - 2.0 ** (1 - n))).max() < 1e-12
 
 
 def test_lambda0_star_limits():

@@ -9,8 +9,8 @@ import pytest
 from nqkd import protocol
 from nqkd.cli import main
 from nqkd.dense import ghz_state, product_basis_probabilities
-from nqkd.ghz import GhzDiagonalState, qber_pairwise_all, qber_x, qber_z
-from nqkd.keyrate import threshold_qber
+from nqkd.ghz import GhzDiagonalState, WeightClassState, qber_pairwise_all, qber_x, qber_z
+from nqkd.keyrate import rate_depolarized, threshold_qber
 from nqkd.noise import depolarized_state
 from nqkd.protocol import (
     ProtocolConfig,
@@ -76,6 +76,26 @@ def test_z_sampling_from_dense_state_matches():
         assert abs(freq - p) < three_sigma(p, count)
 
 
+def _random_weight_class_state(n, rng):
+    plus, minus = rng.random(n), rng.random(n)
+    total = plus.sum() + minus.sum()
+    return WeightClassState(n, plus / total, minus / total)
+
+
+def test_z_sampling_of_weight_class_state_matches_born_rule():
+    # the weight draw and the selection sampler against every Z outcome of the expanded state
+    from nqkd.ghz import dense_from_ghz_diagonal
+
+    n, count = 4, 40000
+    state = _random_weight_class_state(n, np.random.default_rng(23))
+    bits = sample_z_bits(state, count, np.random.default_rng(24))
+    assert bits.shape == (count, n)
+    outcomes = bits @ (1 << np.arange(n - 1, -1, -1))
+    freqs = np.bincount(outcomes, minlength=1 << n) / count
+    for freq, p in zip(freqs, dense_from_ghz_diagonal(state.expand()).z_probabilities()):
+        assert abs(freq - p) < three_sigma(p, count)
+
+
 def test_xy_sampling_pure_ghz_all_x():
     rng = np.random.default_rng(3)
     state = depolarized_state(3, 0.0)
@@ -114,7 +134,7 @@ def test_parity_shortcut_matches_dense_distribution():
     from nqkd.ghz import dense_from_ghz_diagonal
     from nqkd.protocol import _parity_expectations
 
-    states = [depolarized_state(3, 0.2)]
+    states = [depolarized_state(3, 0.2).expand()]
     states += [_random_asymmetric_state(n, np.random.default_rng(100 + n)) for n in range(2, 9)]
     for state in states:
         n = state.n_parties
@@ -138,7 +158,7 @@ def test_parity_shortcut_matches_dense_distribution():
 def test_walsh_prefix_covers_every_asymmetric_entry():
     from nqkd.protocol import _parity_expectations
 
-    state = depolarized_state(20, 0.1)
+    state = depolarized_state(20, 0.1).expand()
     assert _parity_expectations(state).tolist() == [state.lam_plus[0] - state.lam_minus[0]]
     # Delta non-zero at j = 0 and 3: the prefix holds all four entries
     wide = GhzDiagonalState(3, np.array([0.4, 0.1, 0.1, 0.0]), np.array([0.0, 0.1, 0.1, 0.2]))
@@ -146,6 +166,32 @@ def test_walsh_prefix_covers_every_asymmetric_entry():
     # Delta non-zero at j = 0 and 1: a two-entry prefix
     narrow = GhzDiagonalState(3, np.array([0.3, 0.3, 0.1, 0.0]), np.array([0.2, 0.0, 0.1, 0.0]))
     assert _parity_expectations(narrow) == pytest.approx([0.4, -0.2])
+
+
+def test_krawtchouk_expectations_match_walsh_transform():
+    from nqkd.protocol import _krawtchouk_expectations, _parity_expectations
+
+    for n in range(2, 13):
+        state = _random_weight_class_state(n, np.random.default_rng(200 + n))
+        # the same state with Delta_w = 0 above w = 2, and white noise (Delta_0 alone)
+        plus, minus = state.plus_by_weight.copy(), state.minus_by_weight
+        plus[3:] = minus[3:]
+        total = plus.sum() + minus.sum()
+        low = WeightClassState(n, plus / total, minus / total)
+        for s in (state, low, depolarized_state(n, 0.2)):
+            walsh = _parity_expectations(s.expand())
+            by_y_count = _krawtchouk_expectations(s)
+            y = np.arange(1 << (n - 1))  # every Bob Y mask, so every Y count 0..N-1
+            assert np.abs(walsh[y & (walsh.size - 1)] - by_y_count[np.bitwise_count(y)]).max() < 1e-12
+
+
+def test_parity_sampler_reads_the_bobs_y_count():
+    # W(k) and the WHT agree to rounding, so one stream gives the same bits for both forms
+    n = 7
+    state = _random_weight_class_state(n, np.random.default_rng(7))
+    bases = np.random.default_rng(8).integers(0, 2, size=(5000, n), dtype=np.uint8)
+    bits = sample_xy_bits(state, bases, np.random.default_rng(9))
+    assert np.array_equal(bits, sample_xy_bits(state.expand(), bases, np.random.default_rng(9)))
 
 
 def test_parity_sampler_asymmetric_state_above_dense_cap():
@@ -197,7 +243,7 @@ def test_estimate_qx_maximally_mixed():
 
 def test_estimate_qx_depolarized():
     rng = np.random.default_rng(10)
-    state = depolarized_state(4, 0.2)
+    state = depolarized_state(4, 0.2).expand()
     bases = rng.integers(0, 2, size=(6000, 4), dtype=np.uint8)
     bits = sample_xy_bits(state, bases, rng)
     q_x, n_plus, n_minus, _ = estimate_qx(bases, bits)
@@ -338,9 +384,24 @@ def test_estimator_consistency_shrinking_bands():
     assert abs(result.rate_report.r_inf - target_rate) < 0.03
 
 
+def test_large_n_run_within_bands_of_closed_forms():
+    # N=60 just below the N=inf threshold; the class masses keep the run O(N) in memory
+    n, q = 60, 0.33
+    assert rate_depolarized(q, n) == pytest.approx(0.0239, abs=5e-5)
+    state = depolarized_state(n, q)
+    result = run_protocol(ProtocolConfig(n, 200000, state, p_estimation=0.05, seed=60))
+    est = result.estimate
+    assert abs(est.q_z_hat - qber_z(state)) < three_sigma(qber_z(state), est.z_rounds_used)
+    assert abs(est.q_x_hat - qber_x(state)) < three_sigma(qber_x(state), est.xy_rounds_kept)
+    assert len(est.q_ab_hat) == n - 1
+    for got, expected in zip(est.q_ab_hat, qber_pairwise_all(state)):
+        assert abs(got - expected) < three_sigma(expected, est.z_rounds_used)
+    assert abs(result.discard_fraction - 0.5) < three_sigma(0.5, est.xy_rounds_total)
+
+
 def test_basis_rule_equivalence():
     """Alice's deterministic basis rule reproduces discard-and-flip sampling."""
-    state = depolarized_state(3, 0.15)
+    state = depolarized_state(3, 0.15).expand()
     n_rounds = 30000
     rng = np.random.default_rng(21)
     free_bases = rng.integers(0, 2, size=(n_rounds, 3), dtype=np.uint8)
@@ -450,9 +511,9 @@ def test_transcript_across_blocks(tmp_path, monkeypatch, n_rounds):
 @pytest.mark.parametrize(
     "n, n_rounds, seed, digest",
     [
-        (3, 2000, 7, "e1edf761c357d9f793838546e8e4345e67e5dcb58121df7c1fd8b9aa3f199791"),
-        (12, 5000, 3, "e137f210024fa185414ec9545d137061d03dc316c673db80764daa3661cd679d"),
-        (20, 3000, 11, "6973921f9437a7b303590446b29e145ddad0522bb2206d1c9ead52a993de0b92"),
+        (3, 2000, 7, "fb557d889b91b10f7f9b659799b7b294501ee750e75af7aa0309cd181a914ee1"),
+        (12, 5000, 3, "d01fea767ac95a353e927be485732fa9b3ac7e2d035f76c25ec00f76d50759ae"),
+        (20, 3000, 11, "feeb2ec3b2212af9b2f32ef01431703b2173807dfe8342b03f379445620a24f1"),
         (2, 2000, 5, "445cc731c31ef20cef80301417c6fb44ffcc45494bc4609d938d6a548cac3cd0"),
     ],
 )
@@ -575,7 +636,7 @@ def test_config_from_json():
     pure = protocol_config_from_json(
         '{"n_parties": 2, "n_rounds": 10, "state": {"model": "pure_ghz"}}'
     )
-    assert pure.state.lam_plus[0] == 1.0
+    assert pure.state.expand().lam_plus[0] == 1.0
     explicit = protocol_config_from_json(
         {
             "n_parties": 2,
