@@ -9,6 +9,7 @@ so identical invocations produce byte-identical files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -164,10 +165,9 @@ def cmd_thresholds(args) -> int:
 
 def cmd_simulate(args) -> int:
     with open(args.config, "r", encoding="utf-8") as fh:
-        obj = json.load(fh)
+        config = protocol_sim.protocol_config_from_json(fh.read())
     if args.seed is not None:
-        obj["seed"] = args.seed
-    config = protocol_sim.protocol_config_from_json(obj)
+        config = dataclasses.replace(config, seed=args.seed)
     result = protocol_sim.run_protocol(config, hash_key=args.hash_key)
     if args.transcript:
         protocol_sim.write_transcript(args.transcript, result.run)

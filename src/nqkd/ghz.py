@@ -41,10 +41,10 @@ from .dense import (
 
 COEFF_ATOL = 1e-12
 
-# Largest array one object may ask for: the coefficient arrays of an expanded
-# state or the outcome matrix of a protocol run.  A larger request raises
-# ValueError before anything is allocated.  4 GiB is half of an 8 GB machine,
-# which leaves room for a run's per-round arrays beside its matrix.
+# Largest allocation one object may ask for: the coefficient arrays of an
+# expanded state or the peak of a protocol run (``ProtocolConfig.peak_bytes``).
+# A larger request raises ValueError before anything is allocated.  4 GiB is
+# half of an 8 GB machine.
 ARRAY_BYTE_BUDGET = 1 << 32
 
 

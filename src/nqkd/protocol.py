@@ -15,13 +15,25 @@ key material at the asymptotic secret fraction of the estimates.
 Samplers
 --------
 A run takes either state type of :mod:`nqkd.ghz`, and each round type
-has one sampler that reads the state's own coefficients.
+has one sampler that reads the state's own coefficients.  Every random
+variable costs what it carries:
 
-Z rounds draw a branch and Alice's bit.  A ``GhzDiagonalState`` draws
-the branch j from its 2^(N-1) coefficients.  A ``WeightClassState``
-draws only the Bob weight w = |j| from its N class masses; rounds with
-0 < w < N-1 then pick which Bobs are flipped by selection sampling, one
-Bob row at a time, which makes every w-subset equally likely.
+- Fair bits (Alice's Z bit, the X/Y bases, the free parity-round bits
+  and the classical flip mask) come eight to a random byte, unpacked
+  with ``np.unpackbits``.
+- The parity schedule and the Z rounds that flip at least one Bob are
+  exact Bernoulli processes over positions, placed by geometric gaps
+  in O(p L) draws (``_bernoulli_positions``).  Only the flipped rows
+  draw a branch, or for a ``WeightClassState`` a Bob weight, from the
+  renormalised tail of the coefficients; every other row copies
+  Alice's bit to the Bobs.
+- Outcome and basis arrays are held party-major, one contiguous row
+  per party; the samplers and estimators take and return
+  (rounds, parties) views of them and reduce along the party axis.
+
+A ``WeightClassState`` row of Bob weight 0 < w < N-1 then picks its
+flipped Bobs by selection sampling, one Bob row at a time, which makes
+every w-subset equally likely; the last Bob takes what is left.
 
 In parity rounds every strict subset of the X/Y outcomes is uniformly
 random (a partial Pauli product maps |0>|j> off both branches of every
@@ -34,6 +46,10 @@ W(k) = sum_w (P_w^+ - P_w^-) K_w(k; N-1)/C(N-1, w), with the Krawtchouk
 polynomials K_w, computed once per call in O(N^2).  Uniform bits for all
 parties but the last, with the last fixed by the drawn product, give the
 exact distribution.
+
+The announced Z rounds are a uniform subset of their size, thinned from
+a slightly larger Bernoulli subset in O(size) (``_uniform_subset``).  No
+draw holds an array of 8 bytes for every round.
 """
 
 from __future__ import annotations
@@ -47,6 +63,14 @@ import numpy as np
 from .ghz import ARRAY_BYTE_BUDGET, GhzDiagonalState, WeightClassState, diagonal_coefficients
 from .keyrate import RateInput, RateReport, binary_entropy, secret_fraction
 from .noise import depolarized_state
+
+
+# ProtocolConfig.peak_bytes: bytes beyond the outcome, basis and gathered
+# bits, measured with tracemalloc up to p = 0.95 and with every Z round
+# announced; test_run_protocol_peak_memory_within_peak_bytes pins them.
+ROUND_BYTES = 5
+PARITY_ROUND_BYTES = 28
+ANNOUNCED_ROUND_BYTES = 10
 
 
 def _is_integer(value) -> bool:
@@ -79,10 +103,25 @@ class ProtocolConfig:
                              "ghz_diagonal_from_dense")
         if self.state.n_parties != self.n_parties:
             raise ValueError(f"state has {self.state.n_parties} parties, config says {self.n_parties}")
-        if self.n_rounds * self.n_parties > ARRAY_BYTE_BUDGET:
-            raise ValueError(f"{self.n_rounds} rounds of {self.n_parties} parties need a "
-                             f"{self.n_rounds * self.n_parties}-byte outcome matrix, over the "
-                             f"{ARRAY_BYTE_BUDGET}-byte budget")
+        if self.peak_bytes() > ARRAY_BYTE_BUDGET:
+            raise ValueError(f"{self.n_rounds} rounds of {self.n_parties} parties need about "
+                             f"{self.peak_bytes()} bytes, over the {ARRAY_BYTE_BUDGET}-byte budget")
+
+    def peak_bytes(self) -> int:
+        """Bytes ``run_protocol`` holds at its peak, from the per-round costs it was measured at.
+
+        Every round holds its N outcome bits plus ``ROUND_BYTES``; a parity
+        round adds its N basis bits plus ``PARITY_ROUND_BYTES``, an
+        announced Z round the N bits of the copy the estimate reads plus
+        ``ANNOUNCED_ROUND_BYTES``; the batched draws add at most
+        ``BATCH_BYTES``.  Parity rounds are counted at their expected number.
+        """
+        parity = self.n_rounds * self.p_estimation
+        announced = min(parity if self.announced_z_rounds is None else self.announced_z_rounds,
+                        self.n_rounds - parity)
+        return math.ceil(BATCH_BYTES + self.n_rounds * (self.n_parties + ROUND_BYTES)
+                         + parity * (self.n_parties + PARITY_ROUND_BYTES)
+                         + announced * (self.n_parties + ANNOUNCED_ROUND_BYTES))
 
 
 @dataclass(frozen=True)
@@ -162,50 +201,132 @@ def f_sign(kappa_tilde: int | np.ndarray) -> int | np.ndarray:
 # Round sampling
 # ---------------------------------------------------------------------------
 
+# Largest batch of positions a draw holds at once, so the transients of a
+# run's draws stay bounded whatever its length.
+DRAW_BATCH = 1 << 16
+BATCH_BYTES = 64 * DRAW_BATCH  # what one batch of flipped rows holds at most, with room to spare
+
+
+def _uniform_bits(rng: np.random.Generator, shape: int | tuple[int, ...]) -> np.ndarray:
+    """Independent fair bits (uint8 0/1) of the given shape, eight to each random byte."""
+    size = math.prod(shape) if isinstance(shape, tuple) else shape
+    packed = np.frombuffer(rng.bytes(-(-size // 8)), dtype=np.uint8)
+    return np.unpackbits(packed, count=size).reshape(shape)
+
+
+def _bernoulli_positions(length: int, p: float, rng: np.random.Generator):
+    """Sorted positions of an i.i.d. Bernoulli(p) subset of range(length), in batches.
+
+    The gaps between chosen positions are geometric: 1 + floor(E / r)
+    with E standard exponential and r = -ln(1 - p) has P(gap > g) =
+    (1 - p)^g exactly.  Each batch draws about as many gaps as the rest
+    of the range is expected to need, at most ``DRAW_BATCH``, so a call
+    costs O(p length) draws; gaps that run past the end are discarded.
+    """
+    if p <= 0.0:
+        return
+    rate = math.inf if p >= 1.0 else -math.log1p(-p)
+    last = -1
+    while last < length - 1:
+        rest = length - 1 - last
+        expected = p * rest
+        size = min(DRAW_BATCH, int(expected + 5.0 * math.sqrt(expected)) + 16)
+        gaps = rng.standard_exponential(size)
+        # a gap of rest + 1 already ends the range; clipping first keeps every quotient finite
+        np.minimum(gaps, (rest + 1) * rate, out=gaps)
+        gaps /= rate
+        positions = gaps.astype(np.int64)  # floor: the gaps are non-negative
+        positions += 1
+        np.cumsum(positions, out=positions)
+        positions += last
+        inside = int(np.searchsorted(positions, length))
+        if inside:
+            yield positions[:inside]
+        if inside < size:
+            return
+        last = int(positions[-1])
+
+
+def _uniform_subset(population: int, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Sorted positions of a uniformly random ``size``-subset of range(population).
+
+    A Bernoulli subset of m positions is, given m, a uniform m-subset; its
+    rate is set five standard deviations above size/population, and
+    removing m - size of its positions at random leaves a uniform
+    ``size``-subset.  A draw with m < size is drawn again.  The cost is
+    O(size), with no array over the whole population.
+    """
+    rate = min(1.0, (size + 5.0 * math.sqrt(size) + 1.0) / population)
+    while True:
+        positions = np.concatenate([np.empty(0, dtype=np.int64),
+                                    *_bernoulli_positions(population, rate, rng)])
+        if positions.size >= size:
+            surplus = rng.choice(positions.size, positions.size - size, replace=False, shuffle=False)
+            return np.delete(positions, surplus)
+
+
 def sample_z_bits(state: GhzDiagonalState | WeightClassState, count: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Z-basis outcome bits, shape (count, N); bit 0 is the +1 outcome.
 
     A round draws a branch j (for a weight-class state: its Bob weight
     |j|) and Alice's bit; |j, sigma> gives the Bobs the bits of j when
-    Alice reads 0 and those of ~j when she reads 1.  The result is the
-    transpose of a party-major array, so only one layout is held.
+    Alice reads 0 and those of ~j when she reads 1.  Alice's bits are
+    packed fair bits; the rounds with j != 0 are a Bernoulli process of
+    rate 1 - P_0, and only they draw j from the renormalised tail.  The
+    result is the transpose of a party-major array.
     """
     n = state.n_parties
     plus, minus = diagonal_coefficients(state)
     probs = np.maximum(plus + minus, 0.0)
-    probs /= probs.sum()
-    drawn = rng.choice(probs.size, size=count, p=probs)
-    alice = rng.integers(0, 2, size=count, dtype=np.uint64).astype(np.uint8)
+    tail = probs[1:]
+    flipped_mass = tail.sum()
     bits = np.empty((n, count), dtype=np.uint8)  # one contiguous row per party
-    bits[0] = alice
-    if isinstance(state, WeightClassState):
-        _write_weight_class_bobs(bits, drawn, alice, rng)
-    else:
-        for bob in range(1, n):
-            bits[bob] = (drawn >> (n - 1 - bob)) & 1
-        bits[1:] ^= alice
+    bits[0] = _uniform_bits(rng, count)
+    bits[1:] = bits[0]
+    if flipped_mass > 0.0:
+        tail = tail / flipped_mass
+        flip_share = flipped_mass / (probs[0] + flipped_mass)
+        bounds = np.cumsum(tail)[:-1]  # a uniform in [bounds[w - 2], bounds[w - 1]) draws weight w
+        for rows in _bernoulli_positions(count, flip_share, rng):
+            alice = bits[0, rows]
+            if isinstance(state, WeightClassState):
+                # counting the bounds below a uniform beats a binary search at small N;
+                # 16 bounds per pass keep the Python loop short at large N
+                uniform = rng.random(rows.size)
+                weight = np.ones(rows.size, dtype=np.int64)
+                for start in range(0, bounds.size, 16):
+                    weight += (uniform >= bounds[start : start + 16, None]).sum(axis=0)
+                _flip_weight_class_bobs(bits, rows, alice, weight, rng)
+            else:
+                branch = 1 + rng.choice(tail.size, size=rows.size, p=tail)
+                for bob in range(1, n):
+                    bits[bob, rows] = alice ^ ((branch >> (n - 1 - bob)) & 1)
     return bits.T
 
 
-def _write_weight_class_bobs(bits: np.ndarray, weight: np.ndarray, alice: np.ndarray,
-                             rng: np.random.Generator) -> None:
-    """Fill the Bob rows of ``bits`` for rounds whose branch flips ``weight`` uniformly chosen Bobs.
+def _flip_weight_class_bobs(bits: np.ndarray, rows: np.ndarray, alice: np.ndarray,
+                            weight: np.ndarray, rng: np.random.Generator) -> None:
+    """Flip ``weight`` uniformly chosen Bobs of each of ``rows`` against Alice's bits ``alice``.
 
-    Weight 0 and N-1 fix every Bob; the other rounds pick their subset by
-    selection sampling, one Bob row at a time: Bob t joins with
+    Selection sampling, one Bob row at a time: Bob t joins with
     probability (Bobs still needed)/(Bobs left), which gives each subset
-    of that weight probability 1/C(N-1, w).
+    of that weight probability 1/C(N-1, w); a row that needs every Bob
+    left always takes the next one.  The last Bob joins exactly when one
+    is still needed, so it draws nothing.
     """
     bobs = bits.shape[0] - 1
-    bits[1:] = alice ^ (weight == bobs)
-    rounds = np.flatnonzero((weight > 0) & (weight < bobs))
-    needed = weight[rounds]
-    alice_bits = alice[rounds]
-    for t in range(bobs):
-        chosen = rng.random(rounds.size) * (bobs - t) < needed
-        bits[1 + t, rounds] = alice_bits ^ chosen
+    needed = weight
+    for t in range(bobs - 1):
+        chosen = rng.random(rows.size) * (bobs - t) < needed
+        bits[1 + t, rows] = alice ^ chosen
         needed -= chosen
+    bits[bobs, rows] = alice ^ needed
+
+
+def _y_counts(bases_by_party: np.ndarray) -> np.ndarray:
+    """kappa_tilde per round, summed along the party axis in the smallest dtype that holds N."""
+    return bases_by_party.sum(axis=0, dtype=np.min_scalar_type(bases_by_party.shape[0]))
 
 
 def _parity_expectations(state: GhzDiagonalState) -> np.ndarray:
@@ -252,23 +373,30 @@ def _krawtchouk_expectations(state: WeightClassState) -> np.ndarray:
 
 def sample_xy_bits(state: GhzDiagonalState | WeightClassState, bases: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
-    """Outcome bits for parity rounds with given bases (0 = X, 1 = Y)."""
-    bases = np.asarray(bases, dtype=np.uint8)
-    count, n = bases.shape
-    kappa = bases.sum(axis=1)
+    """Outcome bits for parity rounds with given bases (0 = X, 1 = Y), shape (count, N).
+
+    ``bases`` has shape (count, N) and is best a view of a party-major
+    array, as ``ProtocolRun`` holds it; the result is the transpose of a
+    party-major array.
+    """
+    by_party = np.asarray(bases, dtype=np.uint8).T
+    n, count = by_party.shape
+    kappa = _y_counts(by_party)
     if isinstance(state, WeightClassState):
-        expectation = _krawtchouk_expectations(state)[kappa - bases[:, 0]]  # by the Bobs' Y count
+        expectation = _krawtchouk_expectations(state)[kappa - by_party[0]]  # by the Bobs' Y count
     else:
         w = _parity_expectations(state)
         width = w.size.bit_length() - 1  # y & (size - 1) keeps the last `width` Bob bits
-        y = bases[:, n - width :] @ (1 << np.arange(width - 1, -1, -1, dtype=np.int64))
+        y = np.zeros(count, dtype=np.int64)
+        for row in by_party[n - width :]:
+            y <<= 1
+            y |= row
         expectation = w[y]
     p_plus = 0.5 * (1.0 + f_sign(kappa) * expectation)
     product_is_minus = rng.random(count) >= p_plus  # parity of the outcome bits
-    bits = rng.integers(0, 2, size=(count, n), dtype=np.uint8)
-    partial = bits[:, :-1].sum(axis=1) % 2
-    bits[:, -1] = (partial + product_is_minus) % 2
-    return bits
+    bits = _uniform_bits(rng, (n, count))  # the last row is then fixed by the product
+    bits[-1] = np.bitwise_xor.reduce(bits[:-1], axis=0) ^ product_is_minus
+    return bits.T
 
 
 # ---------------------------------------------------------------------------
@@ -278,41 +406,52 @@ def sample_xy_bits(state: GhzDiagonalState | WeightClassState, bases: np.ndarray
 def estimate_qx(bases: np.ndarray, bits: np.ndarray) -> tuple[float, int, int, int]:
     """Parity error estimate from the second-type rounds' bases (0 = X, 1 = Y) and outcome bits.
 
-    Alice's flip for Y counts that are not multiples of four enters as
-    the sign f(kappa); rounds with odd kappa contribute nothing.
-    Returns (Q_X, n_plus, n_minus, kept rounds).
+    Both arrays have shape (rounds, N); views of party-major arrays are
+    reduced along their contiguous rows.  Alice's flip for Y counts that
+    are not multiples of four enters as the sign f(kappa); rounds with
+    odd kappa contribute nothing.  Returns (Q_X, n_plus, n_minus, kept
+    rounds).
     """
-    kappa = bases.sum(axis=1)
-    signs = f_sign(kappa)
+    bases_by_party, bits_by_party = np.asarray(bases).T, np.asarray(bits).T
+    signs = f_sign(_y_counts(bases_by_party))
     kept = signs != 0
-    if not kept.any():
+    n_kept = int(np.count_nonzero(kept))
+    if not n_kept:
         raise ValueError("no parity rounds with an even Y count")
-    products = 1 - 2 * (bits[kept].sum(axis=1) % 2).astype(np.int64)
-    signed = signs[kept] * products
-    n_plus = int((signed > 0).sum())
-    n_minus = int((signed < 0).sum())
-    x_hat = (n_plus - n_minus) / (n_plus + n_minus)
-    return 0.5 * (1.0 - x_hat), n_plus, n_minus, int(kept.sum())
+    odd = np.bitwise_xor.reduce(bits_by_party, axis=0).astype(bool)  # product -1
+    n_minus = int(np.count_nonzero(kept & ((signs < 0) != odd)))
+    n_plus = n_kept - n_minus
+    x_hat = (n_plus - n_minus) / n_kept
+    return 0.5 * (1.0 - x_hat), n_plus, n_minus, n_kept
 
 
 def estimate_qz(bits: np.ndarray) -> tuple[float, np.ndarray]:
-    """(Q_Z, per-Bob Q_AB) estimates from the outcome bits of announced Z rounds."""
-    if bits.shape[0] == 0:
+    """(Q_Z, per-Bob Q_AB) estimates from the outcome bits (rounds, N) of announced Z rounds."""
+    by_party = np.asarray(bits).T
+    count = by_party.shape[1]
+    if count == 0:
         raise ValueError("no announced Z rounds")
-    diff = bits[:, 1:] != bits[:, :1]
-    return float(diff.any(axis=1).mean()), diff.mean(axis=0)
+    n = by_party.shape[0]
+    any_differs = np.zeros(count, dtype=bool)
+    q_ab = np.empty(n - 1)
+    bobs_per_pass = max(1, DRAW_BATCH // count)  # no (N-1, rounds) temporary, few passes at large N
+    for first in range(1, n, bobs_per_pass):
+        differs = by_party[first : first + bobs_per_pass] != by_party[0]
+        q_ab[first - 1 : first - 1 + differs.shape[0]] = np.count_nonzero(differs, axis=1) / count
+        any_differs |= differs.any(axis=0)
+    return np.count_nonzero(any_differs) / count, q_ab
 
 
 def classical_depolarize(z_bits: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Flip a random half of the Z rounds identically for all parties.
 
-    Returns (flipped bits, announced flip mask).  Agreement patterns,
-    and therefore every estimator, are unchanged; Alice's marginal key
-    becomes uniform.
+    Returns (flipped bits, announced flip mask); the bits keep the
+    (rounds, N) shape of ``z_bits``.  Agreement patterns, and therefore
+    every estimator, are unchanged; Alice's marginal key becomes uniform.
     """
-    z_bits = np.asarray(z_bits, dtype=np.uint8)
-    mask = rng.integers(0, 2, size=z_bits.shape[0], dtype=np.uint8)
-    return z_bits ^ mask[:, None], mask
+    by_party = np.asarray(z_bits, dtype=np.uint8).T
+    mask = _uniform_bits(rng, by_party.shape[1])
+    return (by_party ^ mask).T, mask
 
 
 # ---------------------------------------------------------------------------
@@ -411,18 +550,23 @@ class ProtocolResult:
 
 
 class ProtocolRun:
-    """All sampled rounds of one protocol execution, kept as flat arrays."""
+    """All sampled rounds of one protocol execution.
+
+    ``z_bits``, ``xy_bases`` and ``xy_bits`` have shape (rounds, N) and
+    are views of party-major arrays, one contiguous row per party.
+    """
 
     def __init__(self, config: ProtocolConfig):
         self.config = config
         schedule_rng, z_rng, xy_rng, subset_rng, post_rng = _schedule_rng_streams(config)
-        self.is_xy = schedule_rng.random(config.n_rounds) < config.p_estimation
-        n = config.n_parties
-        xy_count = int(self.is_xy.sum())
+        self.is_xy = np.zeros(config.n_rounds, dtype=bool)
+        for positions in _bernoulli_positions(config.n_rounds, config.p_estimation, schedule_rng):
+            self.is_xy[positions] = True
+        xy_count = int(np.count_nonzero(self.is_xy))
         z_count = config.n_rounds - xy_count
 
         self.z_bits = sample_z_bits(config.state, z_count, z_rng)
-        self.xy_bases = xy_rng.integers(0, 2, size=(xy_count, n), dtype=np.uint8)
+        self.xy_bases = _uniform_bits(xy_rng, (config.n_parties, xy_count)).T
         self.xy_bits = sample_xy_bits(config.state, self.xy_bases, xy_rng)
         self._subset_rng = subset_rng
         self._post_rng = post_rng
@@ -446,11 +590,13 @@ def run_protocol(config: ProtocolConfig, hash_key: bool = False) -> ProtocolResu
 
     ledger = preshared_key_accounting(config, second_type_rounds=xy_count)
     announced = ledger.announced_z_rounds
-    announced_idx = run._subset_rng.choice(z_count, size=announced, replace=False)
+    announced_idx = _uniform_subset(z_count, announced, run._subset_rng)
     key_mask = np.ones(z_count, dtype=bool)
     key_mask[announced_idx] = False
 
-    q_z_hat, q_ab_hat = estimate_qz(run.z_bits[announced_idx])
+    z_by_party = run.z_bits.T
+    # take, unlike [:, announced_idx], returns C-ordered party rows for the estimator
+    q_z_hat, q_ab_hat = estimate_qz(z_by_party.take(announced_idx, axis=1).T)
     q_x_hat, n_plus, n_minus, kept = estimate_qx(run.xy_bases, run.xy_bits)
     estimate = EstimationResult(
         q_z_hat=q_z_hat,
@@ -463,7 +609,7 @@ def run_protocol(config: ProtocolConfig, hash_key: bool = False) -> ProtocolResu
         xy_rounds_kept=kept,
     )
 
-    key_rounds_bits, flip_mask = classical_depolarize(run.z_bits[key_mask, :1], run._post_rng)
+    key_rounds_bits, flip_mask = classical_depolarize(z_by_party[0][key_mask][:, None], run._post_rng)
     report = secret_fraction(
         RateInput(
             q_z=estimate.q_z_hat,

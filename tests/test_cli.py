@@ -207,7 +207,8 @@ def test_simulate_reproducible_summary(tmp_path):
     assert run_cli(["simulate", "--config", str(cfg), "--out", str(out_b)]) == 0
     assert out_a.read_bytes() == out_b.read_bytes()
     summary = json.loads(out_a.read_text())
-    assert abs(summary["estimates"]["q_z"] - 0.1) < 0.02
+    used = summary["estimates"]["z_rounds_used"]  # about 1,000 announced rounds
+    assert abs(summary["estimates"]["q_z"] - 0.1) < 3.0 * math.sqrt(0.1 * 0.9 / used)
     assert summary["key_length_estimate"] > 0
 
     transcript = tmp_path / "t.jsonl"
@@ -272,31 +273,35 @@ GOOD_CONFIG = {"n_parties": 3, "n_rounds": 1000, "state": {"model": "depolarized
 
 
 @pytest.mark.parametrize(
-    "config, message",
+    "config, message, seed_args",
     [
-        ({**GOOD_CONFIG, "announced_z_rounds": 10.5}, "announced_z_rounds must be an integer"),
-        ({**GOOD_CONFIG, "announced_z_rounds": -5}, "announced_z_rounds must be a non-negative integer"),
-        ({**GOOD_CONFIG, "state": "depolarized"}, "state must be a JSON object"),
-        ([GOOD_CONFIG], "a protocol config must be a JSON object"),
-        ({**GOOD_CONFIG, "n_parties": 3.7}, "n_parties must be an integer"),
-        ({**GOOD_CONFIG, "state": {"model": "depolarized", "q": 0.1, "lambda_plus": [1]}}, "lambda_plus"),
-        ({**GOOD_CONFIG, "p_estimation": None}, "p_estimation must be a number"),
+        ({**GOOD_CONFIG, "announced_z_rounds": 10.5}, "announced_z_rounds must be an integer", []),
+        ({**GOOD_CONFIG, "announced_z_rounds": -5}, "announced_z_rounds must be a non-negative integer", []),
+        ({**GOOD_CONFIG, "state": "depolarized"}, "state must be a JSON object", []),
+        ([GOOD_CONFIG], "a protocol config must be a JSON object", []),
+        ({**GOOD_CONFIG, "n_parties": 3.7}, "n_parties must be an integer", []),
+        ({**GOOD_CONFIG, "state": {"model": "depolarized", "q": 0.1, "lambda_plus": [1]}}, "lambda_plus", []),
+        ({**GOOD_CONFIG, "p_estimation": None}, "p_estimation must be a number", []),
         ({**GOOD_CONFIG, "state": {"model": "ghz_diagonal", "lambda_plus": {"a": 1}, "lambda_minus": [0, 0, 0, 0]}},
-         "arrays of numbers"),
+         "arrays of numbers", []),
         ({**GOOD_CONFIG, "state": {"model": "ghz_diagonal", "lambda_plus": [None, 1, 0, 0], "lambda_minus": [0, 0, 0, 0]}},
-         "arrays of numbers"),
+         "arrays of numbers", []),
         ({**GOOD_CONFIG, "state": {"model": "ghz_diagonal", "lambda_plus": [math.nan, 0, 0, 0],
                                    "lambda_minus": [0, 0, 0, 0]}},
-         "coefficients sum to nan"),
+         "coefficients sum to nan", []),
+        # --seed used to be written into the parsed JSON before its shape was checked (exit 1)
+        ([1, 2], "a protocol config must be a JSON object", ["--seed", "5"]),
+        ("abc", "a protocol config must be a JSON object", ["--seed", "5"]),
+        ("abc", "a protocol config must be a JSON object", []),
     ],
     ids=["fractional_announced", "negative_announced", "state_string", "top_level_list",
          "fractional_n_parties", "unknown_state_key", "null_p_estimation", "lambda_object", "lambda_null",
-         "lambda_nan"],
+         "lambda_nan", "list_with_seed", "string_with_seed", "top_level_string"],
 )
-def test_simulate_malformed_config_shape_exits_2(tmp_path, capsys, config, message):
+def test_simulate_malformed_config_shape_exits_2(tmp_path, capsys, config, message, seed_args):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
-    assert run_cli(["simulate", "--config", str(cfg)]) == 2
+    assert run_cli(["simulate", "--config", str(cfg)] + seed_args) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and message in captured.err
 
@@ -373,6 +378,23 @@ def test_simulate_over_the_byte_budget_exits_2_before_allocating(tmp_path, capsy
     cfg = tmp_path / "cfg.json"
     # a 20 GB outcome matrix, and an 80 MB schedule before it
     cfg.write_text(json.dumps({"n_parties": 2000, "n_rounds": 10**7, "state": {"model": "depolarized", "q": 0.1}}))
+    tracemalloc.start()
+    try:
+        assert run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.json")]) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 22
+    assert "budget" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_simulate_counts_the_whole_run_against_the_budget(tmp_path, capsys):
+    # N=3, L=1e9 has a 3 GB outcome matrix, under the budget, but the run
+    # holds several bytes more per round; it used to die in ProtocolRun with
+    # an allocation error (exit 1) instead of exiting 2 before allocating
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_parties": 3, "n_rounds": 10**9, "state": {"model": "depolarized", "q": 0.1}}))
     tracemalloc.start()
     try:
         assert run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.json")]) == 2
