@@ -14,9 +14,12 @@ key material at the asymptotic secret fraction of the estimates.
 
 Samplers
 --------
-A run takes either state type of :mod:`nqkd.ghz`, and each round type
-has one sampler that reads the state's own coefficients.  Every random
-variable costs what it carries:
+A run takes either state type of :mod:`nqkd.ghz`, and each round
+measures one component |j, sigma> of the state's mixture, drawn with
+probability lambda_j^sigma.  A ``WeightClassState`` draws a Bob weight w
+from its class masses instead, and j is then a uniform w-subset of the
+Bobs.  Both samplers read the Bobs' bits of j from one generator
+(``_bob_flips``).  Every random variable costs what it carries:
 
 - Fair bits (Alice's Z bit, the X/Y bases, the free parity-round bits
   and the classical flip mask) come eight to a random byte, unpacked
@@ -24,28 +27,21 @@ variable costs what it carries:
 - The parity schedule and the Z rounds that flip at least one Bob are
   exact Bernoulli processes over positions, placed by geometric gaps
   in O(p L) draws (``_bernoulli_positions``).  Only the flipped rows
-  draw a branch, or for a ``WeightClassState`` a Bob weight, from the
-  renormalised tail of the coefficients; every other row copies
-  Alice's bit to the Bobs.
+  draw a branch, or a Bob weight, from the renormalised tail of the
+  coefficients; every other row copies Alice's bit to the Bobs.
 - Outcome and basis arrays are held party-major, one contiguous row
   per party; the samplers and estimators take and return
   (rounds, parties) views of them and reduce along the party axis.
 
-A ``WeightClassState`` row of Bob weight 0 < w < N-1 then picks its
-flipped Bobs by selection sampling, one Bob row at a time, which makes
-every w-subset equally likely; the last Bob takes what is left.
-
-In parity rounds every strict subset of the X/Y outcomes is uniformly
-random (a partial Pauli product maps |0>|j> off both branches of every
-basis state) and the full product is +-1 with probability
-(1 +- f(kappa) W)/2.  For a ``GhzDiagonalState``,
-W[y] = sum_j Delta_j (-1)^{|j AND y|} is the Walsh-Hadamard transform of
-Delta = lambda^+ - lambda^- and y is the Bobs' Y mask in the bit order
-of j.  For a ``WeightClassState`` W depends only on the Bobs' Y count k:
-W(k) = sum_w (P_w^+ - P_w^-) K_w(k; N-1)/C(N-1, w), with the Krawtchouk
-polynomials K_w, computed once per call in O(N^2).  Uniform bits for all
-parties but the last, with the last fixed by the drawn product, give the
-exact distribution.
+In a Z round the Bobs read Alice's bit XOR their bits of j.  In a parity
+round with an odd Y count kappa every outcome is a fair bit.  With kappa
+even, every strict subset of the X/Y outcomes is uniform and their
+product is sigma f(kappa) (-1)^{|j AND y|}, y the Bobs' Y mask in the
+bit order of j, so all parties but the last draw fair bits and the last
+is fixed by the product.  One uniform per parity round picks the
+component.  Where lambda_j^+ = lambda_j^- (every j != 0 of a twirled
+state), sigma is a fair coin that hides |j AND y|, and the round draws
+no bits of j.
 
 The announced Z rounds are a uniform subset of their size, thinned from
 a slightly larger Bernoulli subset in O(size) (``_uniform_subset``).  No
@@ -69,8 +65,11 @@ from .noise import depolarized_state
 # bits, measured with tracemalloc up to p = 0.95 and with every Z round
 # announced; test_run_protocol_peak_memory_within_peak_bytes pins them.
 ROUND_BYTES = 5
-PARITY_ROUND_BYTES = 28
+PARITY_ROUND_BYTES = 5
 ANNOUNCED_ROUND_BYTES = 10
+# toeplitz_hash per key bit at its worst, a key just above a power of two hashed to
+# its full length; run_protocol(..., hash_key=True) counts it for a key of L bits
+HASH_BIT_BYTES = 96
 
 
 def _is_integer(value) -> bool:
@@ -265,6 +264,32 @@ def _uniform_subset(population: int, size: int, rng: np.random.Generator) -> np.
             return np.delete(positions, surplus)
 
 
+def _bob_flips(state: GhzDiagonalState | WeightClassState, branch: np.ndarray,
+               rng: np.random.Generator):
+    """Each Bob's bit of j (bool per row), Bob 1 first, for rows of branch j or of a state's Bob weight.
+
+    A ``GhzDiagonalState`` gives the bits of ``branch``, Bob 1 the top
+    one.  For a ``WeightClassState`` ``branch`` holds the Bob weight w,
+    and the flipped Bobs are a uniform w-subset, by selection sampling:
+    Bob t joins with probability (Bobs still needed)/(Bobs left), which
+    gives each subset of that weight probability 1/C(N-1, w); a row that
+    needs every Bob left always takes the next one.  The last Bob joins
+    exactly when one is still needed, so it draws nothing.  The weights in
+    ``branch`` are used up.
+    """
+    n = state.n_parties
+    if isinstance(state, WeightClassState):
+        needed = branch  # counted down in place: a copy of a large batch is a fresh memory mapping each time
+        for t in range(n - 2):
+            chosen = rng.random(branch.size) * (n - 1 - t) < needed
+            yield chosen
+            needed -= chosen
+        yield needed > 0
+    else:
+        for bob in range(1, n):
+            yield ((branch >> (n - 1 - bob)) & 1).astype(bool)
+
+
 def sample_z_bits(state: GhzDiagonalState | WeightClassState, count: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Z-basis outcome bits, shape (count, N); bit 0 is the +1 outcome.
@@ -276,12 +301,11 @@ def sample_z_bits(state: GhzDiagonalState | WeightClassState, count: int,
     rate 1 - P_0, and only they draw j from the renormalised tail.  The
     result is the transpose of a party-major array.
     """
-    n = state.n_parties
     plus, minus = diagonal_coefficients(state)
     probs = np.maximum(plus + minus, 0.0)
     tail = probs[1:]
     flipped_mass = tail.sum()
-    bits = np.empty((n, count), dtype=np.uint8)  # one contiguous row per party
+    bits = np.empty((state.n_parties, count), dtype=np.uint8)  # one contiguous row per party
     bits[0] = _uniform_bits(rng, count)
     bits[1:] = bits[0]
     if flipped_mass > 0.0:
@@ -289,39 +313,19 @@ def sample_z_bits(state: GhzDiagonalState | WeightClassState, count: int,
         flip_share = flipped_mass / (probs[0] + flipped_mass)
         bounds = np.cumsum(tail)[:-1]  # a uniform in [bounds[w - 2], bounds[w - 1]) draws weight w
         for rows in _bernoulli_positions(count, flip_share, rng):
-            alice = bits[0, rows]
             if isinstance(state, WeightClassState):
                 # counting the bounds below a uniform beats a binary search at small N;
                 # 16 bounds per pass keep the Python loop short at large N
                 uniform = rng.random(rows.size)
-                weight = np.ones(rows.size, dtype=np.int64)
+                branch = np.ones(rows.size, dtype=np.int64)
                 for start in range(0, bounds.size, 16):
-                    weight += (uniform >= bounds[start : start + 16, None]).sum(axis=0)
-                _flip_weight_class_bobs(bits, rows, alice, weight, rng)
+                    branch += (uniform >= bounds[start : start + 16, None]).sum(axis=0)
             else:
                 branch = 1 + rng.choice(tail.size, size=rows.size, p=tail)
-                for bob in range(1, n):
-                    bits[bob, rows] = alice ^ ((branch >> (n - 1 - bob)) & 1)
+            alice = bits[0, rows]
+            for bob, flip in enumerate(_bob_flips(state, branch, rng), start=1):
+                bits[bob, rows] = alice ^ flip
     return bits.T
-
-
-def _flip_weight_class_bobs(bits: np.ndarray, rows: np.ndarray, alice: np.ndarray,
-                            weight: np.ndarray, rng: np.random.Generator) -> None:
-    """Flip ``weight`` uniformly chosen Bobs of each of ``rows`` against Alice's bits ``alice``.
-
-    Selection sampling, one Bob row at a time: Bob t joins with
-    probability (Bobs still needed)/(Bobs left), which gives each subset
-    of that weight probability 1/C(N-1, w); a row that needs every Bob
-    left always takes the next one.  The last Bob joins exactly when one
-    is still needed, so it draws nothing.
-    """
-    bobs = bits.shape[0] - 1
-    needed = weight
-    for t in range(bobs - 1):
-        chosen = rng.random(rows.size) * (bobs - t) < needed
-        bits[1 + t, rows] = alice ^ chosen
-        needed -= chosen
-    bits[bobs, rows] = alice ^ needed
 
 
 def _y_counts(bases_by_party: np.ndarray) -> np.ndarray:
@@ -329,73 +333,50 @@ def _y_counts(bases_by_party: np.ndarray) -> np.ndarray:
     return bases_by_party.sum(axis=0, dtype=np.min_scalar_type(bases_by_party.shape[0]))
 
 
-def _parity_expectations(state: GhzDiagonalState) -> np.ndarray:
-    """W = WHT(Delta) over the shortest power-of-two prefix holding every j with Delta_j != 0."""
-    differs = np.flatnonzero(state.lam_plus != state.lam_minus)
-    size = 1 << int(differs[-1]).bit_length() if differs.size else 1
-    w = state.lam_plus[:size] - state.lam_minus[:size]
-    h = 1
-    while h < size:
-        pairs = w.reshape(-1, 2, h)
-        w = np.stack((pairs[:, 0] + pairs[:, 1], pairs[:, 0] - pairs[:, 1]), axis=1).reshape(-1)
-        h *= 2
-    return w
-
-
-def _krawtchouk_expectations(state: WeightClassState) -> np.ndarray:
-    """W(k) = sum_w Delta_w K_w(k; N-1)/C(N-1, w) for k = 0..N-1 Bobs measuring Y.
-
-    K_w(k; N-1)/C(N-1, w) is the mean of (-1)^|S & Y| over the w-subsets
-    S of the Bobs, for a Y set of k Bobs.  Whether one Y-measuring Bob is
-    in S splits class v of m Bobs into classes v-1 (sign -1, a share v/m)
-    and v (a share (m-v)/m) of m-1 Bobs, so W(k) is the total of Delta
-    after k such steps.  Each step mixes with non-negative shares that sum
-    to one, so rounding errors stay at the level of one step at any N.
-    Classes above the last non-zero Delta_w stay zero through every step
-    and are never stored; with Delta_0 alone (white noise) W is constant.
-    """
-    n = state.n_parties
-    delta = state.plus_by_weight - state.minus_by_weight
-    nonzero = np.flatnonzero(delta)
-    delta = delta[: nonzero[-1] + 1 if nonzero.size else 1]
-    out = np.empty(n)
-    for k in range(n):
-        out[k] = delta.sum()
-        if delta.size == 1:
-            out[k:] = delta[0]
-            break
-        m = n - 1 - k  # Bobs before the step
-        padded = np.append(delta, 0.0)
-        v = np.arange(min(delta.size, m))
-        delta = padded[v] * ((m - v) / m) - padded[v + 1] * ((v + 1) / m)
-    return out
-
-
 def sample_xy_bits(state: GhzDiagonalState | WeightClassState, bases: np.ndarray,
                    rng: np.random.Generator) -> np.ndarray:
     """Outcome bits for parity rounds with given bases (0 = X, 1 = Y), shape (count, N).
 
-    ``bases`` has shape (count, N) and is best a view of a party-major
-    array, as ``ProtocolRun`` holds it; the result is the transpose of a
-    party-major array.
+    Each round draws its component |j, sigma> with one uniform against the
+    cumulative coefficients: j = 0 first, then every other branch (or Bob
+    weight) with sigma = +, then with sigma = -; the module docstring
+    gives the outcomes of a component.  ``bases`` is best a view of a
+    party-major array, as ``ProtocolRun`` holds it; the result is the
+    transpose of one.
     """
     by_party = np.asarray(bases, dtype=np.uint8).T
     n, count = by_party.shape
+    plus, minus = (np.maximum(c, 0.0) for c in diagonal_coefficients(state))
+    branches = plus.size - 1
+    zero_mass = plus[0] + minus[0]
+    # component c is branch c % branches + 1, with sigma = + below c = branches and - from there on
+    tail = np.concatenate((plus[1:], minus[1:]))
+    bounds = np.cumsum(tail)
+    last = bounds.searchsorted(bounds[-1])  # the last component of positive mass
+    skewed = np.concatenate([plus[1:] != minus[1:]] * 2)  # components whose sigma is not a fair coin given j
+    uniform = rng.random(count)
+    uniform *= zero_mass + bounds[-1]  # the coefficients may sum to 1 +- 1e-9
+    product_is_minus = (uniform >= plus[0]).view(np.uint8)  # sigma = - of the j = 0 rows
+    for start in range(0, count, DRAW_BATCH):
+        rows = np.flatnonzero(uniform[start : start + DRAW_BATCH] >= zero_mass)
+        rows += start
+        component = np.searchsorted(bounds, uniform[rows] - zero_mass, side="right")
+        np.minimum(component, last, out=component)  # rounding may land past the last bound
+        product_is_minus[rows] = component >= branches
+        draw = skewed[component]
+        if draw.any():
+            rows = rows[draw]
+            overlap = np.zeros(rows.size, dtype=np.uint8)  # parity of |j AND y|
+            for bob, flip in enumerate(_bob_flips(state, component[draw] % branches + 1, rng), start=1):
+                overlap ^= flip & by_party[bob, rows]
+            product_is_minus[rows] ^= overlap
+    del uniform  # 8 B per round, freed before the outcome bits are drawn
     kappa = _y_counts(by_party)
-    if isinstance(state, WeightClassState):
-        expectation = _krawtchouk_expectations(state)[kappa - by_party[0]]  # by the Bobs' Y count
-    else:
-        w = _parity_expectations(state)
-        width = w.size.bit_length() - 1  # y & (size - 1) keeps the last `width` Bob bits
-        y = np.zeros(count, dtype=np.int64)
-        for row in by_party[n - width :]:
-            y <<= 1
-            y |= row
-        expectation = w[y]
-    p_plus = 0.5 * (1.0 + f_sign(kappa) * expectation)
-    product_is_minus = rng.random(count) >= p_plus  # parity of the outcome bits
-    bits = _uniform_bits(rng, (n, count))  # the last row is then fixed by the product
-    bits[-1] = np.bitwise_xor.reduce(bits[:-1], axis=0) ^ product_is_minus
+    product_is_minus ^= (kappa & 2) != 0  # f(kappa) = -1 for even kappa
+    bits = _uniform_bits(rng, (n, count))
+    product_is_minus ^= np.bitwise_xor.reduce(bits, axis=0)  # where the last bit must flip
+    product_is_minus &= (kappa & 1) == 0  # with kappa odd every bit stays fair
+    bits[-1] ^= product_is_minus
     return bits.T
 
 
@@ -580,8 +561,14 @@ def run_protocol(config: ProtocolConfig, hash_key: bool = False) -> ProtocolResu
     h(max Q_AB) bits of correction information per key bit and the
     corresponding amplification subtraction.  With ``hash_key`` the
     corrected string is additionally compressed through a seeded
-    Toeplitz hash to the estimated length.
+    Toeplitz hash to the estimated length; the hash's bytes for a key of
+    every round count against the byte budget before anything is sampled.
     """
+    if hash_key:
+        needed = config.peak_bytes() + HASH_BIT_BYTES * config.n_rounds
+        if needed > ARRAY_BYTE_BUDGET:
+            raise ValueError(f"{config.n_rounds} rounds with a hashed key need about {needed} bytes, "
+                             f"over the {ARRAY_BYTE_BUDGET}-byte budget")
     run = ProtocolRun(config)
     z_count = run.z_bits.shape[0]
     xy_count = run.xy_bases.shape[0]

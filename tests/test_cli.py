@@ -246,9 +246,11 @@ def test_successive_calls_share_no_parsed_state(tmp_path):
 
 
 def test_simulate_above_threshold_flags_zero_key(tmp_path):
+    # as test_run_protocol_above_threshold_clamps_to_zero: r_inf < 0 holds
+    # 3.9 sd out at q = 0.25 and L = 8e4
     config = {
         "n_parties": 3,
-        "n_rounds": 30000,
+        "n_rounds": 80000,
         "seed": 5,
         "state": {"model": "depolarized", "q": 0.25},
     }
@@ -398,6 +400,22 @@ def test_simulate_counts_the_whole_run_against_the_budget(tmp_path, capsys):
     tracemalloc.start()
     try:
         assert run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.json")]) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 22
+    assert "budget" in capsys.readouterr().err
+    assert not (tmp_path / "s.json").exists()
+
+
+def test_simulate_counts_the_hash_against_the_budget(tmp_path, capsys):
+    # N=3, L=1e8 holds about 1 GB without --hash-key; the hash of its key
+    # needs about 96 B per round more, so the run exits 2 before sampling
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_parties": 3, "n_rounds": 10**8, "state": {"model": "depolarized", "q": 0.1}}))
+    tracemalloc.start()
+    try:
+        assert run_cli(["simulate", "--config", str(cfg), "--hash-key", "--out", str(tmp_path / "s.json")]) == 2
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -108,11 +108,11 @@ def test_z_sampling_of_weight_class_state_matches_born_rule():
         assert abs(freq - p) < three_sigma(p, count)
 
 
-def _z_born_cases():
-    """(state, name) pairs at N=2..6: random states of both types, the pure state, and P_0 = 0."""
-    for n in range(2, 7):
-        yield _random_asymmetric_state(n, np.random.default_rng(300 + n)), f"asymmetric N={n}"
-        yield _random_weight_class_state(n, np.random.default_rng(310 + n)), f"weight-class N={n}"
+def _sampler_cases(ns, seed):
+    """(state, name) pairs for each N in ``ns``: random states of both types, the pure state, and P_0 = 0."""
+    for n in ns:
+        yield _random_asymmetric_state(n, np.random.default_rng(seed + n)), f"asymmetric N={n}"
+        yield _random_weight_class_state(n, np.random.default_rng(seed + 10 + n)), f"weight-class N={n}"
         yield depolarized_state(n, 0.0), f"pure N={n}"
         for weight_class in (True, False):
             yield _every_round_flipped(n, weight_class), f"P_0 = 0, weight-class {weight_class}, N={n}"
@@ -123,7 +123,7 @@ def test_z_sampling_follows_the_born_rule_of_both_state_types():
     from nqkd.ghz import dense_from_ghz_diagonal
 
     count = 20000
-    cases = list(_z_born_cases())
+    cases = list(_sampler_cases(range(2, 7), 300))
     sigmas = family_sigmas(sum(1 << state.n_parties for state, _ in cases))
     for seed, (state, name) in enumerate(cases):
         n = state.n_parties
@@ -254,14 +254,12 @@ def test_parity_shortcut_matches_dense_distribution():
     # product expectation is f(kappa) W[y] with y the Bobs' Y mask; the
     # symmetrised state has W[y] = Delta_0 for every y
     from nqkd.ghz import dense_from_ghz_diagonal
-    from nqkd.protocol import _parity_expectations
 
     states = [depolarized_state(3, 0.2).expand()]
     states += [_random_asymmetric_state(n, np.random.default_rng(100 + n)) for n in range(2, 9)]
     for state in states:
         n = state.n_parties
         dense = dense_from_ghz_diagonal(state)
-        walsh = _parity_expectations(state)
         parity = _parity_signs(n)
         half = 1 << (n - 1)
         for combo in range(1 << n):
@@ -269,7 +267,6 @@ def test_parity_shortcut_matches_dense_distribution():
             letters = "".join("y" if b else "x" for b in bases)
             y = combo & (half - 1)
             expectation = _brute_force_walsh(state, y)
-            assert abs(walsh[y & (walsh.size - 1)] - expectation) < 1e-12, letters
             probs = product_basis_probabilities(dense, letters)
             expected = (1 + f_sign(sum(bases)) * expectation * parity) / (1 << n)
             assert np.abs(probs - expected).max() < 1e-12, letters
@@ -277,43 +274,25 @@ def test_parity_shortcut_matches_dense_distribution():
     assert all(_brute_force_walsh(symmetric, y) == pytest.approx(1 - 2 * qber_x(symmetric)) for y in range(4))
 
 
-def test_walsh_prefix_covers_every_asymmetric_entry():
-    from nqkd.protocol import _parity_expectations
-
-    state = depolarized_state(20, 0.1).expand()
-    assert _parity_expectations(state).tolist() == [state.lam_plus[0] - state.lam_minus[0]]
-    # Delta non-zero at j = 0 and 3: the prefix holds all four entries
-    wide = GhzDiagonalState(3, np.array([0.4, 0.1, 0.1, 0.0]), np.array([0.0, 0.1, 0.1, 0.2]))
-    assert _parity_expectations(wide).size == 4
-    # Delta non-zero at j = 0 and 1: a two-entry prefix
-    narrow = GhzDiagonalState(3, np.array([0.3, 0.3, 0.1, 0.0]), np.array([0.2, 0.0, 0.1, 0.0]))
-    assert _parity_expectations(narrow) == pytest.approx([0.4, -0.2])
-
-
-def test_krawtchouk_expectations_match_walsh_transform():
-    from nqkd.protocol import _krawtchouk_expectations, _parity_expectations
-
-    for n in range(2, 13):
-        state = _random_weight_class_state(n, np.random.default_rng(200 + n))
-        # the same state with Delta_w = 0 above w = 2, and white noise (Delta_0 alone)
-        plus, minus = state.plus_by_weight.copy(), state.minus_by_weight
-        plus[3:] = minus[3:]
-        total = plus.sum() + minus.sum()
-        low = WeightClassState(n, plus / total, minus / total)
-        for s in (state, low, depolarized_state(n, 0.2)):
-            walsh = _parity_expectations(s.expand())
-            by_y_count = _krawtchouk_expectations(s)
-            y = np.arange(1 << (n - 1))  # every Bob Y mask, so every Y count 0..N-1
-            assert np.abs(walsh[y & (walsh.size - 1)] - by_y_count[np.bitwise_count(y)]).max() < 1e-12
-
-
-def test_parity_sampler_reads_the_bobs_y_count():
-    # W(k) and the WHT agree to rounding, so one stream gives the same bits for both forms
-    n = 7
-    state = _random_weight_class_state(n, np.random.default_rng(7))
-    bases = np.random.default_rng(8).integers(0, 2, size=(5000, n), dtype=np.uint8)
-    bits = sample_xy_bits(state, bases, np.random.default_rng(9))
-    assert np.array_equal(bits, sample_xy_bits(state.expand(), bases, np.random.default_rng(9)))
+def test_parity_sampler_matches_brute_force_expectations():
+    # on every basis string the product of the outcomes is -1 with probability
+    # (1 - f(kappa) W[y])/2, W from one term per branch j; the bands share one
+    # 1% family-wise false-alarm rate, and a product of probability 0 or 1 is exact
+    count = 2000
+    cases = list(_sampler_cases(range(2, 9), 500))
+    sigmas = family_sigmas(sum(1 << state.n_parties for state, _ in cases))
+    for seed, (state, name) in enumerate(cases):
+        n = state.n_parties
+        combos = np.arange(1 << n)
+        bases = ((combos[:, None] >> np.arange(n - 1, -1, -1)) & 1).astype(np.uint8)  # party 0 is the top bit
+        bits = sample_xy_bits(state, np.repeat(bases, count, axis=0), np.random.default_rng(600 + seed))
+        assert bits.shape == (count << n, n) and bits.max() <= 1
+        minus_freqs = (bits.sum(axis=1) % 2).reshape(1 << n, count).mean(axis=1)
+        expanded = state.expand() if isinstance(state, WeightClassState) else state
+        for combo, freq in zip(combos, minus_freqs):
+            y = int(combo) & ((1 << (n - 1)) - 1)  # the Bobs' Y mask in the bit order of j
+            p = (1 - f_sign(int(bases[combo].sum())) * _brute_force_walsh(expanded, y)) / 2
+            assert abs(freq - p) < band(p, count, sigmas), (name, bases[combo].tolist())
 
 
 def test_parity_sampler_asymmetric_state_above_dense_cap():
@@ -457,10 +436,13 @@ def test_run_protocol_noiseless():
 
 
 def test_run_protocol_above_threshold_clamps_to_zero():
+    # at q = 0.25 and L = 8e4 the estimated r_inf has mean -0.137 and sd 0.036
+    # (2,000 kept parity rounds, 4,000 announced Z rounds), so r_inf < 0 holds
+    # 3.9 sd out; without the error-correction term the mean is +0.52
     q = 0.25
     assert q > threshold_qber(3)
     state = depolarized_state(3, q)
-    result = run_protocol(ProtocolConfig(3, 40000, state, seed=5))
+    result = run_protocol(ProtocolConfig(3, 80000, state, seed=5))
     assert result.rate_report.r_inf < 0.0
     assert result.key_length_estimate == 0.0
 
@@ -567,6 +549,24 @@ def test_run_protocol_peak_memory_within_peak_bytes():
         assert peak <= config.peak_bytes(), (n, p, announced)
         ratios.append(peak / config.peak_bytes())
     assert max(ratios) > 0.85
+
+
+def test_hashed_run_peak_memory_within_its_budget():
+    # run_protocol counts HASH_BIT_BYTES per round for --hash-key; the worst
+    # case, a pure state whose key just passes a power of two and is hashed
+    # to its full length, doubles the FFT size and sits near the count
+    n_rounds = (1 << 19) + 64
+    config = ProtocolConfig(3, n_rounds, depolarized_state(3, 0.0), p_estimation=4e-5, seed=1,
+                            announced_z_rounds=16)
+    tracemalloc.start()
+    try:
+        result = run_protocol(config, hash_key=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.ledger.key_rounds > 1 << 19 and result.hashed_key.size == result.ledger.key_rounds
+    counted = config.peak_bytes() + protocol.HASH_BIT_BYTES * n_rounds
+    assert 0.85 * counted < peak <= counted
 
 
 def test_basis_rule_equivalence():
@@ -681,10 +681,10 @@ def test_transcript_across_blocks(tmp_path, monkeypatch, n_rounds):
 @pytest.mark.parametrize(
     "n, n_rounds, seed, digest",
     [
-        (3, 2000, 7, "557d0dabe5a58ac908ce93cce1c6032e5775b4279e8a15aaddaf79f6c6084815"),
-        (12, 5000, 3, "30aa5873b0465c72707c783e006c881165b02907d4b77c0e6fb4ae5face824e2"),
-        (20, 3000, 11, "23193a7bea35d18643d3fde97c8268167b920fefc1d3d3ae58e10d0d2e62fa86"),
-        (2, 2000, 5, "47fba7900f46eab370d9c095b7529e2b755f1686b73b4f71c71d645035e9eb14"),
+        (3, 2000, 7, "94ab2e3b19c66855bea1dfb84fc20decd127c8be7569fe6d4f0bc1fd3a455890"),
+        (12, 5000, 3, "b3f78a681fe2d0b733e54aeb129d24b6b4ed5651274bc742a58641ddf6220a9d"),
+        (20, 3000, 11, "90cf7471be693479736be044674cf1c3cfdfe99c003cc1bbabac206563d72cf5"),
+        (2, 2000, 5, "13b9e54b86d7fdfad73873480dd49e47652884915007ab923a305ac38292f510"),
     ],
     ids=["n3", "n12", "n20", "n2"],  # the digests change with the seeded stream; the ids do not
 )
