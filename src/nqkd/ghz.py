@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb
 
 import numpy as np
@@ -46,6 +47,31 @@ COEFF_ATOL = 1e-12
 # A larger request raises ValueError before anything is allocated.  4 GiB is
 # half of an 8 GB machine.
 ARRAY_BYTE_BUDGET = 1 << 32
+
+# WeightClassState.uniform_split: a class share below NEGLIGIBLE_SHARE (it may
+# be subnormal, where P_w / s_w keeps no precision) is left out of the minimum,
+# and a residual at most RESIDUAL_RTOL of its class mass, or below
+# NEGLIGIBLE_SHARE, is rounding of zero.
+NEGLIGIBLE_SHARE = 1e-290
+RESIDUAL_RTOL = 1e-12
+
+
+@lru_cache(maxsize=16)
+def binomial_shares(n_parties: int) -> np.ndarray:
+    """s_w = C(N-1, w) 2^-(N-1) for w = 0..N-1, each correctly rounded (read-only).
+
+    The share of the 2^(N-1) branches j with Bob weight w.  Exact integer
+    ratios do not overflow at large N; the shares far from w = (N-1)/2
+    underflow to subnormals or zero there.
+    """
+    bobs = n_parties - 1
+    shares, count, scale = [], 1, 2**bobs
+    for w in range(n_parties):
+        shares.append(count / scale)
+        count = count * (bobs - w) // (w + 1)
+    shares = np.array(shares)
+    shares.flags.writeable = False
+    return shares
 
 
 def _frozen_coefficients(plus, minus, length: int) -> tuple[np.ndarray, np.ndarray]:
@@ -137,6 +163,25 @@ class WeightClassState:
         branches = np.array([comb(n - 1, w) for w in range(n)], dtype=float)
         return GhzDiagonalState(n, (self.plus_by_weight / branches)[weight],
                                 (self.minus_by_weight / branches)[weight])
+
+    def uniform_split(self) -> tuple[float, np.ndarray]:
+        """(U, R): the class masses P_w = P_w^+ + P_w^- split as U s_w + R_w.
+
+        U is the largest share of the state that is uniform over all
+        2^(N-1) branches j, which puts U s_w of it in class w
+        (``binomial_shares``): U = min_w P_w / s_w, which leaves every
+        residual R_w non-negative.  Classes of negligible share stay out of
+        the minimum and keep their residual, clipped at zero, and a residual
+        within rounding of zero is zero, so a depolarized state's residual is
+        its w = 0 class alone at any N.  A pure state has U = 0.
+        """
+        masses = np.maximum(self.plus_by_weight + self.minus_by_weight, 0.0)
+        shares = binomial_shares(self.n_parties)
+        counted = shares >= NEGLIGIBLE_SHARE
+        uniform = float((masses[counted] / shares[counted]).min())
+        residual = np.maximum(masses - uniform * shares, 0.0)
+        residual[(residual <= RESIDUAL_RTOL * masses) | (residual < NEGLIGIBLE_SHARE)] = 0.0
+        return uniform, residual
 
 
 def twirl_dense(state: DenseState) -> DenseState:
@@ -300,6 +345,7 @@ __all__ = [
     "ARRAY_BYTE_BUDGET",
     "GhzDiagonalState",
     "WeightClassState",
+    "binomial_shares",
     "GhzBasisIndex",
     "twirl_dense",
     "coefficients_from_dense",

@@ -33,7 +33,7 @@ from math import comb
 import numpy as np
 
 from .dense import DenseState, apply_cnot, check_cap, replace_with_mixed
-from .ghz import GhzDiagonalState, WeightClassState, coefficients_from_dense, twirl_dense
+from .ghz import GhzDiagonalState, WeightClassState, binomial_shares, coefficients_from_dense, twirl_dense
 
 STAR = "star"
 ROUTER = "router"
@@ -103,12 +103,7 @@ def depolarized_state(n_parties: int, q: float) -> WeightClassState:
     q_max = (1.0 - 2.0 ** (1 - n_parties)) / (1.0 - 2.0 ** -n_parties)  # (2^N - 2)/(2^N - 1)
     if not 0.0 <= q <= q_max:
         raise ValueError(f"q={q} outside [0, {q_max}] for N={n_parties}")
-    bobs = n_parties - 1
-    binomial, count, scale = [], 1, 2**bobs
-    for w in range(n_parties):
-        binomial.append(count / scale)  # C(N-1, w) 2^-(N-1), correctly rounded
-        count = count * (bobs - w) // (w + 1)
-    noise = q * np.array(binomial) / (2.0 - 2.0 ** (1 - bobs))  # q C(N-1, w)/(2^N - 2)
+    noise = q * binomial_shares(n_parties) / (2.0 - 2.0 ** (2 - n_parties))  # q C(N-1, w)/(2^N - 2)
     plus = noise.copy()
     plus[0] = 1.0 - q * (1.0 - 2.0 ** -n_parties) / (1.0 - 2.0 ** (1 - n_parties))
     return WeightClassState(n_parties, plus, noise)

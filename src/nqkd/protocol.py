@@ -19,16 +19,23 @@ measures one component |j, sigma> of the state's mixture, drawn with
 probability lambda_j^sigma.  A ``WeightClassState`` draws a Bob weight w
 from its class masses instead, and j is then a uniform w-subset of the
 Bobs.  Both samplers read the Bobs' bits of j from one generator
-(``_bob_flips``).  Every random variable costs what it carries:
+(``_bob_flips``).  For its Z rounds a weight-class state is split into a
+part uniform over all 2^(N-1) branches and residual class masses
+(``WeightClassState.uniform_split``); a round of the uniform part gives
+each Bob a fair bit and draws no weight.  White noise is all uniform
+part, so a depolarized state's residual is its w = 0 class alone.
+Every random variable costs what it carries:
 
-- Fair bits (Alice's Z bit, the X/Y bases, the free parity-round bits
-  and the classical flip mask) come eight to a random byte, unpacked
-  with ``np.unpackbits``.
-- The parity schedule and the Z rounds that flip at least one Bob are
-  exact Bernoulli processes over positions, placed by geometric gaps
-  in O(p L) draws (``_bernoulli_positions``).  Only the flipped rows
-  draw a branch, or a Bob weight, from the renormalised tail of the
-  coefficients; every other row copies Alice's bit to the Bobs.
+- Fair bits (Alice's Z bit, the Bobs' bits of a uniform-part Z round,
+  the X/Y bases, the free parity-round bits and the classical flip
+  mask) come eight to a random byte, unpacked with ``np.unpackbits``.
+- The parity schedule and the Z rounds outside j = 0 (for a
+  weight-class state: outside its w = 0 residual) are exact Bernoulli
+  processes over positions, placed by geometric gaps in O(p L) draws
+  (``_bernoulli_positions``).  Only these rows draw a branch, or a part
+  of the split, from the renormalised masses, and that draw is skipped
+  when the uniform part is the only one; every other row copies Alice's
+  bit to the Bobs.
 - Outcome and basis arrays are held party-major, one contiguous row
   per party; the samplers and estimators take and return
   (rounds, parties) views of them and reduce along the party axis.
@@ -68,8 +75,9 @@ ROUND_BYTES = 5
 PARITY_ROUND_BYTES = 5
 ANNOUNCED_ROUND_BYTES = 10
 # toeplitz_hash per key bit at its worst, a key just above a power of two hashed to
-# its full length; run_protocol(..., hash_key=True) counts it for a key of L bits
-HASH_BIT_BYTES = 96
+# its full length: two spectra of 32 B and the key's float64 copy (tracemalloc);
+# run_protocol(..., hash_key=True) counts it for a key of L bits
+HASH_BIT_BYTES = 72
 
 
 def _is_integer(value) -> bool:
@@ -203,7 +211,7 @@ def f_sign(kappa_tilde: int | np.ndarray) -> int | np.ndarray:
 # Largest batch of positions a draw holds at once, so the transients of a
 # run's draws stay bounded whatever its length.
 DRAW_BATCH = 1 << 16
-BATCH_BYTES = 64 * DRAW_BATCH  # what one batch of flipped rows holds at most, with room to spare
+BATCH_BYTES = 64 * DRAW_BATCH  # what one batch of drawn rows holds at most, with room to spare
 
 
 def _uniform_bits(rng: np.random.Generator, shape: int | tuple[int, ...]) -> np.ndarray:
@@ -294,37 +302,62 @@ def sample_z_bits(state: GhzDiagonalState | WeightClassState, count: int,
                   rng: np.random.Generator) -> np.ndarray:
     """Z-basis outcome bits, shape (count, N); bit 0 is the +1 outcome.
 
-    A round draws a branch j (for a weight-class state: its Bob weight
-    |j|) and Alice's bit; |j, sigma> gives the Bobs the bits of j when
-    Alice reads 0 and those of ~j when she reads 1.  Alice's bits are
-    packed fair bits; the rounds with j != 0 are a Bernoulli process of
-    rate 1 - P_0, and only they draw j from the renormalised tail.  The
-    result is the transpose of a party-major array.
+    A round draws a branch j and Alice's bit; |j, sigma> gives the Bobs the
+    bits of j when Alice reads 0 and those of ~j when she reads 1.  Alice's
+    bits are packed fair bits, and every row that is not drawn below copies
+    them to the Bobs.
+
+    For a ``GhzDiagonalState`` the rounds with j != 0 are a Bernoulli
+    process of rate 1 - P_0, and only they draw j from the renormalised
+    tail.  A ``WeightClassState`` is split into a part uniform over all
+    branches and residual classes (``WeightClassState.uniform_split``); the
+    drawn rows are a Bernoulli process of rate 1 - R_0, and each belongs to
+    the uniform part or to a residual class w >= 1 in proportion to their
+    masses, by one uniform per row, drawn only when the residual tail is
+    not zero.  A uniform-part row gives each Bob a fair bit, whatever
+    Alice's, written as one packed (N-1, rows) block; a residual row draws
+    its Bobs by selection sampling (``_bob_flips``).  The result is the
+    transpose of a party-major array.
     """
-    plus, minus = diagonal_coefficients(state)
-    probs = np.maximum(plus + minus, 0.0)
-    tail = probs[1:]
-    flipped_mass = tail.sum()
-    bits = np.empty((state.n_parties, count), dtype=np.uint8)  # one contiguous row per party
+    n = state.n_parties
+    bits = np.empty((n, count), dtype=np.uint8)  # one contiguous row per party
     bits[0] = _uniform_bits(rng, count)
     bits[1:] = bits[0]
-    if flipped_mass > 0.0:
-        tail = tail / flipped_mass
-        flip_share = flipped_mass / (probs[0] + flipped_mass)
-        bounds = np.cumsum(tail)[:-1]  # a uniform in [bounds[w - 2], bounds[w - 1]) draws weight w
-        for rows in _bernoulli_positions(count, flip_share, rng):
-            if isinstance(state, WeightClassState):
-                # counting the bounds below a uniform beats a binary search at small N;
-                # 16 bounds per pass keep the Python loop short at large N
-                uniform = rng.random(rows.size)
-                branch = np.ones(rows.size, dtype=np.int64)
-                for start in range(0, bounds.size, 16):
-                    branch += (uniform >= bounds[start : start + 16, None]).sum(axis=0)
-            else:
-                branch = 1 + rng.choice(tail.size, size=rows.size, p=tail)
+    weight_class = isinstance(state, WeightClassState)
+    if weight_class:
+        uniform_mass, masses = state.uniform_split()
+    else:
+        uniform_mass, masses = 0.0, np.maximum(state.lam_plus + state.lam_minus, 0.0)
+    tail_mass = masses[1:].sum()
+    drawn_mass = uniform_mass + tail_mass
+    if drawn_mass == 0.0:
+        return bits.T
+    # part 0 is the uniform part, part c >= 1 branch c, or the residual of Bob weight c
+    parts = np.concatenate(([uniform_mass], masses[1:])) / drawn_mass
+    bounds = np.cumsum(parts)[:-1]  # a uniform in [bounds[c - 1], bounds[c]) draws part c
+    block_rows = max(1, BATCH_BYTES // (2 * (n - 1)))  # the unpacked fair bits of a block stay within BATCH_BYTES / 2
+    for rows in _bernoulli_positions(count, drawn_mass / (masses[0] + drawn_mass), rng):
+        uniform_rows = rows[:0]
+        if not weight_class:
+            branch = 1 + rng.choice(parts.size - 1, size=rows.size, p=parts[1:])
+        elif tail_mass == 0.0:
+            uniform_rows, rows = rows, rows[:0]
+        else:
+            # counting the bounds below a uniform beats a binary search at small N;
+            # 16 bounds per pass keep the Python loop short at large N
+            uniform = rng.random(rows.size)
+            part = np.zeros(rows.size, dtype=np.int64)
+            for start in range(0, bounds.size, 16):
+                part += (uniform >= bounds[start : start + 16, None]).sum(axis=0)
+            residual = part > 0
+            uniform_rows, rows, branch = rows[~residual], rows[residual], part[residual]
+        if rows.size:
             alice = bits[0, rows]
             for bob, flip in enumerate(_bob_flips(state, branch, rng), start=1):
                 bits[bob, rows] = alice ^ flip
+        for start in range(0, uniform_rows.size, block_rows):
+            block = uniform_rows[start : start + block_rows]
+            bits[1:, block] = _uniform_bits(rng, (n - 1, block.size))
     return bits.T
 
 
@@ -465,9 +498,13 @@ def preshared_key_accounting(config: ProtocolConfig, second_type_rounds: int) ->
 
 
 def toeplitz_hash(bits: np.ndarray, out_len: int, rng: np.random.Generator) -> np.ndarray:
-    """Two-universal hash: multiply by a random Toeplitz matrix over GF(2), via one FFT product."""
-    bits = np.asarray(bits, dtype=np.int64)
-    n = bits.size
+    """Two-universal hash: multiply by a random Toeplitz matrix over GF(2), via one FFT product.
+
+    The FFTs read float64 inputs, the spectra are multiplied in place, and
+    each temporary is dropped once it has been used, so the worst case
+    holds ``HASH_BIT_BYTES`` per key bit.
+    """
+    n = np.size(bits)
     if out_len < 0 or out_len > n:
         raise ValueError(f"output length {out_len} outside [0, {n}]")
     if out_len == 0:
@@ -475,12 +512,17 @@ def toeplitz_hash(bits: np.ndarray, out_len: int, rng: np.random.Generator) -> n
     diagonals = rng.integers(0, 2, size=n + out_len - 1, dtype=np.int64)
     # circular wrap-around only reaches entries below the window once size >= n + out_len - 1
     size = 1 << (n + out_len - 2).bit_length()
-    full = np.fft.irfft(np.fft.rfft(diagonals, size) * np.fft.rfft(bits, size), size)
+    product = np.fft.rfft(diagonals.astype(np.float64), size)
+    del diagonals
+    product *= np.fft.rfft(np.asarray(bits, dtype=np.float64), size)
+    full = np.fft.irfft(product, size)
+    del product
     window = full[n - 1 : n - 1 + out_len]
     rounded = np.rint(window)
-    if np.abs(window - rounded).max() >= 0.25:
+    window -= rounded
+    if np.abs(window).max() >= 0.25:
         raise ArithmeticError("FFT rounding error too large for an exact Toeplitz hash")
-    return (rounded.astype(np.int64) % 2).astype(np.uint8)
+    return np.fmod(rounded, 2.0, out=rounded).astype(np.uint8)
 
 
 @dataclass(frozen=True)

@@ -364,9 +364,10 @@ def test_simulate_asymmetric_state_above_dense_cap(tmp_path):
         assert abs(q_ab - expected) <= 3.0 * math.sqrt(expected * (1 - expected) / used)
 
 
-@pytest.mark.parametrize("n", [40, 2000])
+@pytest.mark.parametrize("n", [40, 2000, 20000])
 def test_simulate_at_large_n_exits_0(tmp_path, n):
-    # N=40 asked for a 4 TiB array and N=2000 overflowed 2.0**N before the weight-class states
+    # N=40 asked for a 4 TiB array and N=2000 overflowed 2.0**N before the weight-class states;
+    # at N=20000 most class shares are subnormal or zero
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n_parties": n, "n_rounds": 1000, "seed": 4, "state": {"model": "depolarized", "q": 0.1}}))
     out = tmp_path / "summary.json"
@@ -410,7 +411,7 @@ def test_simulate_counts_the_whole_run_against_the_budget(tmp_path, capsys):
 
 def test_simulate_counts_the_hash_against_the_budget(tmp_path, capsys):
     # N=3, L=1e8 holds about 1 GB without --hash-key; the hash of its key
-    # needs about 96 B per round more, so the run exits 2 before sampling
+    # needs about 72 B per round more, so the run exits 2 before sampling
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n_parties": 3, "n_rounds": 10**8, "state": {"model": "depolarized", "q": 0.1}}))
     tracemalloc.start()
@@ -430,12 +431,17 @@ def test_simulate_large_run_peak_memory(tmp_path):
     cfg.write_text(json.dumps({"n_parties": 64, "n_rounds": 10**6, "seed": 2, "state": {"model": "depolarized", "q": 0.1}}))
     src = str(Path(nqkd.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    child = subprocess.Popen([sys.executable, "-m", "nqkd", "simulate", "--config", str(cfg),
-                              "--out", str(tmp_path / "s.json")], env=env)
-    _, status, usage = os.wait4(child.pid, 0)
-    child.returncode = os.waitstatus_to_exitcode(status)
-    assert child.returncode == 0
-    assert usage.ru_maxrss < 150 * 1024  # kilobytes
+    # the child reports its own VmHWM: the ru_maxrss that os.wait4 returns
+    # can carry the high-water mark of the process that started it
+    report = ("import sys\nfrom nqkd.cli import main\nstatus = main(sys.argv[1:])\n"
+              "print(next(line for line in open('/proc/self/status') if line.startswith('VmHWM:')))\n"
+              "sys.exit(status)")
+    child = subprocess.run([sys.executable, "-c", report, "simulate", "--config", str(cfg),
+                            "--out", str(tmp_path / "s.json")], env=env, capture_output=True, text=True)
+    assert child.returncode == 0, child.stderr
+    name, kilobytes, unit = child.stdout.split()
+    assert name == "VmHWM:" and unit == "kB"
+    assert int(kilobytes) < 150 * 1024
     assert len(json.loads((tmp_path / "s.json").read_text())["estimates"]["q_ab"]) == 63
 
 

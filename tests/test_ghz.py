@@ -12,6 +12,7 @@ from nqkd.ghz import (
     ARRAY_BYTE_BUDGET,
     GhzDiagonalState,
     WeightClassState,
+    binomial_shares,
     coefficients_from_dense,
     correlated_resource,
     dense_from_ghz_diagonal,
@@ -23,6 +24,7 @@ from nqkd.ghz import (
     qber_z,
     twirl_dense,
 )
+from nqkd.noise import depolarized_state
 
 
 def random_density(n, rng):
@@ -297,6 +299,47 @@ def test_weight_class_expand_raises_before_allocating():
         tracemalloc.stop()
     assert peak < 1 << 16
     assert qber_z(state) == 0.0 and qber_x(state) == 0.0 and qber_pairwise(state, 29) == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 3, 20, 200, 2000, 20000])
+def test_depolarized_state_splits_into_a_uniform_part_and_a_w0_residual(n):
+    # white noise is uniform over every branch, so the residual is the w = 0 class alone,
+    # also where rounding would leave 1e-17 on many classes and where shares are subnormal
+    shares = binomial_shares(n)
+    assert shares[0] == 2.0 ** (1 - n) and abs(shares.sum() - 1.0) < 1e-12
+    # up to I/2^N, at q = 1 - 2^(1-N) (U = 1); past it lambda_0^+ falls below the
+    # other coefficients and the residual moves to w >= 1
+    mixed = 1.0 - 2.0 ** (1 - n)
+    for q in [q for q in (0.0, 0.01, 0.1, 0.3, 0.5, 0.9) if q <= mixed] + [mixed] * (n <= 20):
+        uniform, residual = depolarized_state(n, q).uniform_split()
+        expected = q / (1.0 - 2.0 ** (1 - n))  # q 2^(N-1)/(2^(N-1) - 1)
+        assert abs(uniform - expected) <= 1e-12 * expected, q
+        assert np.count_nonzero(residual[1:]) == 0, q
+        assert residual[0] >= 0.0
+
+
+def test_weight_class_split_reconstructs_the_class_masses():
+    rng = np.random.default_rng(32)
+    for n in range(2, 40):
+        state = random_weight_class(n, rng)
+        masses = state.plus_by_weight + state.minus_by_weight
+        uniform, residual = state.uniform_split()
+        shares = binomial_shares(n)
+        assert uniform == pytest.approx((masses / shares).min(), rel=1e-15) and 0.0 < uniform < 1.0
+        assert residual.min() >= 0.0 and np.count_nonzero(residual == 0.0) >= 1
+        assert np.allclose(uniform * shares + residual, masses, rtol=1e-12, atol=1e-16)
+    # an empty class leaves no uniform part, and a pure state is all residual
+    uniform, residual = WeightClassState(3, [0.5, 0.2, 0.0], [0.1, 0.2, 0.0]).uniform_split()
+    assert uniform == 0.0 and np.allclose(residual, [0.6, 0.4, 0.0])
+    assert depolarized_state(5, 0.0).uniform_split()[0] == 0.0
+    # a class whose share underflows stays out of the minimum and keeps its mass
+    n = 2000
+    masses = 0.5 * binomial_shares(n)
+    masses[-1] += 0.5
+    uniform, residual = WeightClassState(n, masses, np.zeros(n)).uniform_split()
+    assert binomial_shares(n)[-1] == 0.0
+    assert uniform == pytest.approx(0.5, rel=1e-12) and residual[-1] == 0.5
+    assert np.count_nonzero(residual[:-1]) == 0
 
 
 def test_embedding_is_valid_density_matrix():

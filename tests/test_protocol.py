@@ -136,6 +136,45 @@ def test_z_sampling_follows_the_born_rule_of_both_state_types():
             assert abs(freq - p) < band(p, count, sigmas), (name, outcome)
 
 
+def _split_cases(n):
+    """(state, name) pairs at N whose uniform part U is 0, strictly between 0 and 1, or 1."""
+    rng = np.random.default_rng(500 + n)
+    empty_class = _random_weight_class_state(n, rng)
+    masses = [c.copy() for c in (empty_class.plus_by_weight, empty_class.minus_by_weight)]
+    for c in masses:
+        c[n // 2] = 0.0
+    total = masses[0].sum() + masses[1].sum()
+    yield depolarized_state(n, 0.0), "pure"
+    yield WeightClassState(n, masses[0] / total, masses[1] / total), "empty class, U = 0"
+    yield _every_round_flipped(n, True), "P_0 = 0, U = 0"
+    yield _random_weight_class_state(n, rng), "0 < U < 1 with a residual tail"
+    yield depolarized_state(n, 0.3), "depolarized, 0 < U < 1"
+    yield depolarized_state(n, 1.0 - 2.0 ** (1 - n)), "I/2^N, U = 1"
+
+
+def test_z_sampling_of_the_uniform_split_follows_the_born_rule():
+    # uniform-part rows draw packed fair bits and residual rows a Bob weight;
+    # every Z outcome against the dense Born rule for N=2..8, all bands sharing
+    # one 1% family-wise false-alarm rate.  100,000 rows per state put a
+    # uniform part drawn at 1.1 U about 6.6 sigma off the all-agree outcome
+    # of the depolarized states, past the 4.7-sigma band
+    from nqkd.ghz import dense_from_ghz_diagonal
+
+    count = 100000
+    cases = [case for n in range(2, 9) for case in _split_cases(n)]
+    uniform = [state.uniform_split()[0] for state, _ in cases]
+    assert min(uniform) == 0.0 and max(uniform) == pytest.approx(1.0) and any(0.0 < u < 1.0 for u in uniform)
+    sigmas = family_sigmas(sum(1 << state.n_parties for state, _ in cases))
+    for seed, (state, name) in enumerate(cases):
+        n = state.n_parties
+        bits = sample_z_bits(state, count, np.random.default_rng(600 + seed))
+        assert bits.shape == (count, n) and bits.max() <= 1
+        freqs = np.bincount(bits @ (1 << np.arange(n - 1, -1, -1)), minlength=1 << n) / count
+        born = dense_from_ghz_diagonal(state.expand()).z_probabilities()
+        for outcome, (freq, p) in enumerate(zip(freqs, born)):
+            assert abs(freq - p) < band(p, count, sigmas), (name, n, outcome)
+
+
 def test_z_sampling_extremes_are_exact():
     # a pure state flips no Bob; with P_0 = 0 every round flips at least one
     for n in (2, 3, 6):
@@ -533,6 +572,8 @@ def test_run_protocol_peak_memory_within_peak_bytes():
         (20, depolarized_state(20, 0.1), 0.05, None),
         (3, _every_round_flipped(3, True), 0.05, n_rounds),
         (20, _every_round_flipped(20, True), 0.5, None),
+        # almost every Z round drawn from the uniform part, as packed fair bits
+        (20, depolarized_state(20, 0.99 * (1 - 2.0**-19) / (1 - 2.0**-20)), 0.05, None),
         (3, depolarized_state(3, 0.0), 0.01, n_rounds),
         (2, _every_round_flipped(2, False), 0.95, None),
         (6, _every_round_flipped(6, False), 0.3, None),
@@ -681,10 +722,10 @@ def test_transcript_across_blocks(tmp_path, monkeypatch, n_rounds):
 @pytest.mark.parametrize(
     "n, n_rounds, seed, digest",
     [
-        (3, 2000, 7, "94ab2e3b19c66855bea1dfb84fc20decd127c8be7569fe6d4f0bc1fd3a455890"),
-        (12, 5000, 3, "b3f78a681fe2d0b733e54aeb129d24b6b4ed5651274bc742a58641ddf6220a9d"),
-        (20, 3000, 11, "90cf7471be693479736be044674cf1c3cfdfe99c003cc1bbabac206563d72cf5"),
-        (2, 2000, 5, "13b9e54b86d7fdfad73873480dd49e47652884915007ab923a305ac38292f510"),
+        (3, 2000, 7, "ce08bd932a6933711401b2f8c6844d247ab0e100666648bdb58e0d8a05f59e20"),
+        (12, 5000, 3, "2c6de608afa7dc1b1493deb438d27a824e21f7012e0347b2e9638ccc33c7f999"),
+        (20, 3000, 11, "7ed8e3cb653fd184f9858399408a1b992b3a04164a923006afa3c0141ac94883"),
+        (2, 2000, 5, "82bc1e2249605b3169cdfc2a02133200634535850e37757597bbd00cd50cc38e"),
     ],
     ids=["n3", "n12", "n20", "n2"],  # the digests change with the seeded stream; the ids do not
 )
