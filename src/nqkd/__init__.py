@@ -1,6 +1,6 @@
 """Conference key distribution with multiparty entangled resource states.
 
-Subpackages by concern:
+Modules by concern:
 
 * :mod:`nqkd.dense`    -- explicit state vectors / density matrices (the
   brute-force oracle substrate),
@@ -10,8 +10,8 @@ Subpackages by concern:
   and enumerated,
 * :mod:`nqkd.keyrate`  -- secret fractions, rates and threshold solvers,
 * :mod:`nqkd.protocol` -- the seeded round-by-round protocol simulation,
-* :mod:`nqkd.network`  -- schedules and hop counts computed from the graph
-  by max-flow, the router fan-out verification and the protocol comparison,
+* :mod:`nqkd.network`  -- repetition times and hop counts computed from the
+  graph by max-flow, the router fan-out verification and the protocol comparison,
 * :mod:`nqkd.cli`      -- the ``nqkd`` command-line tool.
 """
 
@@ -61,11 +61,9 @@ from .protocol import (
 )
 from .network import (
     NetworkModel,
-    Schedule,
     butterfly_network,
     compare_rates,
     distribute_ghz_via_router,
-    entanglement_bound_check,
     router_network,
     star_network,
 )

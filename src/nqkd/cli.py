@@ -78,8 +78,7 @@ def parse_noise(text: str | None) -> noise_model.GateNoise | noise_model.Channel
         raise ValueError(f"noise spec {text!r} is not kind:value")
     if kind not in noise_model.NOISE_MODELS:
         raise ValueError(f"unknown noise kind {kind!r}")
-    _, cls = noise_model.NOISE_MODELS[kind]
-    return cls(float(value))
+    return noise_model.NOISE_MODELS[kind](float(value))
 
 
 def fmt(x) -> str:
@@ -123,13 +122,13 @@ def cmd_rates(args) -> int:
         finite = not (isinstance(n, float) and math.isinf(n))
         if not finite and sweep.variable != "Q":
             raise ValueError("N=inf curves are only defined for Q sweeps")
-        # an N=inf row reuses the N=3 schedules, which is right only where
-        # they do not depend on N: every Bob one hop from Alice
+        # an N=inf row reuses the N=3 repetition times, which is right only
+        # where they do not depend on N: every Bob one hop from Alice
         flows = networks.graph_flows(networks.TOPOLOGIES[args.topology](int(n) if finite else 3))
         if not finite and set(flows.hops.values()) != {1}:
             raise ValueError("N=inf curves are only defined on the star topology")
-        t_n = flows.schedules[networks.NQKD].t_rep
-        t_2 = flows.schedules[networks.TWOQKD].t_rep
+        t_n = flows.t_rep[networks.NQKD]
+        t_2 = flows.t_rep[networks.TWOQKD]
         hops = flows.common_hops() if sweep.variable != "Q" else None
         for value in sweep.values():
             if sweep.variable == "Q":

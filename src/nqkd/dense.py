@@ -126,12 +126,6 @@ class GhzBasisIndex:
         if self.j < 0:
             raise ValueError("j must be non-negative")
 
-    def bit(self, k: int, n_parties: int) -> int:
-        """k-th bit of j for k in 1..N-1 (Bob k; Bob 1 is the MSB)."""
-        if not 1 <= k <= n_parties - 1:
-            raise ValueError(f"bit index {k} outside 1..{n_parties - 1}")
-        return (self.j >> (n_parties - 1 - k)) & 1
-
     def negated_j(self, n_parties: int) -> int:
         """Bitwise negation of j over N-1 bits."""
         return (~self.j) & ((1 << (n_parties - 1)) - 1)
@@ -205,14 +199,6 @@ def apply_twirl_operator(state: DenseState, op: str, k: int | None = None) -> De
 # Gates and channels for the circuit oracles
 # ---------------------------------------------------------------------------
 
-PAULI = {
-    "i": np.eye(2, dtype=complex),
-    "x": np.array([[0, 1], [1, 0]], dtype=complex),
-    "y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-
 def cnot_permutation(n_qubits: int, control: int, target: int) -> np.ndarray:
     """Index permutation implemented by a controlled-NOT."""
     if control == target:
@@ -274,14 +260,6 @@ def partial_trace(rho: np.ndarray, n_qubits: int, keep: tuple[int, ...]) -> np.n
     m, r = len(keep), len(traced)
     t = t.reshape(1 << m, 1 << r, 1 << m, 1 << r)
     return np.einsum("aibi->ab", t)
-
-
-def entanglement_entropy(state: DenseState, subsystem: tuple[int, ...]) -> float:
-    """Von Neumann entropy (bits) of the reduced state on ``subsystem``."""
-    reduced = partial_trace(state.density(), state.n_qubits, tuple(subsystem))
-    evals = np.linalg.eigvalsh(reduced)
-    evals = evals[evals > 1e-15]
-    return float(-(evals * np.log2(evals)).sum())
 
 
 # X-basis and Y-basis eigenvector columns (+1 eigenvector first).

@@ -23,7 +23,6 @@ coefficients, with closed forms for either representation:
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -32,7 +31,6 @@ import numpy as np
 
 from .dense import (
     DenseState,
-    GhzBasisIndex,
     STATE_ATOL,
     _phase_pair_diagonal,
     _quarter_phase_diagonal,
@@ -109,20 +107,6 @@ class GhzDiagonalState:
         lp, lm = _frozen_coefficients(self.lam_plus, self.lam_minus, 1 << (self.n_parties - 1))
         object.__setattr__(self, "lam_plus", lp)
         object.__setattr__(self, "lam_minus", lm)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n": self.n_parties,
-                "lambda_plus": self.lam_plus.tolist(),
-                "lambda_minus": self.lam_minus.tolist(),
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GhzDiagonalState":
-        obj = json.loads(text)
-        return cls(int(obj["n"]), np.asarray(obj["lambda_plus"]), np.asarray(obj["lambda_minus"]))
 
 
 @dataclass(frozen=True)
@@ -346,7 +330,6 @@ __all__ = [
     "GhzDiagonalState",
     "WeightClassState",
     "binomial_shares",
-    "GhzBasisIndex",
     "twirl_dense",
     "coefficients_from_dense",
     "ghz_diagonal_from_dense",

@@ -1,8 +1,8 @@
-"""Network models, schedules computed from the graph, and the coding advantage.
+"""Network models, repetition times computed from the graph, and the coding advantage.
 
 Every channel carries one qubit per second, so a round's repetition time
 is the number of network uses it needs.  ``graph_flows`` computes both
-schedules by max-flow: the multipartite protocol gets the multicast
+repetition times by max-flow: the multipartite protocol gets the multicast
 capacity min_Bob maxflow(Alice -> Bob) in states per use (Ahlswede, Cai,
 Li and Yeung, IEEE TIT 2000; with free classical communication also for
 qubits: Kobayashi, Le Gall, Nishimura and Roetteler, ICALP 2009), the
@@ -26,16 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import keyrate, noise as noise_model
-from .dense import (
-    DENSE_CAP,
-    DenseState,
-    apply_cz,
-    apply_single_qubit,
-    check_cap,
-    entanglement_entropy,
-    partial_trace,
-    qubit_bits,
-)
+from .dense import DenseState, apply_cz, apply_single_qubit, check_cap, partial_trace, qubit_bits
 
 NQKD = "nqkd"
 TWOQKD = "2qkd"
@@ -148,35 +139,8 @@ def butterfly_network(n_parties: int = 3) -> NetworkModel:
 TOPOLOGIES = {"star": star_network, "router": router_network, "butterfly": butterfly_network}
 
 
-@dataclass(frozen=True)
-class Schedule:
-    """Network uses per protocol round and the implied repetition time."""
-
-    protocol: str
-    uses_per_round: float
-    states_per_use: float = 1.0
-
-    def __post_init__(self):
-        if self.uses_per_round <= 0 or self.states_per_use <= 0:
-            raise ValueError("schedule counts must be positive")
-
-    @property
-    def t_rep(self) -> float:
-        return self.uses_per_round / self.states_per_use
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "protocol": self.protocol,
-                "uses_per_round": self.uses_per_round,
-                "states_per_use": self.states_per_use,
-                "t_rep": self.t_rep,
-            }
-        )
-
-
 # ---------------------------------------------------------------------------
-# Flows: schedules, edge loads and hop counts read off the graph
+# Flows: repetition times, edge loads and hop counts read off the graph
 # ---------------------------------------------------------------------------
 
 def _max_flow(edges, capacities, source, sink, limit: int | None = None) -> tuple[int, list[int], set]:
@@ -226,14 +190,15 @@ def _max_flow(edges, capacities, source, sink, limit: int | None = None) -> tupl
 class GraphFlows(NamedTuple):
     """What the comparison reads off one graph: Bob hop counts, the
     multicast capacity h, r* = p/q as (p, q), the relay flow that
-    delivers p to every Bob when each edge carries q, both schedules and
-    the report label."""
+    delivers p to every Bob when each edge carries q, the network uses
+    per round of each protocol (``t_rep``: 1/h for NQKD, q/p for 2QKD)
+    and the report label."""
 
     hops: dict[str, int]
     multicast: int
     relay: tuple[int, int]
     relay_flow: list[int]
-    schedules: dict[str, Schedule]
+    t_rep: dict[str, float]
     label: str
 
     def common_hops(self) -> int:
@@ -276,16 +241,9 @@ def graph_flows(network: NetworkModel) -> GraphFlows:
         p = sum(1 for a, b in edges if a in reached and b not in reached)
         q = sum(1 for b in bobs if b not in reached)
     hops = {b: network.hops[b] for b in bobs}
-    schedules = {NQKD: Schedule(NQKD, 1.0, float(multicast)), TWOQKD: Schedule(TWOQKD, float(q), float(p))}
+    t_rep = {NQKD: 1 / multicast, TWOQKD: q / p}
     label = "star" if set(hops.values()) == {1} else "butterfly" if multicast >= 2 else "router"
-    return GraphFlows(hops, multicast, (p, q), flow[: len(edges)], schedules, label)
-
-
-def schedule_for(network: NetworkModel, protocol: str) -> Schedule:
-    schedules = graph_flows(network).schedules
-    if protocol not in schedules:
-        raise ValueError(f"unknown protocol {protocol!r}")
-    return schedules[protocol]
+    return GraphFlows(hops, multicast, (p, q), flow[: len(edges)], t_rep, label)
 
 
 def edge_loads(network: NetworkModel, protocol: str) -> dict[tuple[str, str], float]:
@@ -374,40 +332,6 @@ def distribute_ghz_via_router(n_parties: int) -> tuple[DenseState, dict]:
     return DenseState.from_vector(branches["plus"]), report
 
 
-def entanglement_bound_check(n_parties: int) -> dict:
-    """Why the relay needs N-1 uses: entanglement across the bottleneck.
-
-    One transmitted qubit can raise the entanglement entropy across the
-    Alice | router-plus-Bobs cut by at most 1 bit, while N-1 Bell pairs
-    carry N-1 bits.  For small sizes the N-1 figure is recomputed from
-    an explicit state.
-    """
-    required = float(n_parties - 1)
-    report = {
-        "n_parties": n_parties,
-        "bound_per_use": 1.0,
-        "required_entanglement": required,
-        "single_use_sufficient": required <= 1.0,
-    }
-    pairs = n_parties - 1
-    if 2 * pairs <= DENSE_CAP:
-        report["dense_entanglement"] = bell_pairs_entanglement(pairs)
-    return report
-
-
-def bell_pairs_entanglement(pairs: int) -> float:
-    """Entanglement entropy of k Bell pairs across the natural cut."""
-    check_cap(2 * pairs)
-    dim = 1 << (2 * pairs)
-    psi = np.zeros(dim, dtype=complex)
-    # Alice holds qubits 0..k-1, the partner qubits are k..2k-1.
-    for assignment in range(1 << pairs):
-        index = (assignment << pairs) | assignment
-        psi[index] = 1.0
-    psi /= np.linalg.norm(psi)
-    return entanglement_entropy(DenseState.from_vector(psi), tuple(range(pairs)))
-
-
 # ---------------------------------------------------------------------------
 # Protocol comparison
 # ---------------------------------------------------------------------------
@@ -436,8 +360,8 @@ def compare_rates(
     if n_parties is not None and n_parties != len(flows.hops) + 1:
         raise ValueError(f"the graph has {len(flows.hops) + 1} parties, not {n_parties}")
     n_parties = len(flows.hops) + 1
-    t_nqkd = flows.schedules[NQKD].t_rep
-    t_twoqkd = flows.schedules[TWOQKD].t_rep
+    t_nqkd = flows.t_rep[NQKD]
+    t_twoqkd = flows.t_rep[TWOQKD]
 
     if noise is None:
         nqkd_input = keyrate.depolarized_rate_input(0.0, n_parties, t_nqkd)
@@ -473,8 +397,7 @@ def comparison_to_json(result: dict) -> str:
 
 
 __all__ = [
-    "NetworkModel", "Node", "Schedule", "GraphFlows", "TOPOLOGIES", "NQKD", "TWOQKD",
-    "star_network", "router_network", "butterfly_network", "graph_flows", "schedule_for", "edge_loads",
-    "compare_rates", "comparison_to_json",
-    "distribute_ghz_via_router", "entanglement_bound_check", "bell_pairs_entanglement",
+    "NetworkModel", "Node", "GraphFlows", "TOPOLOGIES", "NQKD", "TWOQKD",
+    "star_network", "router_network", "butterfly_network", "graph_flows", "edge_loads",
+    "compare_rates", "comparison_to_json", "distribute_ghz_via_router",
 ]

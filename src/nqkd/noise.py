@@ -4,7 +4,7 @@ Two layers live side by side:
 
 * closed-form coefficient / error-rate formulas (``lambda0_star``,
   ``lambda0_router``, ``qab_average``, ``channel_qber``), the only path
-  the rates and thresholds take, polynomial in N;
+  the rates and thresholds take, O(N) time at most;
 * brute-force circuit oracles on dense density matrices
   (``simulate_prep_circuit``, ``apply_channel_noise``) that recompute
   the same numbers by exhaustive enumeration for small N.
@@ -25,10 +25,8 @@ and each model's ``link_qber`` gives the QBER of a bipartite relay link.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb
 
 import numpy as np
 
@@ -70,20 +68,7 @@ class ChannelNoise:
         return 0.5 * (1.0 - (1.0 - self.f_c) ** hops)
 
 
-NOISE_MODELS = {"gate": ("fG", GateNoise), "channel": ("fC", ChannelNoise)}
-
-
-def noise_from_json(text: str | dict) -> GateNoise | ChannelNoise:
-    """Parse {"model": "gate"|"channel", "fG"|"fC": x}; any other key is rejected."""
-    obj = json.loads(text) if isinstance(text, str) else text
-    model = obj.get("model")
-    if model not in NOISE_MODELS:
-        raise ValueError(f"unknown noise model {model!r}")
-    key, cls = NOISE_MODELS[model]
-    unknown = sorted(set(obj) - {"model", key})
-    if unknown:
-        raise ValueError(f"unknown noise key(s): {', '.join(unknown)}")
-    return cls(float(obj[key]))
+NOISE_MODELS = {"gate": GateNoise, "channel": ChannelNoise}
 
 
 # ---------------------------------------------------------------------------
@@ -134,42 +119,29 @@ class GatePattern:
         return f_g ** (len(self.bits) - w) * (1.0 - f_g) ** w
 
 
-@lru_cache(maxsize=None)
-def _subset_count_coefficients(n_parties: int) -> np.ndarray:
-    """Summed pattern prefactors 2^-b per success count w = 0..N-2.
-
-    A pattern of N-1 gate outcomes, extended by one trailing success, has
-    block count b = (maximal runs of successes) + (failures); entry w is
-    the sum of 2^-b over the patterns with w successes, counted in
-    closed form by b.  The all-success pattern (prefactor 1) is excluded.
-    O(N^2) work and O(N) memory for any N.
-    """
-    n = n_parties
-    coefficients = np.array([
-        sum(comb(w, n - beta) * comb(n - w - 1, beta - n + w) * 2.0 ** (-beta) for beta in range(n - w, n + 1))
-        for w in range(n - 1)
-    ])
-    coefficients.flags.writeable = False  # shared by every caller through the cache
-    return coefficients
-
-
 def lambda0_star(n_parties: int, f_g: float) -> tuple[float, float]:
     """(lambda_0^+, lambda_0^-) of the gate-noise preparation circuit.
 
-    lambda_0^- sums, over the success counts w < N-1, the per-weight
-    prefactors times the probability f^(N-1-w) (1-f)^w of one such
-    pattern; lambda_0^+ adds the all-success term (1-f)^(N-1).
+    A pattern of N-1 gate outcomes, extended by one trailing success,
+    contributes its probability times 2^-b, with b = (maximal runs of
+    successes) + (failures); lambda_0^- sums this over every pattern
+    with a failure, and lambda_0^+ adds the all-success term (1-f)^(N-1).
+    The sum runs over the gates in order, with three running totals:
+    patterns of successes only, patterns ending in a success after a
+    failure, and patterns ending in a failure.  Every failure and every
+    new run of successes halves the weight.  O(N) time and O(1) memory.
     """
     if n_parties < 2:
         raise ValueError("need at least 2 parties")
     if not 0.0 <= f_g <= 1.0:
         raise ValueError(f"f_g={f_g} outside [0, 1]")
-    n_gates = n_parties - 1
-    w = np.arange(n_gates)
-    poly = f_g ** (n_gates - w) * (1.0 - f_g) ** w
-    lam_minus = float(_subset_count_coefficients(n_parties) @ poly)
-    lam_plus = (1.0 - f_g) ** n_gates + lam_minus
-    return lam_plus, lam_minus
+    succeed, half_fail = 1.0 - f_g, f_g / 2
+    pure, success, failure = succeed / 2, 0.0, half_fail
+    for _ in range(n_parties - 2):
+        pure, success, failure = (pure * succeed, (success + failure / 2) * succeed,
+                                  (pure + success + failure) * half_fail)
+    lam_minus = success + failure / 2  # the trailing success starts a new run after a failure
+    return succeed ** (n_parties - 1) + lam_minus, lam_minus
 
 
 def lambda0_router(n_parties: int, f_g: float) -> tuple[float, float]:

@@ -192,6 +192,17 @@ def test_channel_noise_at_large_n_does_not_overflow(capsys):
     assert report["n_parties"] == 1100 and report["rate_nqkd"] == 0.0 and report["advantage"] is False
 
 
+def test_gate_noise_at_large_n_does_not_overflow(capsys):
+    # the gate-failure coefficients used to be products of big-integer binomials
+    # converted to float, which exited 3 from N=1100 on
+    assert run_cli(["thresholds", "--kind", "gate", "--n", "1100,2000"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == ["1100,gate,0.000435919569", "2000,gate,0.000239999102"]
+
+    assert run_cli(["network", "--topology", "star", "--n", "1100", "--noise", "gate:0.01"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["n_parties"] == 1100 and report["rate_nqkd"] == 0.0 and report["advantage"] is False
+
+
 def test_simulate_reproducible_summary(tmp_path):
     config = {
         "n_parties": 3,

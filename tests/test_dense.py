@@ -10,7 +10,6 @@ from nqkd.dense import (
     DenseState,
     GhzBasisIndex,
     apply_twirl_operator,
-    entanglement_entropy,
     ghz_basis_vector,
     ghz_state,
     partial_trace,
@@ -138,7 +137,6 @@ def test_partial_trace_and_entropy_of_bell_pair():
     bell = ghz_state(2)
     reduced = partial_trace(bell.density(), 2, (0,))
     assert np.allclose(reduced, np.eye(2) / 2, atol=1e-12)
-    assert entanglement_entropy(bell, (0,)) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_product_basis_probabilities_ghz_parity():

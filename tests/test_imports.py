@@ -1,0 +1,39 @@
+"""Every module-level import in the package is used by the module that makes it."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "nqkd"
+# the package's __init__ imports names only to re-export them
+MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+
+
+def unused_imports(source: str) -> list[str]:
+    """Names bound by the module's top-level imports that nothing reads and ``__all__`` does not list."""
+    tree = ast.parse(source)
+    imported = {}
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return [f"line {line}: {name}" for name, line in imported.items() if name not in used]
+
+
+def test_unused_imports_are_found():
+    source = "from __future__ import annotations\nimport json\nimport os.path\nfrom math import comb as c, pi\n" \
+             "__all__ = ['pi']\nos.getcwd()\n"
+    assert unused_imports(source) == ["line 2: json", "line 4: c"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_has_no_unused_imports(path):
+    assert unused_imports(path.read_text(encoding="utf-8")) == []

@@ -1,4 +1,4 @@
-"""Schedules, the router fan-out verification and protocol comparison."""
+"""Repetition times, the router fan-out verification and protocol comparison."""
 
 import itertools
 import json
@@ -13,16 +13,13 @@ from nqkd.network import (
     TWOQKD,
     NetworkModel,
     Node,
-    bell_pairs_entanglement,
     butterfly_network,
     compare_rates,
     comparison_to_json,
     distribute_ghz_via_router,
     edge_loads,
-    entanglement_bound_check,
     graph_flows,
     router_network,
-    schedule_for,
     star_network,
 )
 from nqkd.keyrate import nqkd_gate_threshold
@@ -52,29 +49,20 @@ LINE = graph(
 
 
 def test_schedule_star_router():
-    assert schedule_for(router_network(3), NQKD).t_rep == 1.0
-    assert schedule_for(router_network(3), TWOQKD).t_rep == 2.0
-    assert schedule_for(router_network(7), TWOQKD).t_rep == 6.0
-    assert schedule_for(star_network(7), NQKD).t_rep == 1.0
-    assert schedule_for(star_network(7), TWOQKD).t_rep == 1.0
-    with pytest.raises(ValueError):
-        schedule_for(router_network(3), "telepathy")
+    assert graph_flows(router_network(3)).t_rep[NQKD] == 1.0
+    assert graph_flows(router_network(3)).t_rep[TWOQKD] == 2.0
+    assert graph_flows(router_network(7)).t_rep[TWOQKD] == 6.0
+    assert graph_flows(star_network(7)).t_rep[NQKD] == 1.0
+    assert graph_flows(star_network(7)).t_rep[TWOQKD] == 1.0
 
 
 def test_schedule_butterfly():
-    assert schedule_for(butterfly_network(), NQKD).t_rep == 0.5
-    assert schedule_for(butterfly_network(), TWOQKD).t_rep == 1.0
+    assert graph_flows(butterfly_network()).t_rep[NQKD] == 0.5
+    assert graph_flows(butterfly_network()).t_rep[TWOQKD] == 1.0
     # multicast capacity h: h rounds per use, against r* = h/(N-1) relay
     # rounds when Alice's h out-edges are the bottleneck
-    assert schedule_for(fan_network(5, 2), NQKD).t_rep == pytest.approx(1 / 5)
-    assert schedule_for(fan_network(8, 4), TWOQKD).t_rep == pytest.approx(4 / 8)
-
-
-def test_schedule_json():
-    obj = json.loads(schedule_for(butterfly_network(), NQKD).to_json())
-    assert obj == {"protocol": NQKD, "uses_per_round": 1.0, "states_per_use": 2.0, "t_rep": 0.5}
-    obj = json.loads(schedule_for(router_network(4), TWOQKD).to_json())
-    assert obj == {"protocol": TWOQKD, "uses_per_round": 3.0, "states_per_use": 1.0, "t_rep": 3.0}
+    assert graph_flows(fan_network(5, 2)).t_rep[NQKD] == pytest.approx(1 / 5)
+    assert graph_flows(fan_network(8, 4)).t_rep[TWOQKD] == pytest.approx(4 / 8)
 
 
 def test_ideal_rate_ratios():
@@ -105,17 +93,6 @@ def test_router_distribution_bell_case():
     assert abs(abs(np.vdot(target, state.data)) - 1.0) < 1e-12
 
 
-def test_entanglement_bound_check():
-    report = entanglement_bound_check(3)
-    assert report["bound_per_use"] == 1.0
-    assert report["required_entanglement"] == 2.0
-    assert not report["single_use_sufficient"]
-    assert report["dense_entanglement"] == pytest.approx(2.0, abs=1e-12)
-    assert entanglement_bound_check(2)["single_use_sufficient"]
-    for k in (1, 2, 3):
-        assert bell_pairs_entanglement(k) == pytest.approx(k, abs=1e-12)
-
-
 def test_edge_loads_within_capacity():
     for n in (3, 5):
         net = router_network(n)
@@ -131,6 +108,8 @@ def test_edge_loads_within_capacity():
     two = edge_loads(fly, TWOQKD)
     assert two[("c", "d")] == 0.0
     assert two[("A", "u")] == 1.0
+    with pytest.raises(ValueError, match="unknown protocol"):
+        edge_loads(router_network(3), "telepathy")
 
 
 def test_gate_noise_advantage_brackets_threshold():

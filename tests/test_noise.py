@@ -17,7 +17,6 @@ from nqkd.noise import (
     depolarized_state,
     lambda0_router,
     lambda0_star,
-    noise_from_json,
     qab_average,
     simulate_prep_circuit,
 )
@@ -301,16 +300,6 @@ def test_gate_qber_curves_monotone_and_ordered():
 
 
 def test_noise_config_json():
-    gate = noise_from_json('{"model": "gate", "fG": 0.05}')
-    assert gate == GateNoise(0.05)
-    # the preparation comes from the network graph; a topology key is rejected
-    with pytest.raises(ValueError, match="topology"):
-        noise_from_json('{"model": "gate", "fG": 0.05, "topology": "router"}')
-    channel = noise_from_json({"model": "channel", "fC": 0.2})
-    assert isinstance(channel, ChannelNoise)
-    assert channel.f_c == 0.2
-    with pytest.raises(ValueError):
-        noise_from_json('{"model": "thermal", "fG": 0.1}')
     with pytest.raises(ValueError):
         GateNoise(1.5)
     with pytest.raises(ValueError):
