@@ -20,7 +20,7 @@ from . import keyrate, network as networks, noise as noise_model, protocol as pr
 
 USAGE_ERROR = 2
 NUMERIC_ERROR = 3
-NOISE_SWEEPS = {"f_G": noise_model.GateNoise, "f_C": noise_model.ChannelNoise}
+NOISE_SWEEPS = {model.sweep_name: model for model in noise_model.NOISE_MODELS.values()}
 
 
 @dataclass(frozen=True)

@@ -67,10 +67,6 @@ class DenseState:
         n = _log2_dim(matrix.shape[0])
         return cls(n, matrix, False)
 
-    @property
-    def dim(self) -> int:
-        return 1 << self.n_qubits
-
     def density(self) -> np.ndarray:
         """Density matrix (outer product for pure states)."""
         if self.pure:

@@ -46,10 +46,10 @@ COEFF_ATOL = 1e-12
 # half of an 8 GB machine.
 ARRAY_BYTE_BUDGET = 1 << 32
 
-# WeightClassState.uniform_split: a class share below NEGLIGIBLE_SHARE (it may
-# be subnormal, where P_w / s_w keeps no precision) is left out of the minimum,
-# and a residual at most RESIDUAL_RTOL of its class mass, or below
-# NEGLIGIBLE_SHARE, is rounding of zero.
+# uniform_split: a weight class whose share is below NEGLIGIBLE_SHARE (it may be
+# subnormal, where P_w / s_w keeps no precision) is left out of the minimum, and
+# a residual of either state type at most RESIDUAL_RTOL of its class mass, or
+# below NEGLIGIBLE_SHARE, is rounding of zero.
 NEGLIGIBLE_SHARE = 1e-290
 RESIDUAL_RTOL = 1e-12
 
@@ -148,25 +148,6 @@ class WeightClassState:
         return GhzDiagonalState(n, (self.plus_by_weight / branches)[weight],
                                 (self.minus_by_weight / branches)[weight])
 
-    def uniform_split(self) -> tuple[float, np.ndarray]:
-        """(U, R): the class masses P_w = P_w^+ + P_w^- split as U s_w + R_w.
-
-        U is the largest share of the state that is uniform over all
-        2^(N-1) branches j, which puts U s_w of it in class w
-        (``binomial_shares``): U = min_w P_w / s_w, which leaves every
-        residual R_w non-negative.  Classes of negligible share stay out of
-        the minimum and keep their residual, clipped at zero, and a residual
-        within rounding of zero is zero, so a depolarized state's residual is
-        its w = 0 class alone at any N.  A pure state has U = 0.
-        """
-        masses = np.maximum(self.plus_by_weight + self.minus_by_weight, 0.0)
-        shares = binomial_shares(self.n_parties)
-        counted = shares >= NEGLIGIBLE_SHARE
-        uniform = float((masses[counted] / shares[counted]).min())
-        residual = np.maximum(masses - uniform * shares, 0.0)
-        residual[(residual <= RESIDUAL_RTOL * masses) | (residual < NEGLIGIBLE_SHARE)] = 0.0
-        return uniform, residual
-
 
 def twirl_dense(state: DenseState) -> DenseState:
     """Exact 50/50 mixture over all subset products of the twirl set.
@@ -236,6 +217,36 @@ def diagonal_coefficients(state: GhzDiagonalState | WeightClassState) -> tuple[n
     if isinstance(state, WeightClassState):
         return state.plus_by_weight, state.minus_by_weight
     return state.lam_plus, state.lam_minus
+
+
+def uniform_split(state: GhzDiagonalState | WeightClassState) -> tuple[float, np.ndarray]:
+    """(U, R): the class masses P_c = P_c^+ + P_c^- split as U s_c + R_c.
+
+    A class c is one branch j of a ``GhzDiagonalState``, of share
+    s = 2^-(N-1), or one Bob weight w of a ``WeightClassState``, of share
+    s_w (``binomial_shares``).  U is the largest share of the state that
+    is uniform over all 2^(N-1) branches: U = min_c P_c / s_c, which leaves
+    every residual R_c non-negative.  Weight classes of negligible share
+    stay out of the minimum and keep their residual, clipped at zero, and a
+    residual within rounding of zero is zero, so a depolarized state's
+    residual is its j = 0 class alone, in either form and at any N.  A pure
+    state, or one with an empty class, has U = 0.
+    """
+    plus, minus = diagonal_coefficients(state)
+    masses = plus + minus
+    np.maximum(masses, 0.0, out=masses)
+    if isinstance(state, WeightClassState):
+        shares = binomial_shares(state.n_parties)
+        counted = shares >= NEGLIGIBLE_SHARE
+        uniform = float((masses[counted] / shares[counted]).min())
+    else:
+        shares = 0.5 ** (state.n_parties - 1)  # a scalar: an array of shares would be one more copy of the state
+        uniform = float(masses.min()) / shares
+    residual = masses - uniform * shares
+    np.maximum(residual, 0.0, out=residual)
+    masses *= RESIDUAL_RTOL
+    residual[(residual <= masses) | (residual < NEGLIGIBLE_SHARE)] = 0.0
+    return uniform, residual
 
 
 def qber_z(state: GhzDiagonalState | WeightClassState) -> float:
@@ -335,6 +346,7 @@ __all__ = [
     "ghz_diagonal_from_dense",
     "dense_from_ghz_diagonal",
     "diagonal_coefficients",
+    "uniform_split",
     "qber_z",
     "qber_x",
     "qber_pairwise",

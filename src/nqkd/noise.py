@@ -43,6 +43,7 @@ class GateNoise:
     """Two-qubit gate failure probability."""
 
     f_g: float
+    sweep_name = "f_G"  # the variable of a sweep over this model (not a field)
 
     def __post_init__(self):
         if not 0.0 <= self.f_g <= 1.0:
@@ -58,6 +59,7 @@ class ChannelNoise:
     """Per-transmission depolarisation probability."""
 
     f_c: float
+    sweep_name = "f_C"
 
     def __post_init__(self):
         if not 0.0 <= self.f_c <= 1.0:
@@ -68,7 +70,7 @@ class ChannelNoise:
         return 0.5 * (1.0 - (1.0 - self.f_c) ** hops)
 
 
-NOISE_MODELS = {"gate": GateNoise, "channel": ChannelNoise}
+NOISE_MODELS = {"gate": GateNoise, "channel": ChannelNoise}  # by --noise kind; sweeps go by sweep_name
 
 
 # ---------------------------------------------------------------------------

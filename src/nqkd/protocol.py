@@ -19,23 +19,22 @@ measures one component |j, sigma> of the state's mixture, drawn with
 probability lambda_j^sigma.  A ``WeightClassState`` draws a Bob weight w
 from its class masses instead, and j is then a uniform w-subset of the
 Bobs.  Both samplers read the Bobs' bits of j from one generator
-(``_bob_flips``).  For its Z rounds a weight-class state is split into a
-part uniform over all 2^(N-1) branches and residual class masses
-(``WeightClassState.uniform_split``); a round of the uniform part gives
-each Bob a fair bit and draws no weight.  White noise is all uniform
-part, so a depolarized state's residual is its w = 0 class alone.
-Every random variable costs what it carries:
+(``_bob_flips``), the only sampling code that tells the state types apart.
+For its Z rounds either state is split into a part uniform over all
+2^(N-1) branches and residual class masses (``ghz.uniform_split``); a
+round of the uniform part gives each Bob a fair bit and draws no class.
+White noise is all uniform part, so a depolarized state's residual is
+its j = 0 class alone.  Every random variable costs what it carries:
 
 - Fair bits (Alice's Z bit, the Bobs' bits of a uniform-part Z round,
   the X/Y bases, the free parity-round bits and the classical flip
   mask) come eight to a random byte, unpacked with ``np.unpackbits``.
-- The parity schedule and the Z rounds outside j = 0 (for a
-  weight-class state: outside its w = 0 residual) are exact Bernoulli
-  processes over positions, placed by geometric gaps in O(p L) draws
-  (``_bernoulli_positions``).  Only these rows draw a branch, or a part
-  of the split, from the renormalised masses, and that draw is skipped
-  when the uniform part is the only one; every other row copies Alice's
-  bit to the Bobs.
+- The parity schedule and the Z rounds outside the j = 0 residual are
+  exact Bernoulli processes over positions, placed by geometric gaps in
+  O(p L) draws (``_bernoulli_positions``).  Only these rows draw a part
+  of the split, from the renormalised masses by one binary search, and
+  that draw is skipped when the uniform part is the only one; every
+  other row copies Alice's bit to the Bobs.
 - Outcome and basis arrays are held party-major, one contiguous row
   per party; the samplers and estimators take and return
   (rounds, parties) views of them and reduce along the party axis.
@@ -63,7 +62,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ghz import ARRAY_BYTE_BUDGET, GhzDiagonalState, WeightClassState, diagonal_coefficients
+from .ghz import ARRAY_BYTE_BUDGET, GhzDiagonalState, WeightClassState, diagonal_coefficients, uniform_split
 from .keyrate import RateInput, RateReport, binary_entropy, secret_fraction
 from .noise import depolarized_state
 
@@ -307,48 +306,37 @@ def sample_z_bits(state: GhzDiagonalState | WeightClassState, count: int,
     bits are packed fair bits, and every row that is not drawn below copies
     them to the Bobs.
 
-    For a ``GhzDiagonalState`` the rounds with j != 0 are a Bernoulli
-    process of rate 1 - P_0, and only they draw j from the renormalised
-    tail.  A ``WeightClassState`` is split into a part uniform over all
-    branches and residual classes (``WeightClassState.uniform_split``); the
-    drawn rows are a Bernoulli process of rate 1 - R_0, and each belongs to
-    the uniform part or to a residual class w >= 1 in proportion to their
-    masses, by one uniform per row, drawn only when the residual tail is
-    not zero.  A uniform-part row gives each Bob a fair bit, whatever
-    Alice's, written as one packed (N-1, rows) block; a residual row draws
-    its Bobs by selection sampling (``_bob_flips``).  The result is the
-    transpose of a party-major array.
+    The state's class masses (per branch j, or per Bob weight w) are split
+    into a part uniform over all branches and residual classes
+    (``ghz.uniform_split``).  The drawn rows are a Bernoulli process of
+    rate 1 - R_0, and each belongs to the uniform part or to a residual
+    class c >= 1 in proportion to their masses, by one uniform per row,
+    drawn only when the residual tail is not zero.  A uniform-part row
+    gives each Bob a fair bit, whatever Alice's, written as one packed
+    (N-1, rows) block; a residual row gives the Bobs the bits of its
+    class (``_bob_flips``).  The result is the transpose of a party-major
+    array.
     """
     n = state.n_parties
     bits = np.empty((n, count), dtype=np.uint8)  # one contiguous row per party
     bits[0] = _uniform_bits(rng, count)
     bits[1:] = bits[0]
-    weight_class = isinstance(state, WeightClassState)
-    if weight_class:
-        uniform_mass, masses = state.uniform_split()
-    else:
-        uniform_mass, masses = 0.0, np.maximum(state.lam_plus + state.lam_minus, 0.0)
+    uniform_mass, masses = uniform_split(state)
     tail_mass = masses[1:].sum()
     drawn_mass = uniform_mass + tail_mass
     if drawn_mass == 0.0:
         return bits.T
-    # part 0 is the uniform part, part c >= 1 branch c, or the residual of Bob weight c
+    # part 0 is the uniform part, part c >= 1 the residual of branch c or of Bob weight c
     parts = np.concatenate(([uniform_mass], masses[1:])) / drawn_mass
-    bounds = np.cumsum(parts)[:-1]  # a uniform in [bounds[c - 1], bounds[c]) draws part c
+    bounds = np.cumsum(parts)  # a uniform in [bounds[c - 1], bounds[c]) draws part c
+    last = bounds.searchsorted(bounds[-1])  # the last part of positive mass
     block_rows = max(1, BATCH_BYTES // (2 * (n - 1)))  # the unpacked fair bits of a block stay within BATCH_BYTES / 2
     for rows in _bernoulli_positions(count, drawn_mass / (masses[0] + drawn_mass), rng):
-        uniform_rows = rows[:0]
-        if not weight_class:
-            branch = 1 + rng.choice(parts.size - 1, size=rows.size, p=parts[1:])
-        elif tail_mass == 0.0:
+        if tail_mass == 0.0:
             uniform_rows, rows = rows, rows[:0]
         else:
-            # counting the bounds below a uniform beats a binary search at small N;
-            # 16 bounds per pass keep the Python loop short at large N
-            uniform = rng.random(rows.size)
-            part = np.zeros(rows.size, dtype=np.int64)
-            for start in range(0, bounds.size, 16):
-                part += (uniform >= bounds[start : start + 16, None]).sum(axis=0)
+            part = bounds.searchsorted(rng.random(rows.size), side="right")
+            np.minimum(part, last, out=part)  # rounding may land past the last bound
             residual = part > 0
             uniform_rows, rows, branch = rows[~residual], rows[residual], part[residual]
         if rows.size:

@@ -22,6 +22,7 @@ from nqkd.ghz import (
     qber_x,
     qber_z,
     twirl_dense,
+    uniform_split,
 )
 from nqkd.noise import depolarized_state
 
@@ -297,7 +298,7 @@ def test_depolarized_state_splits_into_a_uniform_part_and_a_w0_residual(n):
     # other coefficients and the residual moves to w >= 1
     mixed = 1.0 - 2.0 ** (1 - n)
     for q in [q for q in (0.0, 0.01, 0.1, 0.3, 0.5, 0.9) if q <= mixed] + [mixed] * (n <= 20):
-        uniform, residual = depolarized_state(n, q).uniform_split()
+        uniform, residual = uniform_split(depolarized_state(n, q))
         expected = q / (1.0 - 2.0 ** (1 - n))  # q 2^(N-1)/(2^(N-1) - 1)
         assert abs(uniform - expected) <= 1e-12 * expected, q
         assert np.count_nonzero(residual[1:]) == 0, q
@@ -309,23 +310,44 @@ def test_weight_class_split_reconstructs_the_class_masses():
     for n in range(2, 40):
         state = random_weight_class(n, rng)
         masses = state.plus_by_weight + state.minus_by_weight
-        uniform, residual = state.uniform_split()
+        uniform, residual = uniform_split(state)
         shares = binomial_shares(n)
         assert uniform == pytest.approx((masses / shares).min(), rel=1e-15) and 0.0 < uniform < 1.0
         assert residual.min() >= 0.0 and np.count_nonzero(residual == 0.0) >= 1
         assert np.allclose(uniform * shares + residual, masses, rtol=1e-12, atol=1e-16)
     # an empty class leaves no uniform part, and a pure state is all residual
-    uniform, residual = WeightClassState(3, [0.5, 0.2, 0.0], [0.1, 0.2, 0.0]).uniform_split()
+    uniform, residual = uniform_split(WeightClassState(3, [0.5, 0.2, 0.0], [0.1, 0.2, 0.0]))
     assert uniform == 0.0 and np.allclose(residual, [0.6, 0.4, 0.0])
-    assert depolarized_state(5, 0.0).uniform_split()[0] == 0.0
+    assert uniform_split(depolarized_state(5, 0.0))[0] == 0.0
     # a class whose share underflows stays out of the minimum and keeps its mass
     n = 2000
     masses = 0.5 * binomial_shares(n)
     masses[-1] += 0.5
-    uniform, residual = WeightClassState(n, masses, np.zeros(n)).uniform_split()
+    uniform, residual = uniform_split(WeightClassState(n, masses, np.zeros(n)))
     assert binomial_shares(n)[-1] == 0.0
     assert uniform == pytest.approx(0.5, rel=1e-12) and residual[-1] == 0.5
     assert np.count_nonzero(residual[:-1]) == 0
+
+
+def test_ghz_diagonal_split_matches_the_weight_class_split():
+    # a branch's share is 2^-(N-1): an expanded depolarized state has the weight-class U
+    # and a residual on j = 0 alone, though its per-branch masses carry rounding
+    for n in range(2, 13):
+        for q in (0.0, 0.05, 0.3, 0.9 * (1.0 - 2.0 ** (1 - n))):
+            state = depolarized_state(n, q)
+            uniform, residual = uniform_split(state.expand())
+            expected, weight_residual = uniform_split(state)
+            assert abs(uniform - expected) <= 1e-12 * expected, (n, q)
+            assert residual.shape == (1 << (n - 1),) and np.count_nonzero(residual[1:]) == 0, (n, q)
+            assert residual[0] == pytest.approx(weight_residual[0], rel=1e-12), (n, q)
+    # any state: U is the smallest branch mass times 2^(N-1), and U s + R gives the masses back
+    rng = np.random.default_rng(33)
+    for n in range(2, 10):
+        state = random_diagonal(n, rng)
+        masses = state.lam_plus + state.lam_minus
+        uniform, residual = uniform_split(state)
+        assert uniform == masses.min() * 2 ** (n - 1) and 0.0 < uniform < 1.0
+        assert residual.min() == 0.0 and np.allclose(uniform * 2.0 ** (1 - n) + residual, masses, rtol=1e-12)
 
 
 def test_embedding_is_valid_density_matrix():

@@ -11,7 +11,7 @@ import pytest
 from nqkd import protocol
 from nqkd.cli import main
 from nqkd.dense import ghz_state, product_basis_probabilities
-from nqkd.ghz import GhzDiagonalState, WeightClassState, qber_pairwise_all, qber_x, qber_z
+from nqkd.ghz import GhzDiagonalState, WeightClassState, qber_pairwise_all, qber_x, qber_z, uniform_split
 from nqkd.keyrate import rate_depolarized, threshold_qber
 from nqkd.noise import depolarized_state
 from nqkd.protocol import (
@@ -137,7 +137,7 @@ def test_z_sampling_follows_the_born_rule_of_both_state_types():
 
 
 def _split_cases(n):
-    """(state, name) pairs at N whose uniform part U is 0, strictly between 0 and 1, or 1."""
+    """(state, name) pairs at N, of both state types, whose uniform part U is 0, strictly between 0 and 1, or 1."""
     rng = np.random.default_rng(500 + n)
     empty_class = _random_weight_class_state(n, rng)
     masses = [c.copy() for c in (empty_class.plus_by_weight, empty_class.minus_by_weight)]
@@ -150,27 +150,39 @@ def _split_cases(n):
     yield _random_weight_class_state(n, rng), "0 < U < 1 with a residual tail"
     yield depolarized_state(n, 0.3), "depolarized, 0 < U < 1"
     yield depolarized_state(n, 1.0 - 2.0 ** (1 - n)), "I/2^N, U = 1"
+    empty_branch = _random_asymmetric_state(n, rng)
+    lam = [c.copy() for c in (empty_branch.lam_plus, empty_branch.lam_minus)]
+    for c in lam:
+        c[-1] = 0.0
+    total = lam[0].sum() + lam[1].sum()
+    yield GhzDiagonalState(n, lam[0] / total, lam[1] / total), "empty branch, U = 0"
+    yield _random_asymmetric_state(n, rng), "asymmetric, 0 < U < 1 with a residual tail"
+    yield depolarized_state(n, 0.3).expand(), "expanded depolarized, 0 < U < 1"
+    mixed = np.full(1 << (n - 1), 2.0 ** -n)
+    yield GhzDiagonalState(n, mixed, mixed), "I/2^N per branch, U = 1"
 
 
 def test_z_sampling_of_the_uniform_split_follows_the_born_rule():
-    # uniform-part rows draw packed fair bits and residual rows a Bob weight;
-    # every Z outcome against the dense Born rule for N=2..8, all bands sharing
+    # uniform-part rows draw packed fair bits and residual rows a Bob weight or a
+    # branch; every Z outcome against the dense Born rule for N=2..8, all bands sharing
     # one 1% family-wise false-alarm rate.  100,000 rows per state put a
     # uniform part drawn at 1.1 U about 6.6 sigma off the all-agree outcome
-    # of the depolarized states, past the 4.7-sigma band
+    # of the depolarized states, past the 4.8-sigma band
     from nqkd.ghz import dense_from_ghz_diagonal
 
     count = 100000
     cases = [case for n in range(2, 9) for case in _split_cases(n)]
-    uniform = [state.uniform_split()[0] for state, _ in cases]
-    assert min(uniform) == 0.0 and max(uniform) == pytest.approx(1.0) and any(0.0 < u < 1.0 for u in uniform)
+    for kind in (WeightClassState, GhzDiagonalState):
+        uniform = [uniform_split(state)[0] for state, _ in cases if isinstance(state, kind)]
+        assert min(uniform) == 0.0 and max(uniform) == pytest.approx(1.0) and any(0.0 < u < 1.0 for u in uniform)
     sigmas = family_sigmas(sum(1 << state.n_parties for state, _ in cases))
     for seed, (state, name) in enumerate(cases):
         n = state.n_parties
         bits = sample_z_bits(state, count, np.random.default_rng(600 + seed))
         assert bits.shape == (count, n) and bits.max() <= 1
         freqs = np.bincount(bits @ (1 << np.arange(n - 1, -1, -1)), minlength=1 << n) / count
-        born = dense_from_ghz_diagonal(state.expand()).z_probabilities()
+        expanded = state.expand() if isinstance(state, WeightClassState) else state
+        born = dense_from_ghz_diagonal(expanded).z_probabilities()
         for outcome, (freq, p) in enumerate(zip(freqs, born)):
             assert abs(freq - p) < band(p, count, sigmas), (name, n, outcome)
 
@@ -183,6 +195,27 @@ def test_z_sampling_extremes_are_exact():
         for weight_class in (True, False):
             bits = sample_z_bits(_every_round_flipped(n, weight_class), 5000, np.random.default_rng(n))
             assert np.all((bits != bits[:, :1]).any(axis=1))
+
+
+class _TopUniforms:
+    """A generator whose uniforms are all the largest double below 1, the top of ``random``'s range."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def __getattr__(self, name):
+        return getattr(self._rng, name)
+
+    def random(self, size):
+        return np.full(size, np.nextafter(1.0, 0.0))
+
+
+def test_z_sampling_draws_no_branch_past_the_last_of_positive_mass():
+    # branch 3 is empty, and the renormalised masses of branches 1 and 2 sum to
+    # 1 - 2^-52, so a top uniform lies past every bound; it must draw branch 2
+    state = GhzDiagonalState(3, [0.4, 0.07, 0.08, 0.0], [0.45, 0.0, 0.0, 0.0])
+    bits = sample_z_bits(state, 2000, _TopUniforms(3))
+    assert np.all(bits[:, 2] == bits[:, 0]) and np.any(bits[:, 1] != bits[:, 0])
 
 
 def test_packed_fair_bits_are_unbiased_at_every_bit_position():
@@ -719,21 +752,27 @@ def test_transcript_across_blocks(tmp_path, monkeypatch, n_rounds):
     assert_transcript_matches_reference(ProtocolRun(config), tmp_path / "t.jsonl")
 
 
+DEPOLARIZED = {"model": "depolarized", "q": 0.1}
+# asymmetric, with a uniform part U = 0.24 and a residual on every branch but j = 5
+GHZ_DIAGONAL_N4 = {"model": "ghz_diagonal",
+                   "lambda_plus": [0.5, 0.05, 0.04, 0.03, 0.06, 0.02, 0.03, 0.04],
+                   "lambda_minus": [0.1, 0.02, 0.01, 0.03, 0.02, 0.01, 0.02, 0.02]}
+
+
 @pytest.mark.parametrize(
-    "n, n_rounds, seed, digest",
+    "n, n_rounds, seed, state, digest",
     [
-        (3, 2000, 7, "ce08bd932a6933711401b2f8c6844d247ab0e100666648bdb58e0d8a05f59e20"),
-        (12, 5000, 3, "2c6de608afa7dc1b1493deb438d27a824e21f7012e0347b2e9638ccc33c7f999"),
-        (20, 3000, 11, "7ed8e3cb653fd184f9858399408a1b992b3a04164a923006afa3c0141ac94883"),
-        (2, 2000, 5, "82bc1e2249605b3169cdfc2a02133200634535850e37757597bbd00cd50cc38e"),
+        (3, 2000, 7, DEPOLARIZED, "ce08bd932a6933711401b2f8c6844d247ab0e100666648bdb58e0d8a05f59e20"),
+        (12, 5000, 3, DEPOLARIZED, "2c6de608afa7dc1b1493deb438d27a824e21f7012e0347b2e9638ccc33c7f999"),
+        (20, 3000, 11, DEPOLARIZED, "7ed8e3cb653fd184f9858399408a1b992b3a04164a923006afa3c0141ac94883"),
+        (2, 2000, 5, DEPOLARIZED, "82bc1e2249605b3169cdfc2a02133200634535850e37757597bbd00cd50cc38e"),
+        (4, 3000, 9, GHZ_DIAGONAL_N4, "eba5a70179a6d40a5108508b204eeac889dabece507f94f764aed260e091c344"),
     ],
-    ids=["n3", "n12", "n20", "n2"],  # the digests change with the seeded stream; the ids do not
+    ids=["n3", "n12", "n20", "n2", "ghz_diagonal_n4"],  # the digests change with the seeded stream; the ids do not
 )
-def test_simulate_transcript_bytes_pinned(tmp_path, n, n_rounds, seed, digest):
+def test_simulate_transcript_bytes_pinned(tmp_path, n, n_rounds, seed, state, digest):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(
-        {"n_parties": n, "n_rounds": n_rounds, "seed": seed, "state": {"model": "depolarized", "q": 0.1}}
-    ))
+    cfg.write_text(json.dumps({"n_parties": n, "n_rounds": n_rounds, "seed": seed, "state": state}))
     transcript = tmp_path / "t.jsonl"
     assert main(["simulate", "--config", str(cfg), "--transcript", str(transcript),
                  "--out", str(tmp_path / "s.json")]) == 0
