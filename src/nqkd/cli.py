@@ -15,12 +15,14 @@ import json
 import math
 import sys
 from dataclasses import dataclass
+from itertools import repeat
+
+import numpy as np
 
 from . import keyrate, network as networks, noise as noise_model, protocol as protocol_sim
 
 USAGE_ERROR = 2
 NUMERIC_ERROR = 3
-NOISE_SWEEPS = {model.sweep_name: model for model in noise_model.NOISE_MODELS.values()}
 
 
 @dataclass(frozen=True)
@@ -31,7 +33,7 @@ class SweepSpec:
     steps: int
 
     def __post_init__(self):
-        if self.variable != "Q" and self.variable not in NOISE_SWEEPS:
+        if self.variable != "Q" and self.variable not in noise_model.NOISE_SWEEPS:
             raise ValueError(f"unknown sweep variable {self.variable!r}")
         if self.steps < 2:
             raise ValueError("sweep needs at least 2 steps")
@@ -81,19 +83,17 @@ def parse_noise(text: str | None) -> noise_model.GateNoise | noise_model.Channel
     return noise_model.NOISE_MODELS[kind](float(value))
 
 
-def fmt(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.9g}"
-    return str(x)
-
-
 def n_label(n: int | float) -> str:
     return "inf" if isinstance(n, float) and math.isinf(n) else str(int(n))
 
 
-def write_rows(path: str | None, header: list[str], rows: list[list], fmt_name: str) -> None:
+def write_rows(path: str | None, header: list[str], rows: list, fmt_name: str) -> None:
+    """Write ``rows`` as CSV, floats with 9 significant digits and anything else
+    as ``str``, or as a JSON list of objects keyed by ``header``.  Every row
+    holds the cell types of the first, so one format string prints them all."""
     if fmt_name == "csv":
-        text = "\n".join([",".join(header)] + [",".join(fmt(x) for x in row) for row in rows])
+        line = ",".join("{:.9g}" if isinstance(x, float) else "{}" for x in rows[0]).format if rows else None
+        text = "\n".join([",".join(header)] + [line(*row) for row in rows])
     else:
         text = json.dumps([dict(zip(header, row)) for row in rows], indent=2)
     write_text(path, text)
@@ -115,8 +115,12 @@ def write_text(path: str | None, text: str) -> None:
 # ---------------------------------------------------------------------------
 
 def cmd_rates(args) -> int:
+    """Secret fractions and key rates over the sweep for each N, with one
+    ``keyrate.sweep_fractions`` call per N over the whole grid."""
     sweep = parse_sweep(args.sweep)
     n_values = parse_n_list(args.n)
+    values = sweep.values()
+    grid = np.array(values)
     rows = []
     for n in n_values:
         finite = not (isinstance(n, float) and math.isinf(n))
@@ -130,14 +134,9 @@ def cmd_rates(args) -> int:
         t_n = flows.t_rep[networks.NQKD]
         t_2 = flows.t_rep[networks.TWOQKD]
         hops = flows.common_hops() if sweep.variable != "Q" else None
-        for value in sweep.values():
-            if sweep.variable == "Q":
-                r_inf = keyrate.rate_depolarized(value, n)
-                # a link error beyond the six-state domain carries no key anyway
-                r_link = keyrate.six_state_rate(value) if value <= 2 / 3 else 0.0
-            else:
-                r_inf, r_link = keyrate.noisy_fractions(int(n), NOISE_SWEEPS[sweep.variable](value), hops)
-            rows.append([n_label(n), sweep.variable, value, r_inf, max(r_inf, 0.0) / t_n, max(r_link, 0.0) / t_2])
+        r_inf, r_link = keyrate.sweep_fractions(sweep.variable, n, grid, hops)
+        rows.extend(zip(repeat(n_label(n)), repeat(sweep.variable), values, r_inf.tolist(),
+                        (np.maximum(r_inf, 0.0) / t_n).tolist(), (np.maximum(r_link, 0.0) / t_2).tolist()))
     write_rows(args.out, ["n", "variable", "value", "r_inf", "rate_nqkd", "rate_2qkd"], rows, args.format)
     return 0
 
@@ -187,7 +186,7 @@ def cmd_network(args) -> int:
             raise ValueError("network sweeps run over f_G or f_C")
         rows = []
         for value in sweep.values():
-            result = networks.compare_rates(model, NOISE_SWEEPS[sweep.variable](value), n_parties)
+            result = networks.compare_rates(model, noise_model.NOISE_SWEEPS[sweep.variable](value), n_parties)
             rows.append([value, result["rate_nqkd"], result["rate_twoqkd"], result["advantage"]])
         write_rows(args.out, ["f", "rate_nqkd", "rate_2qkd", "advantage"], rows, args.format)
         return 0

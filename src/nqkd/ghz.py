@@ -158,7 +158,6 @@ def twirl_dense(state: DenseState) -> DenseState:
     sampling).
     """
     n = state.n_qubits
-    dim = 1 << n
     rho = state.density().astype(complex)
     rho = 0.5 * (rho + rho[::-1, ::-1])
     for k in range(1, n):

@@ -10,9 +10,16 @@ The bipartite baseline runs one six-state link per Bob and relays a
 one-time-padded conference key, so its rate is the slowest link's rate
 divided by the rounds the network needs.
 
-``noisy_rate_input`` is the one map from a noise model and the Bobs' hop
+``noisy_error_rates`` is the one map from a noise model and the Bobs' hop
 count to multipartite error rates; rate sweeps, the network comparison
-and both threshold solvers (through ``noisy_fractions``) read it.
+(through ``noisy_rate_input``) and both threshold solvers (through
+``noisy_fractions``) read it.
+
+The formulas take a noise level or error rate, or a 1-D float64 grid of
+them, and each grid element has the bits of the float call.  A rate
+sweep evaluates its whole grid at once for each N (``sweep_fractions``);
+the solvers and the network comparison evaluate floats, which is faster
+per point.
 """
 
 from __future__ import annotations
@@ -20,28 +27,57 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import partial
+from functools import lru_cache, partial
+
+import numpy as np
 
 from . import noise as noise_model
 
 LOG2 = math.log(2.0)
+SIX_STATE_SLOPE = 1.5 * math.log2(3.0)
 
 
 class SolverError(ArithmeticError):
     """A root bracket could not be established or refined."""
 
 
-def _xlog2x(x: float) -> float:
+def _log2_each(x: np.ndarray) -> np.ndarray:
+    """log2 of each element of a positive grid, with the float call's bits:
+    numpy's vectorised log2 differs from libm in the last place on some inputs."""
+    return np.fromiter(map(math.log2, x.tolist()), float, x.size)
+
+
+def _log2(x):
+    """log2 x, and 0 for x <= 0."""
+    if type(x) is np.ndarray:
+        return _log2_each(np.where(x > 0.0, x, 1.0))  # log2 1 = 0
+    return math.log2(x) if x > 0.0 else 0.0
+
+
+def _xlog2x(x):
     """x log2 x, continuously extended by 0 for x <= 0."""
-    if x <= 0.0:
-        return 0.0
-    return x * math.log2(x)
+    if type(x) is np.ndarray:
+        x = np.where(x > 0.0, x, 1.0)  # 1 log2 1 = 0 stands in for x <= 0
+        return x * _log2_each(x)
+    return x * math.log2(x) if x > 0.0 else 0.0
 
 
-def binary_entropy(p: float) -> float:
+def _at_most_one(x):
+    """min(x, 1), elementwise on a grid."""
+    if type(x) is np.ndarray:
+        return np.minimum(x, 1.0)
+    return 1.0 if x > 1.0 else x
+
+
+def binary_entropy(p):
     """Binary Shannon entropy h(p) in bits, with h(0) = h(1) = 0."""
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"p={p} outside [0, 1]")
+    if (bad := noise_model.outside(p, 0.0, 1.0)) is not None:
+        raise ValueError(f"p={bad} outside [0, 1]")
+    return _entropy(p)
+
+
+def _entropy(p):
+    """h(p) for a p that its caller has kept inside [0, 1]."""
     return -_xlog2x(p) - _xlog2x(1.0 - p)
 
 
@@ -90,24 +126,35 @@ class RateReport:
         )
 
 
-def secret_fraction(inp: RateInput) -> RateReport:
-    """Asymptotic secret fraction from measured error rates.
+TERM_NAMES = ("parity_plus_term", "parity_minus_term", "z_agreement_term", "error_correction_term")
+
+
+def _fraction_terms(q_z, q_x, q_ab) -> tuple:
+    """The secret fraction and its four summands (``TERM_NAMES``), the worst
+    Bob erring at ``q_ab``; floats or grids.
 
     The two parity log terms take arguments 1 - Q_Z/2 - Q_X and
     Q_X - Q_Z/2; statistical estimates may push those slightly negative,
     in which case the term is clamped to its continuous limit 0.
+    """
+    terms = (
+        _xlog2x(1.0 - q_z / 2.0 - q_x),
+        _xlog2x(q_x - q_z / 2.0),
+        (1.0 - q_z) * (1.0 - _log2(1.0 - q_z)),
+        -_entropy(q_ab),
+    )
+    return terms[0] + terms[1] + terms[2] + terms[3], terms
+
+
+def secret_fraction(inp: RateInput) -> RateReport:
+    """Asymptotic secret fraction from measured error rates.
+
     Negative fractions are reported as-is, with ``r_clamped`` for key
     accounting, and the rate is ``r_inf / t_rep``.
     """
-    q_z, q_x = inp.q_z, inp.q_x
     worst = max(range(len(inp.q_ab)), key=lambda i: inp.q_ab[i])
-    components = {
-        "parity_plus_term": _xlog2x(1.0 - q_z / 2.0 - q_x),
-        "parity_minus_term": _xlog2x(q_x - q_z / 2.0),
-        "z_agreement_term": (1.0 - q_z) * (1.0 - (math.log2(1.0 - q_z) if q_z < 1.0 else 0.0)),
-        "error_correction_term": -binary_entropy(inp.q_ab[worst]),
-    }
-    r_inf = sum(components.values())
+    r_inf, terms = _fraction_terms(inp.q_z, inp.q_x, inp.q_ab[worst])
+    components = dict(zip(TERM_NAMES, terms))
     return RateReport(
         r_inf=r_inf,
         r_clamped=max(r_inf, 0.0),
@@ -118,50 +165,55 @@ def secret_fraction(inp: RateInput) -> RateReport:
     )
 
 
-def depolarized_rate_input(q: float, n_parties: int, t_rep: float = 1.0) -> RateInput:
-    """Error rates of the white-noise mixture at Z error rate ``q``: Q_X and
+def depolarized_error_rates(q, n_parties: int) -> tuple:
+    """(Q_Z, Q_X, Q_AB) of the white-noise mixture at Z error rate ``q``: Q_X and
     every Q_AB are q 2^(N-2)/(2^(N-1)-1), written so that large N cannot overflow."""
     q_x = 0.5 / (1.0 - 2.0 ** (1 - n_parties)) * q
-    return RateInput(q, q_x, (q_x,) * (n_parties - 1), n_parties, t_rep)
+    return q, q_x, q_x
 
 
-def rate_depolarized(q: float, n_parties: int | float) -> float:
+def depolarized_rate_input(q: float, n_parties: int, t_rep: float = 1.0) -> RateInput:
+    """``RateInput`` of the white-noise mixture at Z error rate ``q``."""
+    q_z, q_x, q_ab = depolarized_error_rates(q, n_parties)
+    return RateInput(q_z, q_x, (q_ab,) * (n_parties - 1), n_parties, t_rep)
+
+
+def rate_depolarized(q, n_parties: int | float):
     """Closed-form secret fraction of the white-noise mixture.
 
     ``n_parties`` may be ``math.inf``; large N is evaluated through
     ratios of the form (1 - 2^-N) that never overflow.
     """
-    if q < 0.0:
-        raise ValueError(f"q={q} is negative")
     if math.isinf(n_parties):
-        if q > 1.0:
-            raise ValueError(f"q={q} outside [0, 1]")
-        return 1.0 - binary_entropy(q / 2.0) - q
+        if (bad := noise_model.outside(q, 0.0, 1.0)) is not None:
+            raise ValueError(f"q={bad} is negative" if bad < 0.0 else f"q={bad} outside [0, 1]")
+        return 1.0 - _entropy(q / 2.0) - q
     n = int(n_parties)
     if n < 2:
         raise ValueError("need at least 2 parties")
+    q_max, ratio_full, ratio_half, slope = _white_noise_constants(n)
+    if (bad := noise_model.outside(q, 0.0, q_max + 1e-15)) is not None:
+        raise ValueError(f"q={bad} is negative" if bad < 0.0 else f"q={bad} above the admissible {q_max} for N={n}")
+    return 1.0 + _entropy(q) - _entropy(_at_most_one(q * ratio_full)) - _entropy(q * ratio_half) + slope * q
+
+
+@lru_cache(maxsize=None)
+def _white_noise_constants(n: int) -> tuple[float, float, float, float]:
+    """The N-dependent factors of ``rate_depolarized``: the admissible q_max,
+    the two ratios and the slope of the linear term, all in powers 2^-N."""
     eps = 2.0 ** (-n)
-    q_max = (1.0 - 2.0 * eps) / (1.0 - eps)
-    if q > q_max + 1e-15:
-        raise ValueError(f"q={q} above the admissible {q_max} for N={n}")
     ratio_full = (1.0 - eps) / (1.0 - 2.0 * eps)      # (2^N-1)/(2^N-2)
     ratio_half = 0.5 / (1.0 - 2.0 * eps)              # 2^(N-1)/(2^N-2)
     log_half = (n - 1) + math.log1p(-2.0 * eps) / LOG2  # log2(2^(N-1)-1)
     log_full = n + math.log1p(-eps) / LOG2              # log2(2^N-1)
-    return (
-        1.0
-        + binary_entropy(q)
-        - binary_entropy(min(q * ratio_full, 1.0))
-        - binary_entropy(q * ratio_half)
-        + (log_half - ratio_full * log_full) * q
-    )
+    return (1.0 - 2.0 * eps) / (1.0 - eps), ratio_full, ratio_half, log_half - ratio_full * log_full
 
 
-def six_state_rate(q: float) -> float:
+def six_state_rate(q):
     """Bipartite six-state secret fraction 1 - h(3Q/2) - (3 log2 3 / 2) Q."""
-    if not 0.0 <= q <= 2.0 / 3.0:
-        raise ValueError(f"q={q} outside [0, 2/3]")
-    return 1.0 - binary_entropy(1.5 * q) - 1.5 * math.log2(3.0) * q
+    if (bad := noise_model.outside(q, 0.0, 2.0 / 3.0)) is not None:
+        raise ValueError(f"q={bad} outside [0, 2/3]")
+    return 1.0 - _entropy(1.5 * q) - SIX_STATE_SLOPE * q
 
 
 def bisect_root(f, lo: float, hi: float, xtol: float = 1e-9, max_iter: int = 200) -> float:
@@ -213,32 +265,54 @@ def twoqkd_conference_rate(q_links: list[float] | tuple[float, ...], t_rep: floa
     )
 
 
-def noisy_rate_input(n_parties: int, noise: noise_model.GateNoise | noise_model.ChannelNoise, hops: int,
-                     t_rep: float = 1.0) -> RateInput:
-    """Multipartite error rates under gate or channel noise, every Bob ``hops`` channels from Alice.
+def noisy_error_rates(n_parties: int, noise: noise_model.GateNoise | noise_model.ChannelNoise,
+                      hops: int) -> tuple:
+    """(Q_Z, Q_X, Q_AB) under gate or channel noise, every Bob ``hops`` channels
+    from Alice and erring alike; a noise model holding a grid gives grids.
 
     Gate noise runs the preparation circuit ``noise.PREPARATION`` assigns
     to the hop count; channel noise yields the white-noise mixture.
     """
     if isinstance(noise, noise_model.ChannelNoise):
-        return depolarized_rate_input(noise_model.channel_qber(n_parties, noise.f_c), n_parties, t_rep)
+        return depolarized_error_rates(noise_model.channel_qber(n_parties, noise.f_c), n_parties)
     router = noise_model.PREPARATION[hops] == noise_model.ROUTER
     lam_plus, lam_minus = (noise_model.lambda0_router if router else noise_model.lambda0_star)(n_parties, noise.f_g)
     q_z = 1.0 - lam_plus - lam_minus
     q_x = 0.5 * (1.0 - (lam_plus - lam_minus))
-    q_ab = noise_model.qab_average(n_parties, noise.f_g)
+    return q_z, q_x, noise_model.qab_average(n_parties, noise.f_g)
+
+
+def noisy_rate_input(n_parties: int, noise: noise_model.GateNoise | noise_model.ChannelNoise, hops: int,
+                     t_rep: float = 1.0) -> RateInput:
+    """``RateInput`` of ``noisy_error_rates`` for one noise level."""
+    q_z, q_x, q_ab = noisy_error_rates(n_parties, noise, hops)
     return RateInput(q_z, q_x, (q_ab,) * (n_parties - 1), n_parties, t_rep)
 
 
 def noisy_fractions(n_parties: int, noise: noise_model.GateNoise | noise_model.ChannelNoise,
-                    hops: int) -> tuple[float, float]:
+                    hops: int) -> tuple:
     """Unclamped secret fractions of the multipartite protocol and of one relay link;
     channel noise takes the white-noise closed form ``rate_depolarized``."""
     if isinstance(noise, noise_model.ChannelNoise):
         nqkd = rate_depolarized(noise_model.channel_qber(n_parties, noise.f_c), n_parties)
     else:
-        nqkd = secret_fraction(noisy_rate_input(n_parties, noise, hops)).r_inf
+        nqkd = _fraction_terms(*noisy_error_rates(n_parties, noise, hops))[0]
     return nqkd, six_state_rate(noise.link_qber(hops))
+
+
+def sweep_fractions(variable: str, n_parties: int | float, grid: np.ndarray, hops: int | None) -> tuple:
+    """Unclamped multipartite and relay-link secret fractions over a grid of
+    ``variable`` (Q, f_G or f_C) at one N, as two arrays.
+
+    A Q sweep pits the white-noise mixture against six-state links at the
+    same error rate, and ``n_parties`` may be ``math.inf``; a noise sweep
+    puts every Bob ``hops`` channels from Alice.
+    """
+    if variable != "Q":
+        return noisy_fractions(int(n_parties), noise_model.NOISE_SWEEPS[variable](grid), hops)
+    r_inf = rate_depolarized(grid, n_parties)
+    # a link error beyond the six-state domain carries no key anyway
+    return r_inf, np.where(grid <= 2.0 / 3.0, six_state_rate(np.minimum(grid, 2.0 / 3.0)), 0.0)
 
 
 def _router_gap(level: float, n_parties: int, noise: type) -> float:

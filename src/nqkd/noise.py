@@ -4,7 +4,10 @@ Two layers live side by side:
 
 * closed-form coefficient / error-rate formulas (``lambda0_star``,
   ``lambda0_router``, ``qab_average``, ``channel_qber``), the only path
-  the rates and thresholds take, O(N) time at most;
+  the rates and thresholds take, O(N) time at most.  Each takes a noise
+  level or a 1-D float64 grid of them, and a grid element has the bits
+  of the float call (``power``, ``outside`` and the ``f_G = 0`` limit of
+  ``qab_average`` tell the two apart);
 * brute-force circuit oracles on dense density matrices
   (``simulate_prep_circuit``, ``apply_channel_noise``) that recompute
   the same numbers by exhaustive enumeration for small N.
@@ -38,16 +41,37 @@ ROUTER = "router"
 PREPARATION = {1: STAR, 2: ROUTER}  # gate-noise circuit by the Bobs' hop count from Alice
 
 
+# ---------------------------------------------------------------------------
+# A noise level or a grid of them
+# ---------------------------------------------------------------------------
+
+def power(x, exponent: int):
+    """x ** exponent; a grid takes the float call's pow of each element, since
+    numpy's vectorised pow differs from libm in the last place on some inputs."""
+    if type(x) is np.ndarray:
+        return np.fromiter(map(pow, x.tolist(), itertools.repeat(exponent)), float, x.size)
+    return x ** exponent
+
+
+def outside(value, lo: float, hi: float):
+    """``value``, or a grid's first element in grid order, that is not in
+    [lo, hi], NaN included; None when every one is in it."""
+    if type(value) is np.ndarray:
+        inside = (lo <= value) & (value <= hi)
+        return None if inside.all() else value[inside.argmin()].item()
+    return None if lo <= value <= hi else value
+
+
 @dataclass(frozen=True)
 class GateNoise:
-    """Two-qubit gate failure probability."""
+    """Two-qubit gate failure probability, or a grid of them."""
 
-    f_g: float
+    f_g: float | np.ndarray
     sweep_name = "f_G"  # the variable of a sweep over this model (not a field)
 
     def __post_init__(self):
-        if not 0.0 <= self.f_g <= 1.0:
-            raise ValueError(f"f_g={self.f_g} outside [0, 1]")
+        if (bad := outside(self.f_g, 0.0, 1.0)) is not None:
+            raise ValueError(f"f_g={bad} outside [0, 1]")
 
     def link_qber(self, hops: int) -> float:
         """QBER f_G/2 of a six-state link whose pair is prepared by one noisy gate, at any hop count."""
@@ -56,21 +80,22 @@ class GateNoise:
 
 @dataclass(frozen=True)
 class ChannelNoise:
-    """Per-transmission depolarisation probability."""
+    """Per-transmission depolarisation probability, or a grid of them."""
 
-    f_c: float
+    f_c: float | np.ndarray
     sweep_name = "f_C"
 
     def __post_init__(self):
-        if not 0.0 <= self.f_c <= 1.0:
-            raise ValueError(f"f_c={self.f_c} outside [0, 1]")
+        if (bad := outside(self.f_c, 0.0, 1.0)) is not None:
+            raise ValueError(f"f_c={bad} outside [0, 1]")
 
     def link_qber(self, hops: int) -> float:
         """QBER (1 - (1-f_C)^hops)/2 of a six-state link whose Bob is ``hops`` channels from Alice."""
-        return 0.5 * (1.0 - (1.0 - self.f_c) ** hops)
+        return 0.5 * (1.0 - power(1.0 - self.f_c, hops))
 
 
-NOISE_MODELS = {"gate": GateNoise, "channel": ChannelNoise}  # by --noise kind; sweeps go by sweep_name
+NOISE_MODELS = {"gate": GateNoise, "channel": ChannelNoise}  # by --noise kind
+NOISE_SWEEPS = {model.sweep_name: model for model in NOISE_MODELS.values()}  # by sweep variable
 
 
 # ---------------------------------------------------------------------------
@@ -135,15 +160,15 @@ def lambda0_star(n_parties: int, f_g: float) -> tuple[float, float]:
     """
     if n_parties < 2:
         raise ValueError("need at least 2 parties")
-    if not 0.0 <= f_g <= 1.0:
-        raise ValueError(f"f_g={f_g} outside [0, 1]")
+    if (bad := outside(f_g, 0.0, 1.0)) is not None:
+        raise ValueError(f"f_g={bad} outside [0, 1]")
     succeed, half_fail = 1.0 - f_g, f_g / 2
     pure, success, failure = succeed / 2, 0.0, half_fail
     for _ in range(n_parties - 2):
         pure, success, failure = (pure * succeed, (success + failure / 2) * succeed,
                                   (pure + success + failure) * half_fail)
     lam_minus = success + failure / 2  # the trailing success starts a new run after a failure
-    return succeed ** (n_parties - 1) + lam_minus, lam_minus
+    return power(succeed, n_parties - 1) + lam_minus, lam_minus
 
 
 def lambda0_router(n_parties: int, f_g: float) -> tuple[float, float]:
@@ -165,11 +190,17 @@ def qab_average(n_parties: int, f_g: float) -> float:
     """
     if n_parties < 2:
         raise ValueError("need at least 2 parties")
-    if not 0.0 <= f_g <= 1.0:
-        raise ValueError(f"f_g={f_g} outside [0, 1]")
-    if f_g == 0.0:
-        return 0.0
-    return ((1.0 - f_g) ** n_parties + f_g * n_parties - 1.0) / (2.0 * f_g * (n_parties - 1))
+    if (bad := outside(f_g, 0.0, 1.0)) is not None:
+        raise ValueError(f"f_g={bad} outside [0, 1]")
+    if type(f_g) is np.ndarray:
+        # the f_G = 0 lanes divide by 1 instead of 0 and then take the limit
+        at_zero = f_g == 0.0
+        return np.where(at_zero, 0.0, _qab_ratio(n_parties, np.where(at_zero, 1.0, f_g)))
+    return 0.0 if f_g == 0.0 else _qab_ratio(n_parties, f_g)
+
+
+def _qab_ratio(n_parties: int, f_g):
+    return (power(1.0 - f_g, n_parties) + f_g * n_parties - 1.0) / (2.0 * f_g * (n_parties - 1))
 
 
 # ---------------------------------------------------------------------------
@@ -180,10 +211,10 @@ def channel_qber(n_parties: int, f_c: float) -> float:
     """Z error rate after N depolarising transmissions at probability ``f_c``."""
     if n_parties < 2:
         raise ValueError("need at least 2 parties")
-    if not 0.0 <= f_c <= 1.0:
-        raise ValueError(f"f_c={f_c} outside [0, 1]")
+    if (bad := outside(f_c, 0.0, 1.0)) is not None:
+        raise ValueError(f"f_c={bad} outside [0, 1]")
     # (2^N - 2)/2^N written as 1 - 2^(1-N), which does not overflow at large N
-    return (1.0 - 2.0 ** (1 - n_parties)) * (1.0 - (1.0 - f_c) ** n_parties)
+    return (1.0 - 2.0 ** (1 - n_parties)) * (1.0 - power(1.0 - f_c, n_parties))
 
 
 def apply_channel_noise(state: DenseState, f_c: float) -> DenseState:

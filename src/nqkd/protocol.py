@@ -73,6 +73,10 @@ from .noise import depolarized_state
 ROUND_BYTES = 5
 PARITY_ROUND_BYTES = 5
 ANNOUNCED_ROUND_BYTES = 10
+# a GhzDiagonalState adds state-sized temporaries, per branch j of its
+# 2^(N-1): sample_xy_bits holds six float64 copies and three bool ones at
+# its peak, 51 B per branch (tracemalloc at N=20), so k = 6.5 float64 copies
+BRANCH_BYTES = 52
 # toeplitz_hash per key bit at its worst, a key just above a power of two hashed to
 # its full length: two spectra of 32 B and the key's float64 copy (tracemalloc);
 # run_protocol(..., hash_key=True) counts it for a key of L bits
@@ -120,12 +124,14 @@ class ProtocolConfig:
         round adds its N basis bits plus ``PARITY_ROUND_BYTES``, an
         announced Z round the N bits of the copy the estimate reads plus
         ``ANNOUNCED_ROUND_BYTES``; the batched draws add at most
-        ``BATCH_BYTES``.  Parity rounds are counted at their expected number.
+        ``BATCH_BYTES``, and a ``GhzDiagonalState`` ``BRANCH_BYTES`` per
+        branch.  Parity rounds are counted at their expected number.
         """
         parity = self.n_rounds * self.p_estimation
         announced = min(parity if self.announced_z_rounds is None else self.announced_z_rounds,
                         self.n_rounds - parity)
-        return math.ceil(BATCH_BYTES + self.n_rounds * (self.n_parties + ROUND_BYTES)
+        branches = 1 << (self.n_parties - 1) if isinstance(self.state, GhzDiagonalState) else 0
+        return math.ceil(BATCH_BYTES + BRANCH_BYTES * branches + self.n_rounds * (self.n_parties + ROUND_BYTES)
                          + parity * (self.n_parties + PARITY_ROUND_BYTES)
                          + announced * (self.n_parties + ANNOUNCED_ROUND_BYTES))
 

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, formats, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import nqkd
+from nqkd import keyrate
 from nqkd.cli import main, parse_n_list, parse_noise, parse_sweep
 from nqkd.noise import ChannelNoise, GateNoise
 
@@ -100,6 +102,50 @@ def test_rates_usage_errors(tmp_path, capsys):
     assert run_cli(["rates", "--sweep", "Q:0:0.3:1", "--n", "2"]) == 2
     assert run_cli(["rates", "--sweep", "f_G:0:0.2:5", "--n", "inf"]) == 2
     assert run_cli(["rates", "--sweep", "Q:0:0.95:5", "--n", "2"]) == 2  # beyond admissible Q
+    capsys.readouterr()
+    # a grid out of range names its first bad value, N by N and then in grid order
+    for sweep, n_text, message in (
+        ("Q:0:0.95:5", "2", "q=0.7124999999999999 above the admissible 0.6666666666666666 for N=2"),
+        ("Q:0:0.95:5", "3,2", "q=0.95 above the admissible 0.8571428571428571 for N=3"),
+        ("Q:0:1.5:5", "2..4,inf", "q=0.75 above the admissible 0.6666666666666666 for N=2"),
+        ("Q:0:1.5:5", "inf", "q=1.125 outside [0, 1]"),
+        ("f_G:0:1.2:5", "3", "f_g=1.2 outside [0, 1]"),
+        ("f_C:0:1.5:5", "3..5", "f_c=1.125 outside [0, 1]"),
+    ):
+        assert run_cli(["rates", "--sweep", sweep, "--n", n_text]) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+# SHA-256 of the README's and the benchmark's rate sweeps, as printed before
+# the sweeps were evaluated as one grid per N
+RATES_SHA256 = {
+    ("Q:0:0.35:200", "2..8,inf", "star", "csv"): "795c4cd17c12aab10758738fc58e7b2999a89626fe78d281b184ecada15eaa39",
+    ("f_G:0:0.25:200", "2..8", "star", "csv"): "9360fe15cb854f3f73a76b1dad7a31cf82e1fce055083327a44e4d98078c3a3f",
+    ("f_C:0:0.1:200", "3..8", "router", "csv"): "0d9fe32b683f74f587772112ad4ba81c8ad54e5531f9b9cb61f954fc3fdb5ae5",
+    ("f_G:0:0.25:200", "2..8", "star", "json"): "2c7e8a7e1c0559064cbd067eb2089e03ac0a2466129f960ad933ddcbc5129087",
+}
+
+
+@pytest.mark.parametrize("spec", RATES_SHA256, ids=["-".join(spec) for spec in RATES_SHA256])
+def test_rates_sweep_bytes_pinned(tmp_path, spec):
+    sweep, n_text, topology, fmt = spec
+    out = tmp_path / f"rates.{fmt}"
+    assert run_cli(["rates", "--sweep", sweep, "--n", n_text, "--topology", topology,
+                    "--format", fmt, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RATES_SHA256[spec]
+
+
+def test_rates_evaluate_one_grid_per_n(tmp_path, monkeypatch):
+    calls = []
+    closed_form = keyrate.rate_depolarized
+
+    def counted(q, n):
+        calls.append((n, len(q)))
+        return closed_form(q, n)
+
+    monkeypatch.setattr(keyrate, "rate_depolarized", counted)
+    assert run_cli(["rates", "--sweep", "Q:0:0.3:50", "--n", "2..4,inf", "--out", str(tmp_path / "q.csv")]) == 0
+    assert calls == [(2, 50), (3, 50), (4, 50), (math.inf, 50)]
 
 
 @pytest.mark.parametrize("topology", ["router", "butterfly"])

@@ -1,4 +1,5 @@
-"""Every module-level import in the package is used by the module that makes it."""
+"""Every module-level import in the package is used by the module that makes it, and every
+local a function stores is read in that function."""
 
 import ast
 from pathlib import Path
@@ -36,3 +37,34 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def unused_locals(source: str) -> list[str]:
+    """Names a function stores and never loads, in its own body or a nested one; ``_`` and the
+    names it declares ``global`` or ``nonlocal`` aside."""
+    found = []
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        stored, loaded = {}, {"_"}
+        for node in ast.walk(func):
+            if isinstance(node, (ast.Global, ast.Nonlocal)):
+                loaded.update(node.names)
+            elif isinstance(node, ast.Name):
+                if isinstance(node.ctx, ast.Store):
+                    stored.setdefault(node.id, node.lineno)
+                else:
+                    loaded.add(node.id)
+        found += [f"line {line}: {name} in {func.name}" for name, line in stored.items() if name not in loaded]
+    return found
+
+
+def test_unused_locals_are_found():
+    source = "def f(a):\n    dim = 1 << a\n    for _ in range(a):\n        total = a\n    x, y = a, a\n" \
+             "    def g():\n        return x\n    global seen\n    seen = a\n    return g\n"
+    assert unused_locals(source) == ["line 2: dim in f", "line 4: total in f", "line 5: y in f"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=[p.name for p in MODULES])
+def test_module_has_no_unused_locals(path):
+    assert unused_locals(path.read_text(encoding="utf-8")) == []

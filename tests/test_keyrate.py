@@ -2,10 +2,12 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from nqkd import keyrate
 from nqkd.keyrate import (
     RateInput,
     SolverError,
@@ -19,10 +21,11 @@ from nqkd.keyrate import (
     rate_depolarized,
     secret_fraction,
     six_state_rate,
+    sweep_fractions,
     threshold_qber,
     twoqkd_conference_rate,
 )
-from nqkd.noise import ChannelNoise, GateNoise, channel_qber, lambda0_router, lambda0_star
+from nqkd.noise import ChannelNoise, GateNoise, channel_qber, lambda0_router, lambda0_star, qab_average
 
 TABLE_QBER = {
     2: 0.126193, 3: 0.209716, 4: 0.263087, 5: 0.295974, 6: 0.315562,
@@ -236,3 +239,77 @@ def test_noisy_fractions_follow_the_noise_model_and_hops():
                 assert inp.q_x == 0.5 * (1.0 - (lam_plus - lam_minus))
                 assert nqkd == secret_fraction(inp).r_inf
                 assert link == six_state_rate(f / 2)
+
+
+def _q_max(n):
+    eps = 2.0 ** -n
+    return (1.0 - 2.0 * eps) / (1.0 - eps)
+
+
+def _same_bits(grid, floats):
+    floats = np.array(floats, dtype=float)
+    assert grid.dtype == np.float64 and grid.shape == floats.shape
+    assert np.array_equal(grid.view(np.int64), floats.view(np.int64))
+
+
+@pytest.mark.parametrize("n", [2, 3, 8, 40, 1100])
+def test_grid_elements_match_the_float_calls_bit_for_bit(n):
+    # numpy's vectorised log2 and pow differ from libm in the last place on a
+    # few percent of inputs; a grid element must still be the float call's
+    rng = np.random.default_rng(n)
+    q = np.concatenate([[0.0, _q_max(n), 2.0 / 3.0], rng.uniform(0.0, _q_max(n), 120)])
+    f = np.concatenate([[0.0, 1.0], rng.uniform(0.0, 1.0, 60), rng.uniform(0.0, 0.3, 60)])
+    r_inf, r_link = sweep_fractions("Q", n, q, None)
+    _same_bits(r_inf, [rate_depolarized(v, n) for v in q.tolist()])
+    _same_bits(r_link, [six_state_rate(v) if v <= 2.0 / 3.0 else 0.0 for v in q.tolist()])
+    for hops in (1, 2):
+        for variable, model in (("f_G", GateNoise), ("f_C", ChannelNoise)):
+            r_inf, r_link = sweep_fractions(variable, n, f, hops)
+            floats = [noisy_fractions(n, model(v), hops) for v in f.tolist()]
+            _same_bits(r_inf, [nqkd for nqkd, _ in floats])
+            _same_bits(r_link, [link for _, link in floats])
+    for lambda0 in (lambda0_star, lambda0_router):
+        for grid, floats in zip(lambda0(n, f), zip(*(lambda0(n, v) for v in f.tolist()))):
+            _same_bits(grid, floats)
+    _same_bits(qab_average(n, f), [qab_average(n, v) for v in f.tolist()])
+    _same_bits(channel_qber(n, f), [channel_qber(n, v) for v in f.tolist()])
+    _same_bits(binary_entropy(f), [binary_entropy(v) for v in f.tolist()])
+    _same_bits(six_state_rate(f * (2.0 / 3.0)), [six_state_rate(v) for v in (f * (2.0 / 3.0)).tolist()])
+    # the float path stays on Python floats
+    assert all(type(x) is float for x in (rate_depolarized(0.1, n), six_state_rate(0.1), qab_average(n, 0.1),
+                                          *noisy_fractions(n, GateNoise(0.1), 2), *lambda0_star(n, 0.1)))
+
+
+def test_large_n_limit_grid_matches_the_float_calls():
+    q = np.concatenate([[0.0, 2.0 / 3.0, 1.0], np.random.default_rng(1).uniform(0.0, 1.0, 120)])
+    r_inf, r_link = sweep_fractions("Q", math.inf, q, None)
+    _same_bits(r_inf, [rate_depolarized(v, math.inf) for v in q.tolist()])
+    _same_bits(r_link, [six_state_rate(v) if v <= 2.0 / 3.0 else 0.0 for v in q.tolist()])
+
+
+def test_grid_range_errors_name_the_first_bad_value():
+    with pytest.raises(ValueError, match=r"^q=0\.7 above the admissible 0\.6666666666666666 for N=2$"):
+        rate_depolarized(np.array([0.1, 0.7, 0.9]), 2)
+    with pytest.raises(ValueError, match=r"^f_g=1\.5 outside \[0, 1\]$"):
+        GateNoise(np.array([0.5, 1.5, -1.0]))
+    with pytest.raises(ValueError, match=r"^f_c=nan outside \[0, 1\]$"):
+        channel_qber(3, np.array([0.5, math.nan]))
+    with pytest.raises(ValueError, match=r"^p=-0\.5 outside \[0, 1\]$"):
+        binary_entropy(np.array([0.0, -0.5]))
+
+
+def test_edge_grids_raise_no_warnings():
+    # the masked lanes, f = 0 in qab_average and x <= 0 under the log, must
+    # neither divide by zero nor take a log of 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for n in (2, 3, 40):
+            sweep_fractions("Q", n, np.array([0.0, 0.5 * _q_max(n), _q_max(n)]), None)
+            for hops in (1, 2):
+                sweep_fractions("f_G", n, np.array([0.0, 0.5, 1.0]), hops)
+                sweep_fractions("f_C", n, np.array([0.0, 0.5, 1.0]), hops)
+        sweep_fractions("Q", math.inf, np.array([0.0, 1.0]), None)
+        assert qab_average(3, np.array([0.0, 1.0])).tolist() == [0.0, 0.5]
+        # the parity terms of estimated error rates can go negative and are clamped to 0
+        _, terms = keyrate._fraction_terms(np.array([0.0, 0.2]), np.array([-0.1, 0.05]), np.array([0.0, 0.1]))
+        assert terms[1].tolist() == [0.0, 0.0]

@@ -610,6 +610,9 @@ def test_run_protocol_peak_memory_within_peak_bytes():
         (3, depolarized_state(3, 0.0), 0.01, n_rounds),
         (2, _every_round_flipped(2, False), 0.95, None),
         (6, _every_round_flipped(6, False), 0.3, None),
+        # the state-sized temporaries of a GhzDiagonalState's samplers
+        (12, _every_round_flipped(12, False), 0.05, None),
+        (20, _every_round_flipped(20, False), 0.05, None),
     ]
     ratios = []
     for n, state, p, announced in cases:
