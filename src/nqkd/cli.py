@@ -166,7 +166,7 @@ def cmd_simulate(args) -> int:
         config = protocol_sim.protocol_config_from_json(fh.read())
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    result = protocol_sim.run_protocol(config, hash_key=args.hash_key)
+    result = protocol_sim.run_protocol(config, hash_key=args.hash_key, transcript=bool(args.transcript))
     if args.transcript:
         protocol_sim.write_transcript(args.transcript, result.run)
     write_text(args.out, result.summary_json())
@@ -195,40 +195,30 @@ def cmd_network(args) -> int:
     return 0
 
 
-@functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The ``nqkd`` parser, built once; each ``parse_args`` call returns a fresh namespace."""
-    parser = argparse.ArgumentParser(
-        prog="nqkd",
-        description="Conference key distribution with multiparty entangled states: "
-        "rates, thresholds, protocol simulation and network comparison.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    rates = sub.add_parser("rates", help="secret-fraction sweeps for a family of N")
+def _rates_arguments(rates: argparse.ArgumentParser) -> None:
     rates.add_argument("--sweep", required=True, help="var:start:stop:steps with var in Q, f_G, f_C")
     rates.add_argument("--n", required=True, help="party counts, e.g. 2..8 or 2,3,inf")
     rates.add_argument("--topology", default="star", choices=list(networks.TOPOLOGIES))
     rates.add_argument("--out", default="-")
     rates.add_argument("--format", default="csv", choices=["csv", "json"])
-    rates.set_defaults(func=cmd_rates)
 
-    thresholds = sub.add_parser("thresholds", help="solve noise thresholds per N")
+
+def _thresholds_arguments(thresholds: argparse.ArgumentParser) -> None:
     thresholds.add_argument("--kind", required=True, choices=["qber", "gate", "channel"])
     thresholds.add_argument("--n", required=True, help="party counts, e.g. 3..18")
     thresholds.add_argument("--out", default="-")
     thresholds.add_argument("--format", default="csv", choices=["csv", "json"])
-    thresholds.set_defaults(func=cmd_thresholds)
 
-    simulate = sub.add_parser("simulate", help="run the round-by-round protocol simulation")
+
+def _simulate_arguments(simulate: argparse.ArgumentParser) -> None:
     simulate.add_argument("--config", required=True, help="JSON protocol configuration")
     simulate.add_argument("--seed", type=int, default=None, help="override the config seed")
     simulate.add_argument("--transcript", default=None, help="write JSON-lines round records here")
     simulate.add_argument("--hash-key", action="store_true", help="Toeplitz-hash the corrected key")
     simulate.add_argument("--out", default="-")
-    simulate.set_defaults(func=cmd_simulate)
 
-    net = sub.add_parser("network", help="compare both protocols on a network")
+
+def _network_arguments(net: argparse.ArgumentParser) -> None:
     net.add_argument("--topology", default="router", choices=list(networks.TOPOLOGIES))
     net.add_argument("--graph", default=None, help="JSON network description (overrides --topology)")
     net.add_argument("--n", default=None, help="number of parties; with --graph, the count the graph must have")
@@ -237,13 +227,41 @@ def build_parser() -> argparse.ArgumentParser:
     noise_or_sweep.add_argument("--sweep", default=None, help="f_G:start:stop:steps or f_C:start:stop:steps")
     net.add_argument("--out", default="-")
     net.add_argument("--format", default="csv", choices=["csv", "json"])
-    net.set_defaults(func=cmd_network)
+
+
+# name -> (help, run, add its arguments)
+SUBCOMMANDS = {
+    "rates": ("secret-fraction sweeps for a family of N", cmd_rates, _rates_arguments),
+    "thresholds": ("solve noise thresholds per N", cmd_thresholds, _thresholds_arguments),
+    "simulate": ("run the round-by-round protocol simulation", cmd_simulate, _simulate_arguments),
+    "network": ("compare both protocols on a network", cmd_network, _network_arguments),
+}
+
+
+@functools.cache
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The ``nqkd`` parser, built once per command; each ``parse_args`` call returns a fresh namespace.
+
+    Every subcommand is listed, but only ``command``'s arguments are
+    added, or every subcommand's when ``command`` is None.
+    """
+    parser = argparse.ArgumentParser(
+        prog="nqkd",
+        description="Conference key distribution with multiparty entangled states: "
+        "rates, thresholds, protocol simulation and network comparison.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, run, add_arguments) in SUBCOMMANDS.items():
+        subparser = sub.add_parser(name, help=help_text)
+        if command in (None, name):
+            add_arguments(subparser)
+        subparser.set_defaults(func=run)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

@@ -50,12 +50,28 @@ state), sigma is a fair coin that hides |j AND y|, and the round draws
 no bits of j.
 
 The announced Z rounds are a uniform subset of their size, thinned from
-a slightly larger Bernoulli subset in O(size) (``_uniform_subset``).  No
-draw holds an array of 8 bytes for every round.
+a slightly larger Bernoulli subset in O(size) (``_uniform_subset``).
+
+What a run holds
+----------------
+Five seeded streams feed a run (schedule, Z rounds, parity rounds,
+announced subset, post-processing), and each is drawn in the same order
+whatever the run writes, so every output but the transcript is the same
+with and without one.  Without a transcript the schedule is only
+counted, the announced subset is drawn next, and the Z sampler writes
+the Bobs' bits only on the announced rows: sorted drawn positions meet
+the sorted announced positions batch by batch (``_meet``).  Such a run
+holds Alice's Z bits packed, L/8 bytes, the parity rounds' bases and
+outcomes and the announced rounds' outcomes, and no array of a byte or
+more for every round.  The key and its flip mask are built from the
+packed bits only when read (``--hash-key``).  With a transcript the run
+also holds the schedule as a mask over the rounds and every Z round's
+N outcome bits, which the transcript writer interleaves.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -67,20 +83,23 @@ from .keyrate import RateInput, RateReport, binary_entropy, secret_fraction
 from .noise import depolarized_state
 
 
-# ProtocolConfig.peak_bytes: bytes beyond the outcome, basis and gathered
-# bits, measured with tracemalloc up to p = 0.95 and with every Z round
-# announced; test_run_protocol_peak_memory_within_peak_bytes pins them.
-ROUND_BYTES = 5
-PARITY_ROUND_BYTES = 5
-ANNOUNCED_ROUND_BYTES = 10
+# ProtocolConfig.peak_bytes: bytes beyond the packed Z bits, the basis and
+# outcome bits of the parity rounds and those of the announced Z rounds,
+# measured with tracemalloc up to p = 0.95 and with every Z round announced;
+# test_run_protocol_peak_memory_within_peak_bytes pins them.
+PARITY_ROUND_BYTES = 6
+ANNOUNCED_ROUND_BYTES = 14
 # a GhzDiagonalState adds state-sized temporaries, per branch j of its
 # 2^(N-1): sample_xy_bits holds six float64 copies and three bool ones at
 # its peak, 51 B per branch (tracemalloc at N=20), so k = 6.5 float64 copies
 BRANCH_BYTES = 52
+# a run with a transcript holds every round's N outcome bits, the schedule
+# and the full matrix's transients beyond them
+TRANSCRIPT_ROUND_BYTES = 2
 # toeplitz_hash per key bit at its worst, a key just above a power of two hashed to
-# its full length: two spectra of 32 B and the key's float64 copy (tracemalloc);
-# run_protocol(..., hash_key=True) counts it for a key of L bits
-HASH_BIT_BYTES = 72
+# its full length: two spectra of 32 B and the key's float64 copy (tracemalloc),
+# and the key and flip mask it reads; counted for a key of L bits
+HASH_BIT_BYTES = 74
 
 
 def _is_integer(value) -> bool:
@@ -113,27 +132,36 @@ class ProtocolConfig:
                              "ghz_diagonal_from_dense")
         if self.state.n_parties != self.n_parties:
             raise ValueError(f"state has {self.state.n_parties} parties, config says {self.n_parties}")
-        if self.peak_bytes() > ARRAY_BYTE_BUDGET:
-            raise ValueError(f"{self.n_rounds} rounds of {self.n_parties} parties need about "
-                             f"{self.peak_bytes()} bytes, over the {ARRAY_BYTE_BUDGET}-byte budget")
+        self.check_budget()
 
-    def peak_bytes(self) -> int:
+    def peak_bytes(self, hash_key: bool = False, transcript: bool = False) -> int:
         """Bytes ``run_protocol`` holds at its peak, from the per-round costs it was measured at.
 
-        Every round holds its N outcome bits plus ``ROUND_BYTES``; a parity
-        round adds its N basis bits plus ``PARITY_ROUND_BYTES``, an
-        announced Z round the N bits of the copy the estimate reads plus
+        Every round is counted at Alice's packed Z bit; a parity round
+        holds its N basis and N outcome bits plus ``PARITY_ROUND_BYTES``,
+        an announced Z round its N outcome bits plus
         ``ANNOUNCED_ROUND_BYTES``; the batched draws add at most
         ``BATCH_BYTES``, and a ``GhzDiagonalState`` ``BRANCH_BYTES`` per
-        branch.  Parity rounds are counted at their expected number.
+        branch.  A transcript adds N + ``TRANSCRIPT_ROUND_BYTES`` and a
+        hashed key ``HASH_BIT_BYTES`` per round.  Parity rounds are
+        counted at their expected number.
         """
         parity = self.n_rounds * self.p_estimation
         announced = min(parity if self.announced_z_rounds is None else self.announced_z_rounds,
                         self.n_rounds - parity)
         branches = 1 << (self.n_parties - 1) if isinstance(self.state, GhzDiagonalState) else 0
-        return math.ceil(BATCH_BYTES + BRANCH_BYTES * branches + self.n_rounds * (self.n_parties + ROUND_BYTES)
-                         + parity * (self.n_parties + PARITY_ROUND_BYTES)
+        per_round = 1 / 8 + hash_key * HASH_BIT_BYTES + transcript * (self.n_parties + TRANSCRIPT_ROUND_BYTES)
+        return math.ceil(BATCH_BYTES + BRANCH_BYTES * branches + self.n_rounds * per_round
+                         + parity * (2 * self.n_parties + PARITY_ROUND_BYTES)
                          + announced * (self.n_parties + ANNOUNCED_ROUND_BYTES))
+
+    def check_budget(self, hash_key: bool = False, transcript: bool = False) -> None:
+        """Raise ``ValueError`` when a run with these outputs would pass ``ARRAY_BYTE_BUDGET``."""
+        needed = self.peak_bytes(hash_key, transcript)
+        if needed > ARRAY_BYTE_BUDGET:
+            outputs = " and ".join(name for name, on in (("a hashed key", hash_key), ("a transcript", transcript)) if on)
+            raise ValueError(f"{self.n_rounds} rounds of {self.n_parties} parties{' with ' + outputs if outputs else ''} "
+                             f"need about {needed} bytes, over the {ARRAY_BYTE_BUDGET}-byte budget")
 
 
 @dataclass(frozen=True)
@@ -192,7 +220,7 @@ class ResourceLedger:
     key_rounds: int
 
 
-_F_SIGNS = np.array([1, 0, -1, 0])  # f(kappa) by kappa mod 4
+_F_SIGNS = np.array([1, 0, -1, 0], dtype=np.int8)  # f(kappa) by kappa mod 4
 
 
 def f_sign(kappa_tilde: int | np.ndarray) -> int | np.ndarray:
@@ -217,13 +245,23 @@ def f_sign(kappa_tilde: int | np.ndarray) -> int | np.ndarray:
 # run's draws stay bounded whatever its length.
 DRAW_BATCH = 1 << 16
 BATCH_BYTES = 64 * DRAW_BATCH  # what one batch of drawn rows holds at most, with room to spare
+MARK_SPAN = 16  # positions per drawn row up to which _meet marks a span instead of searching
+
+
+def _packed_bits(rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` independent fair bits, eight to each random byte, in ``np.unpackbits`` order."""
+    return np.frombuffer(rng.bytes(-(-count // 8)), dtype=np.uint8)
 
 
 def _uniform_bits(rng: np.random.Generator, shape: int | tuple[int, ...]) -> np.ndarray:
     """Independent fair bits (uint8 0/1) of the given shape, eight to each random byte."""
     size = math.prod(shape) if isinstance(shape, tuple) else shape
-    packed = np.frombuffer(rng.bytes(-(-size // 8)), dtype=np.uint8)
-    return np.unpackbits(packed, count=size).reshape(shape)
+    return np.unpackbits(_packed_bits(rng, size), count=size).reshape(shape)
+
+
+def _bits_at(packed: np.ndarray, index: np.ndarray) -> np.ndarray:
+    """The bits of ``packed`` at the bit positions ``index``, read without unpacking the rest."""
+    return (packed[index >> 3] >> (~index & 7).astype(np.uint8)) & 1
 
 
 def _bernoulli_positions(length: int, p: float, rng: np.random.Generator):
@@ -268,6 +306,8 @@ def _uniform_subset(population: int, size: int, rng: np.random.Generator) -> np.
     ``size``-subset.  A draw with m < size is drawn again.  The cost is
     O(size), with no array over the whole population.
     """
+    if size == 0:
+        return np.empty(0, dtype=np.int64)
     rate = min(1.0, (size + 5.0 * math.sqrt(size) + 1.0) / population)
     while True:
         positions = np.concatenate([np.empty(0, dtype=np.int64),
@@ -303,14 +343,47 @@ def _bob_flips(state: GhzDiagonalState | WeightClassState, branch: np.ndarray,
             yield ((branch >> (n - 1 - bob)) & 1).astype(bool)
 
 
+def _meet(rows: np.ndarray | None, drawn: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
+    """Where the sorted ``drawn`` rows fall among the sorted ``rows``: their columns there, and a
+    mask of the drawn rows that do.  ``rows`` None holds every row, each at its own column.
+
+    Only the rows within the drawn span are read.  Where at least one
+    position in ``MARK_SPAN`` is drawn, those rows are marked on a byte per
+    position of the span, at most ``MARK_SPAN * DRAW_BATCH`` bytes;
+    sparser drawn rows are each found by binary search.
+    """
+    if rows is None:
+        return drawn, slice(None)
+    first, end = rows.searchsorted((drawn[0], drawn[-1] + 1))
+    window = rows[first:end]
+    span = int(drawn[-1] - drawn[0]) + 1
+    if span <= MARK_SPAN * drawn.size:
+        marked = np.zeros(span, dtype=bool)
+        marked[window - drawn[0]] = True
+        hit = marked[drawn - drawn[0]]
+    elif window.size:
+        hit = window.take(window.searchsorted(drawn), mode="clip") == drawn
+    else:
+        hit = np.zeros(drawn.size, dtype=bool)
+    return first + window.searchsorted(drawn[hit]), hit
+
+
 def sample_z_bits(state: GhzDiagonalState | WeightClassState, count: int,
-                  rng: np.random.Generator) -> np.ndarray:
-    """Z-basis outcome bits, shape (count, N); bit 0 is the +1 outcome.
+                  rng: np.random.Generator, rows: np.ndarray | None = None,
+                  alice: np.ndarray | None = None) -> np.ndarray:
+    """Z-basis outcome bits of ``count`` rounds, shape (count, N); bit 0 is the +1 outcome.
+
+    Given sorted distinct ``rows``, only those rounds' bits are written and
+    returned, shape (rows.size, N), and they equal the same rows of the
+    full matrix drawn from the same stream: every draw below is made
+    whatever ``rows`` holds, and a drawn row that is not among them is
+    skipped after its draw.  ``alice`` holds Alice's bits packed as
+    ``rng.bytes`` draws them; without it they are the first draw.
 
     A round draws a branch j and Alice's bit; |j, sigma> gives the Bobs the
     bits of j when Alice reads 0 and those of ~j when she reads 1.  Alice's
-    bits are packed fair bits, and every row that is not drawn below copies
-    them to the Bobs.
+    bits are fair bits, read at the rows that are written, and every row
+    that is not drawn below copies them to the Bobs.
 
     The state's class masses (per branch j, or per Bob weight w) are split
     into a part uniform over all branches and residual classes
@@ -318,14 +391,21 @@ def sample_z_bits(state: GhzDiagonalState | WeightClassState, count: int,
     rate 1 - R_0, and each belongs to the uniform part or to a residual
     class c >= 1 in proportion to their masses, by one uniform per row,
     drawn only when the residual tail is not zero.  A uniform-part row
-    gives each Bob a fair bit, whatever Alice's, written as one packed
+    gives each Bob a fair bit, whatever Alice's, drawn as one packed
     (N-1, rows) block; a residual row gives the Bobs the bits of its
     class (``_bob_flips``).  The result is the transpose of a party-major
     array.
     """
     n = state.n_parties
-    bits = np.empty((n, count), dtype=np.uint8)  # one contiguous row per party
-    bits[0] = _uniform_bits(rng, count)
+    if alice is None:
+        alice = _packed_bits(rng, count)
+    if rows is None:
+        bits = np.empty((n, count), dtype=np.uint8)  # one contiguous row per party
+        bits[0] = np.unpackbits(alice, count=count)
+    else:
+        bits = np.empty((n, rows.size), dtype=np.uint8)
+        for start in range(0, rows.size, DRAW_BATCH):  # the bit reads' int64 transients stay per batch
+            bits[0, start : start + DRAW_BATCH] = _bits_at(alice, rows[start : start + DRAW_BATCH])
     bits[1:] = bits[0]
     uniform_mass, masses = uniform_split(state)
     tail_mass = masses[1:].sum()
@@ -337,21 +417,24 @@ def sample_z_bits(state: GhzDiagonalState | WeightClassState, count: int,
     bounds = np.cumsum(parts)  # a uniform in [bounds[c - 1], bounds[c]) draws part c
     last = bounds.searchsorted(bounds[-1])  # the last part of positive mass
     block_rows = max(1, BATCH_BYTES // (2 * (n - 1)))  # the unpacked fair bits of a block stay within BATCH_BYTES / 2
-    for rows in _bernoulli_positions(count, drawn_mass / (masses[0] + drawn_mass), rng):
+    for drawn in _bernoulli_positions(count, drawn_mass / (masses[0] + drawn_mass), rng):
         if tail_mass == 0.0:
-            uniform_rows, rows = rows, rows[:0]
+            uniform_rows = drawn
         else:
-            part = bounds.searchsorted(rng.random(rows.size), side="right")
+            part = bounds.searchsorted(rng.random(drawn.size), side="right")
             np.minimum(part, last, out=part)  # rounding may land past the last bound
             residual = part > 0
-            uniform_rows, rows, branch = rows[~residual], rows[residual], part[residual]
-        if rows.size:
-            alice = bits[0, rows]
-            for bob, flip in enumerate(_bob_flips(state, branch, rng), start=1):
-                bits[bob, rows] = alice ^ flip
+            uniform_rows = drawn[~residual]
+            if residual.any():
+                at, hit = _meet(rows, drawn[residual])
+                alice_bits = bits[0, at]
+                for bob, flip in enumerate(_bob_flips(state, part[residual], rng), start=1):
+                    bits[bob, at] = alice_bits ^ flip[hit]
         for start in range(0, uniform_rows.size, block_rows):
             block = uniform_rows[start : start + block_rows]
-            bits[1:, block] = _uniform_bits(rng, (n - 1, block.size))
+            fair = _uniform_bits(rng, (n - 1, block.size))
+            at, hit = _meet(rows, block)
+            bits[1:, at] = fair[:, hit]
     return bits.T
 
 
@@ -527,10 +610,17 @@ class ProtocolResult:
     rate_report: RateReport
     key_length_estimate: float
     discard_fraction: float
-    key_bits: np.ndarray          # Alice's flipped key-round bits
-    flip_mask: np.ndarray
     hashed_key: np.ndarray | None
     run: ProtocolRun              # the sampled rounds, for the transcript
+
+    @property
+    def key_bits(self) -> np.ndarray:
+        """Alice's key-round bits under the flip mask."""
+        return self.run.flipped_key[0]
+
+    @property
+    def flip_mask(self) -> np.ndarray:
+        return self.run.flipped_key[1]
 
     def summary_json(self) -> str:
         return json.dumps(
@@ -567,29 +657,60 @@ class ProtocolResult:
 
 
 class ProtocolRun:
-    """All sampled rounds of one protocol execution.
+    """The sampled rounds of one protocol execution.
 
-    ``z_bits``, ``xy_bases`` and ``xy_bits`` have shape (rounds, N) and
-    are views of party-major arrays, one contiguous row per party.
+    Every run holds Alice's Z bits packed (``z_alice``), the announced Z
+    rounds' sorted positions among the ``z_count`` Z rounds
+    (``announced_rows``) and their outcome bits (``announced_bits``), and
+    the parity rounds' ``xy_bases`` and ``xy_bits``.  A run built with
+    ``transcript`` also holds the schedule ``is_xy`` and every Z round's
+    outcome bits ``z_bits``, which ``write_transcript`` reads; without it
+    both are None and the Bobs' bits are written only where announced.
+    Both kinds draw the same streams in the same order.  Bit arrays have
+    shape (rounds, N) and are views of party-major arrays, one contiguous
+    row per party.
     """
 
-    def __init__(self, config: ProtocolConfig):
+    def __init__(self, config: ProtocolConfig, transcript: bool = True):
+        config.check_budget(transcript=transcript)
         self.config = config
-        schedule_rng, z_rng, xy_rng, subset_rng, post_rng = _schedule_rng_streams(config)
-        self.is_xy = np.zeros(config.n_rounds, dtype=bool)
-        for positions in _bernoulli_positions(config.n_rounds, config.p_estimation, schedule_rng):
-            self.is_xy[positions] = True
-        xy_count = int(np.count_nonzero(self.is_xy))
-        z_count = config.n_rounds - xy_count
+        schedule_rng, z_rng, xy_rng, subset_rng, self._post_rng = _schedule_rng_streams(config)
+        schedule = _bernoulli_positions(config.n_rounds, config.p_estimation, schedule_rng)
+        if transcript:
+            self.is_xy = np.zeros(config.n_rounds, dtype=bool)
+            for positions in schedule:
+                self.is_xy[positions] = True
+            xy_count = int(np.count_nonzero(self.is_xy))
+        else:
+            self.is_xy = None
+            xy_count = sum(positions.size for positions in schedule)
+        self.z_count = config.n_rounds - xy_count
+        self.ledger = preshared_key_accounting(config, second_type_rounds=xy_count)
+        self.announced_rows = _uniform_subset(self.z_count, self.ledger.announced_z_rounds, subset_rng)
 
-        self.z_bits = sample_z_bits(config.state, z_count, z_rng)
+        self.z_alice = _packed_bits(z_rng, self.z_count)
+        if transcript:
+            self.z_bits = sample_z_bits(config.state, self.z_count, z_rng, alice=self.z_alice)
+            # take, unlike [:, rows], returns C-ordered party rows for the estimator
+            self.announced_bits = self.z_bits.T.take(self.announced_rows, axis=1).T
+        else:
+            self.z_bits = None
+            self.announced_bits = sample_z_bits(config.state, self.z_count, z_rng, self.announced_rows, self.z_alice)
         self.xy_bases = _uniform_bits(xy_rng, (config.n_parties, xy_count)).T
         self.xy_bits = sample_xy_bits(config.state, self.xy_bases, xy_rng)
-        self._subset_rng = subset_rng
-        self._post_rng = post_rng
+
+    @functools.cached_property
+    def flipped_key(self) -> tuple[np.ndarray, np.ndarray]:
+        """Alice's key-round bits under the classical flip mask, and the mask, built on first read.
+
+        The mask is ``post_rng``'s first draw, so a hash of the key reads it first.
+        """
+        key = np.delete(np.unpackbits(self.z_alice, count=self.z_count), self.announced_rows)
+        flipped, mask = classical_depolarize(key[:, None], self._post_rng)
+        return flipped[:, 0], mask
 
 
-def run_protocol(config: ProtocolConfig, hash_key: bool = False) -> ProtocolResult:
+def run_protocol(config: ProtocolConfig, hash_key: bool = False, transcript: bool = False) -> ProtocolResult:
     """Execute a full protocol run and account for the resulting key.
 
     Error correction and privacy amplification enter as information
@@ -597,29 +718,18 @@ def run_protocol(config: ProtocolConfig, hash_key: bool = False) -> ProtocolResu
     h(max Q_AB) bits of correction information per key bit and the
     corresponding amplification subtraction.  With ``hash_key`` the
     corrected string is additionally compressed through a seeded
-    Toeplitz hash to the estimated length; the hash's bytes for a key of
-    every round count against the byte budget before anything is sampled.
+    Toeplitz hash to the estimated length.  With ``transcript`` the run
+    holds every round for ``write_transcript``.  Every output but the
+    transcript is the same with and without it, and the bytes of both
+    options count against the byte budget before anything is sampled.
     """
-    if hash_key:
-        needed = config.peak_bytes() + HASH_BIT_BYTES * config.n_rounds
-        if needed > ARRAY_BYTE_BUDGET:
-            raise ValueError(f"{config.n_rounds} rounds with a hashed key need about {needed} bytes, "
-                             f"over the {ARRAY_BYTE_BUDGET}-byte budget")
-    run = ProtocolRun(config)
-    z_count = run.z_bits.shape[0]
-    xy_count = run.xy_bases.shape[0]
-    if z_count == 0:
+    config.check_budget(hash_key, transcript)
+    run = ProtocolRun(config, transcript)
+    if run.z_count == 0:
         raise ValueError("no Z rounds were scheduled; lower p_estimation or raise n_rounds")
-
-    ledger = preshared_key_accounting(config, second_type_rounds=xy_count)
-    announced = ledger.announced_z_rounds
-    announced_idx = _uniform_subset(z_count, announced, run._subset_rng)
-    key_mask = np.ones(z_count, dtype=bool)
-    key_mask[announced_idx] = False
-
-    z_by_party = run.z_bits.T
-    # take, unlike [:, announced_idx], returns C-ordered party rows for the estimator
-    q_z_hat, q_ab_hat = estimate_qz(z_by_party.take(announced_idx, axis=1).T)
+    ledger = run.ledger
+    xy_count = ledger.second_type_rounds
+    q_z_hat, q_ab_hat = estimate_qz(run.announced_bits)
     q_x_hat, n_plus, n_minus, kept = estimate_qx(run.xy_bases, run.xy_bits)
     estimate = EstimationResult(
         q_z_hat=q_z_hat,
@@ -627,12 +737,10 @@ def run_protocol(config: ProtocolConfig, hash_key: bool = False) -> ProtocolResu
         q_ab_hat=tuple(q_ab_hat.tolist()),
         n_plus=n_plus,
         n_minus=n_minus,
-        z_rounds_used=announced,
+        z_rounds_used=ledger.announced_z_rounds,
         xy_rounds_total=xy_count,
         xy_rounds_kept=kept,
     )
-
-    key_rounds_bits, flip_mask = classical_depolarize(z_by_party[0][key_mask][:, None], run._post_rng)
     report = secret_fraction(
         RateInput(
             q_z=estimate.q_z_hat,
@@ -642,10 +750,9 @@ def run_protocol(config: ProtocolConfig, hash_key: bool = False) -> ProtocolResu
         )
     )
     key_length = ledger.key_rounds * report.r_clamped
-    alice_key = key_rounds_bits[:, 0]
     hashed = None
     if hash_key:
-        hashed = toeplitz_hash(alice_key, int(math.floor(key_length)), run._post_rng)
+        hashed = toeplitz_hash(run.flipped_key[0], int(math.floor(key_length)), run._post_rng)
     return ProtocolResult(
         config=config,
         estimate=estimate,
@@ -653,15 +760,14 @@ def run_protocol(config: ProtocolConfig, hash_key: bool = False) -> ProtocolResu
         rate_report=report,
         key_length_estimate=key_length,
         discard_fraction=1.0 - kept / xy_count,
-        key_bits=alice_key,
-        flip_mask=flip_mask,
         hashed_key=hashed,
         run=run,
     )
 
 
-# Rounds formatted per block: the writer's buffers hold one block, whatever L is.
-TRANSCRIPT_BLOCK_ROUNDS = 1 << 16
+# Rounds formatted per block: the writer's buffers hold one block, whatever L is,
+# about four bytes per character of its lines.
+TRANSCRIPT_BLOCK_ROUNDS = 1 << 12
 
 
 def _transcript_layout(n: int) -> tuple[np.ndarray, dict[str, int]]:
@@ -685,8 +791,8 @@ def _transcript_layout(n: int) -> tuple[np.ndarray, dict[str, int]]:
 
 
 def _transcript_block(template: np.ndarray, starts: dict[str, int], is_xy: np.ndarray,
-                      bases: np.ndarray, bits: np.ndarray) -> bytes:
-    """The ``RoundRecord.to_json`` lines of one block of rounds.
+                      bases: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """The ``RoundRecord.to_json`` lines of one block of rounds, as uint8 characters.
 
     ``bases`` holds 0/1/2 for X/Y/Z per round and party, ``bits`` the
     outcome bits (1 is the -1 outcome).
@@ -709,11 +815,13 @@ def _transcript_block(template: np.ndarray, starts: dict[str, int], is_xy: np.nd
     kept = kappa % 2 == 0
     chars[kept, c : c + 5] = np.frombuffer(b"true}", dtype=np.uint8)
     keep[:, c + 5] = ~kept
-    return chars[keep].tobytes()
+    return chars[keep]
 
 
 def write_transcript(path: str, run: ProtocolRun) -> None:
     """Write one JSON round record per line, in the format of ``RoundRecord.to_json``."""
+    if run.z_bits is None:
+        raise ValueError("the run was sampled without a transcript")
     n = run.config.n_parties
     template, starts = _transcript_layout(n)
     z_pos = xy_pos = 0

@@ -436,8 +436,8 @@ def test_simulate_at_large_n_exits_0(tmp_path, n):
 
 def test_simulate_over_the_byte_budget_exits_2_before_allocating(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    # a 20 GB outcome matrix, and an 80 MB schedule before it
-    cfg.write_text(json.dumps({"n_parties": 2000, "n_rounds": 10**7, "state": {"model": "depolarized", "q": 0.1}}))
+    # 10^6 parity and 10^6 announced Z rounds of 2000 bits each hold about 6 GB
+    cfg.write_text(json.dumps({"n_parties": 2000, "n_rounds": 2 * 10**7, "state": {"model": "depolarized", "q": 0.1}}))
     tracemalloc.start()
     try:
         assert run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.json")]) == 2
@@ -450,11 +450,11 @@ def test_simulate_over_the_byte_budget_exits_2_before_allocating(tmp_path, capsy
 
 
 def test_simulate_counts_the_whole_run_against_the_budget(tmp_path, capsys):
-    # N=3, L=1e9 has a 3 GB outcome matrix, under the budget, but the run
-    # holds several bytes more per round; it used to die in ProtocolRun with
-    # an allocation error (exit 1) instead of exiting 2 before allocating
+    # N=3, L=3e9 holds about 1.6 bytes per round (Alice's packed Z bits and the
+    # parity and announced rounds), 4.7 GB in all; such a run used to die in
+    # ProtocolRun with an allocation error (exit 1) instead of exiting 2 before allocating
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n_parties": 3, "n_rounds": 10**9, "state": {"model": "depolarized", "q": 0.1}}))
+    cfg.write_text(json.dumps({"n_parties": 3, "n_rounds": 3 * 10**9, "state": {"model": "depolarized", "q": 0.1}}))
     tracemalloc.start()
     try:
         assert run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.json")]) == 2
@@ -467,8 +467,8 @@ def test_simulate_counts_the_whole_run_against_the_budget(tmp_path, capsys):
 
 
 def test_simulate_counts_the_hash_against_the_budget(tmp_path, capsys):
-    # N=3, L=1e8 holds about 1 GB without --hash-key; the hash of its key
-    # needs about 72 B per round more, so the run exits 2 before sampling
+    # N=3, L=1e8 holds about 160 MB without --hash-key; the hash of its key
+    # needs about 74 B per round more, so the run exits 2 before sampling
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n_parties": 3, "n_rounds": 10**8, "state": {"model": "depolarized", "q": 0.1}}))
     tracemalloc.start()
@@ -482,10 +482,10 @@ def test_simulate_counts_the_hash_against_the_budget(tmp_path, capsys):
     assert not (tmp_path / "s.json").exists()
 
 
-def test_simulate_large_run_peak_memory(tmp_path):
-    # one (L, N) outcome layout at a time: N=64, L=1e6 holds a 64 MB matrix
+def _simulate_peak_kb(tmp_path, n, n_rounds) -> tuple[int, dict]:
+    """VmHWM (kB) of a child process that runs ``simulate`` once, and the summary it wrote."""
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"n_parties": 64, "n_rounds": 10**6, "seed": 2, "state": {"model": "depolarized", "q": 0.1}}))
+    cfg.write_text(json.dumps({"n_parties": n, "n_rounds": n_rounds, "seed": 2, "state": {"model": "depolarized", "q": 0.1}}))
     src = str(Path(nqkd.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     # the child reports its own VmHWM: the ru_maxrss that os.wait4 returns
@@ -498,8 +498,22 @@ def test_simulate_large_run_peak_memory(tmp_path):
     assert child.returncode == 0, child.stderr
     name, kilobytes, unit = child.stdout.split()
     assert name == "VmHWM:" and unit == "kB"
-    assert int(kilobytes) < 150 * 1024
-    assert len(json.loads((tmp_path / "s.json").read_text())["estimates"]["q_ab"]) == 63
+    return int(kilobytes), json.loads((tmp_path / "s.json").read_text())
+
+
+def test_simulate_large_run_peak_memory(tmp_path):
+    # N=64, L=1e6 once held a 64 MB outcome matrix, one (L, N) layout at a time
+    kilobytes, summary = _simulate_peak_kb(tmp_path, 64, 10**6)
+    assert kilobytes < 150 * 1024
+    assert len(summary["estimates"]["q_ab"]) == 63
+
+
+def test_simulate_writes_only_the_announced_rows(tmp_path):
+    # without --transcript the Bobs' Z bits are written only on the announced
+    # rounds: N=200, L=1e6 peaked at 251 MB with the whole 200 x 10^6 matrix
+    kilobytes, summary = _simulate_peak_kb(tmp_path, 200, 10**6)
+    assert kilobytes < 80 * 1024
+    assert len(summary["estimates"]["q_ab"]) == 199
 
 
 def test_simulate_hash_rounding_failure_exits_3(tmp_path, monkeypatch):
@@ -562,6 +576,25 @@ def test_network_graph_file_checks_party_count(tmp_path, capsys):
         assert run_cli(base + ["--n", "7"] + extra) == 2
         assert "the graph has 3 parties, not 7" in capsys.readouterr().err
         assert run_cli(base + ["--n", "3"] + extra + ["--out", str(tmp_path / "out.txt")]) == 0
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["rates", "--help"], ["thresholds", "--help"], ["simulate", "--help"],
+                                  ["network", "--help"], ["bogus"], []],
+                         ids=["help", "rates", "thresholds", "simulate", "network", "invalid_choice", "no_command"])
+def test_main_prints_what_the_full_parser_prints(monkeypatch, capsys, argv):
+    # main adds only the named subcommand's arguments; its help and usage
+    # errors read as those of the parser with every subcommand's arguments
+    from nqkd.cli import build_parser
+
+    monkeypatch.setenv("COLUMNS", "80")
+    printed = []
+    for run in (lambda: main(argv), lambda: build_parser(None).parse_args(argv)):
+        with pytest.raises(SystemExit) as exit_info:
+            run()
+        printed.append((exit_info.value.code, capsys.readouterr()))
+    assert printed[0] == printed[1] and "usage: nqkd" in printed[0][1].out + printed[0][1].err
+    if argv[1:] == ["--help"]:
+        assert "--out" in printed[0][1].out
 
 
 def test_network_noise_and_sweep_are_exclusive(capsys):

@@ -210,6 +210,48 @@ class _TopUniforms:
         return np.full(size, np.nextafter(1.0, 0.0))
 
 
+def _ghz_diagonal_n4():
+    spec = GHZ_DIAGONAL_N4
+    return GhzDiagonalState(4, spec["lambda_plus"], spec["lambda_minus"])
+
+
+# every path of the row-selected Z sampler: uniform part only (depolarized),
+# no draw (pure), residual tails (GHZ_DIAGONAL_N4, every round flipped), and
+# drawn rows sparse enough to be found by binary search (q = 0.002)
+Z_ORACLE_STATES = {
+    "depolarized_n2": lambda: depolarized_state(2, 0.1),
+    "depolarized_n3": lambda: depolarized_state(3, 0.1),
+    "depolarized_n20": lambda: depolarized_state(20, 0.1),
+    "depolarized_n64": lambda: depolarized_state(64, 0.1),
+    "ghz_diagonal_n4": _ghz_diagonal_n4,
+    "pure_n4": lambda: depolarized_state(4, 0.0),
+    "flipped_weight_class_n5": lambda: _every_round_flipped(5, True),
+    "flipped_ghz_diagonal_n5": lambda: _every_round_flipped(5, False),
+    "sparse_n3": lambda: depolarized_state(3, 0.002),
+}
+
+
+@pytest.mark.parametrize("small_batches", [False, True], ids=["batches", "small_batches"])
+@pytest.mark.parametrize("name", list(Z_ORACLE_STATES))
+def test_z_sampling_at_rows_is_the_full_matrix_at_those_rows(monkeypatch, name, small_batches):
+    # the rows argument changes what is written, never what is drawn; with
+    # small batches the rows fall on both sides of many batch and block edges
+    if small_batches:
+        monkeypatch.setattr(protocol, "DRAW_BATCH", 64)
+        monkeypatch.setattr(protocol, "BATCH_BYTES", 256)
+    state = Z_ORACLE_STATES[name]()
+    count = 3000
+    full = sample_z_bits(state, count, np.random.default_rng(70))
+    pick = np.random.default_rng(71)
+    row_sets = [np.empty(0, dtype=np.int64), np.array([0]), np.array([count // 2]), np.array([count - 1]),
+                np.arange(count), np.arange(200, 1800), np.arange(1, count, 3)]
+    row_sets += [np.sort(pick.choice(count, size, replace=False)) for size in (2, 60, 1500, count - 1)]
+    for rows in row_sets:
+        bits = sample_z_bits(state, count, np.random.default_rng(70), rows)
+        assert bits.shape == (rows.size, state.n_parties) and bits.dtype == np.uint8
+        assert np.array_equal(bits, full[rows]), rows.size
+
+
 def test_z_sampling_draws_no_branch_past_the_last_of_positive_mass():
     # branch 3 is empty, and the renormalised masses of branches 1 and 2 sum to
     # 1 - 2^-52, so a top uniform lies past every bound; it must draw branch 2
@@ -601,30 +643,33 @@ def test_run_protocol_peak_memory_within_peak_bytes():
     # constants neither leak nor hide slack
     n_rounds = 1 << 20
     cases = [
-        (3, depolarized_state(3, 0.1), 0.05, None),
-        (20, depolarized_state(20, 0.1), 0.05, None),
-        (3, _every_round_flipped(3, True), 0.05, n_rounds),
-        (20, _every_round_flipped(20, True), 0.5, None),
+        (3, depolarized_state(3, 0.1), 0.05, None, False),
+        (20, depolarized_state(20, 0.1), 0.05, None, False),
+        (3, _every_round_flipped(3, True), 0.05, n_rounds, False),
+        (20, _every_round_flipped(20, True), 0.5, None, False),
         # almost every Z round drawn from the uniform part, as packed fair bits
-        (20, depolarized_state(20, 0.99 * (1 - 2.0**-19) / (1 - 2.0**-20)), 0.05, None),
-        (3, depolarized_state(3, 0.0), 0.01, n_rounds),
-        (2, _every_round_flipped(2, False), 0.95, None),
-        (6, _every_round_flipped(6, False), 0.3, None),
+        (20, depolarized_state(20, 0.99 * (1 - 2.0**-19) / (1 - 2.0**-20)), 0.05, None, False),
+        (3, depolarized_state(3, 0.0), 0.01, n_rounds, False),
+        (2, _every_round_flipped(2, False), 0.95, None, False),
+        (6, _every_round_flipped(6, False), 0.3, None, False),
         # the state-sized temporaries of a GhzDiagonalState's samplers
-        (12, _every_round_flipped(12, False), 0.05, None),
-        (20, _every_round_flipped(20, False), 0.05, None),
+        (12, _every_round_flipped(12, False), 0.05, None, False),
+        (20, _every_round_flipped(20, False), 0.05, None, False),
+        # a transcript holds every Z round's outcome bits and the schedule
+        (20, _every_round_flipped(20, True), 0.05, n_rounds, True),
     ]
     ratios = []
-    for n, state, p, announced in cases:
+    for n, state, p, announced, transcript in cases:
         config = ProtocolConfig(n, n_rounds, state, p_estimation=p, seed=1, announced_z_rounds=announced)
         tracemalloc.start()
         try:
-            run_protocol(config)
+            run_protocol(config, transcript=transcript)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak <= config.peak_bytes(), (n, p, announced)
-        ratios.append(peak / config.peak_bytes())
+        counted = config.peak_bytes(transcript=transcript)
+        assert peak <= counted, (n, p, announced, transcript)
+        ratios.append(peak / counted)
     assert max(ratios) > 0.85
 
 
@@ -780,6 +825,32 @@ def test_simulate_transcript_bytes_pinned(tmp_path, n, n_rounds, seed, state, di
     assert main(["simulate", "--config", str(cfg), "--transcript", str(transcript),
                  "--out", str(tmp_path / "s.json")]) == 0
     assert hashlib.sha256(transcript.read_bytes()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "n, state, hash_key",
+    [(2, DEPOLARIZED, False), (3, DEPOLARIZED, True), (20, DEPOLARIZED, True), (64, DEPOLARIZED, False),
+     (200, DEPOLARIZED, False), (4, GHZ_DIAGONAL_N4, True), (4, {"model": "pure_ghz"}, False),
+     (3, {"model": "depolarized", "q": 0.002}, False)],
+    ids=["n2", "n3_hash", "n20_hash", "n64", "n200", "ghz_diagonal_n4_hash", "pure_n4", "sparse_n3"],
+)
+def test_simulate_summary_does_not_depend_on_the_transcript(tmp_path, n, state, hash_key):
+    # a run without --transcript writes only the announced rows, from the same streams
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_parties": n, "n_rounds": 20000, "seed": n, "state": state}))
+    base = ["simulate", "--config", str(cfg)] + ["--hash-key"] * hash_key
+    assert main(base + ["--out", str(tmp_path / "plain.json")]) == 0
+    assert main(base + ["--transcript", str(tmp_path / "t.jsonl"), "--out", str(tmp_path / "full.json")]) == 0
+    assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "full.json").read_bytes()
+    config = protocol_config_from_json(cfg.read_text())
+    lean, full = run_protocol(config, hash_key=hash_key), run_protocol(config, hash_key=hash_key, transcript=True)
+    assert lean.run.z_bits is None and lean.run.is_xy is None
+    assert hash_key or "flipped_key" not in vars(lean.run)  # the key is built when read
+    assert np.array_equal(lean.key_bits, full.key_bits) and np.array_equal(lean.flip_mask, full.flip_mask)
+    if hash_key:
+        assert np.array_equal(lean.hashed_key, full.hashed_key)
+    with pytest.raises(ValueError, match="without a transcript"):
+        write_transcript(str(tmp_path / "lean.jsonl"), lean.run)
 
 
 def test_simulate_transcript_is_the_summarised_run(tmp_path):
