@@ -245,7 +245,6 @@ def f_sign(kappa_tilde: int | np.ndarray) -> int | np.ndarray:
 # run's draws stay bounded whatever its length.
 DRAW_BATCH = 1 << 16
 BATCH_BYTES = 64 * DRAW_BATCH  # what one batch of drawn rows holds at most, with room to spare
-MARK_SPAN = 16  # positions per drawn row up to which _meet marks a span instead of searching
 
 
 def _packed_bits(rng: np.random.Generator, count: int) -> np.ndarray:
@@ -347,38 +346,31 @@ def _meet(rows: np.ndarray | None, drawn: np.ndarray) -> tuple[np.ndarray, np.nd
     """Where the sorted ``drawn`` rows fall among the sorted ``rows``: their columns there, and a
     mask of the drawn rows that do.  ``rows`` None holds every row, each at its own column.
 
-    Only the rows within the drawn span are read.  Where at least one
-    position in ``MARK_SPAN`` is drawn, those rows are marked on a byte per
-    position of the span, at most ``MARK_SPAN * DRAW_BATCH`` bytes;
-    sparser drawn rows are each found by binary search.
+    Only the rows within the drawn span are read; each drawn row is found
+    among them by binary search.
     """
     if rows is None:
         return drawn, slice(None)
     first, end = rows.searchsorted((drawn[0], drawn[-1] + 1))
     window = rows[first:end]
-    span = int(drawn[-1] - drawn[0]) + 1
-    if span <= MARK_SPAN * drawn.size:
-        marked = np.zeros(span, dtype=bool)
-        marked[window - drawn[0]] = True
-        hit = marked[drawn - drawn[0]]
-    elif window.size:
-        hit = window.take(window.searchsorted(drawn), mode="clip") == drawn
-    else:
-        hit = np.zeros(drawn.size, dtype=bool)
-    return first + window.searchsorted(drawn[hit]), hit
+    if not window.size:
+        return window, np.zeros(drawn.size, dtype=bool)
+    at = window.searchsorted(drawn)
+    hit = window.take(at, mode="clip") == drawn
+    return first + at[hit], hit
 
 
 def sample_z_bits(state: GhzDiagonalState | WeightClassState, count: int,
-                  rng: np.random.Generator, rows: np.ndarray | None = None,
-                  alice: np.ndarray | None = None) -> np.ndarray:
+                  rng: np.random.Generator, alice: np.ndarray,
+                  rows: np.ndarray | None = None) -> np.ndarray:
     """Z-basis outcome bits of ``count`` rounds, shape (count, N); bit 0 is the +1 outcome.
 
     Given sorted distinct ``rows``, only those rounds' bits are written and
     returned, shape (rows.size, N), and they equal the same rows of the
     full matrix drawn from the same stream: every draw below is made
     whatever ``rows`` holds, and a drawn row that is not among them is
-    skipped after its draw.  ``alice`` holds Alice's bits packed as
-    ``rng.bytes`` draws them; without it they are the first draw.
+    skipped after its draw.  ``alice`` holds Alice's ``count`` bits
+    packed (``_packed_bits``), drawn from ``rng`` before this call.
 
     A round draws a branch j and Alice's bit; |j, sigma> gives the Bobs the
     bits of j when Alice reads 0 and those of ~j when she reads 1.  Alice's
@@ -397,8 +389,6 @@ def sample_z_bits(state: GhzDiagonalState | WeightClassState, count: int,
     array.
     """
     n = state.n_parties
-    if alice is None:
-        alice = _packed_bits(rng, count)
     if rows is None:
         bits = np.empty((n, count), dtype=np.uint8)  # one contiguous row per party
         bits[0] = np.unpackbits(alice, count=count)
@@ -668,11 +658,12 @@ class ProtocolRun:
     both are None and the Bobs' bits are written only where announced.
     Both kinds draw the same streams in the same order.  Bit arrays have
     shape (rounds, N) and are views of party-major arrays, one contiguous
-    row per party.
+    row per party.  The run's bytes, and with ``hash_key`` those of the
+    key's hash, count against the byte budget before anything is sampled.
     """
 
-    def __init__(self, config: ProtocolConfig, transcript: bool = True):
-        config.check_budget(transcript=transcript)
+    def __init__(self, config: ProtocolConfig, transcript: bool = True, hash_key: bool = False):
+        config.check_budget(hash_key, transcript)
         self.config = config
         schedule_rng, z_rng, xy_rng, subset_rng, self._post_rng = _schedule_rng_streams(config)
         schedule = _bernoulli_positions(config.n_rounds, config.p_estimation, schedule_rng)
@@ -690,12 +681,13 @@ class ProtocolRun:
 
         self.z_alice = _packed_bits(z_rng, self.z_count)
         if transcript:
-            self.z_bits = sample_z_bits(config.state, self.z_count, z_rng, alice=self.z_alice)
+            self.z_bits = sample_z_bits(config.state, self.z_count, z_rng, self.z_alice)
             # take, unlike [:, rows], returns C-ordered party rows for the estimator
             self.announced_bits = self.z_bits.T.take(self.announced_rows, axis=1).T
         else:
             self.z_bits = None
-            self.announced_bits = sample_z_bits(config.state, self.z_count, z_rng, self.announced_rows, self.z_alice)
+            self.announced_bits = sample_z_bits(config.state, self.z_count, z_rng, self.z_alice,
+                                                self.announced_rows)
         self.xy_bases = _uniform_bits(xy_rng, (config.n_parties, xy_count)).T
         self.xy_bits = sample_xy_bits(config.state, self.xy_bases, xy_rng)
 
@@ -718,13 +710,11 @@ def run_protocol(config: ProtocolConfig, hash_key: bool = False, transcript: boo
     h(max Q_AB) bits of correction information per key bit and the
     corresponding amplification subtraction.  With ``hash_key`` the
     corrected string is additionally compressed through a seeded
-    Toeplitz hash to the estimated length.  With ``transcript`` the run
-    holds every round for ``write_transcript``.  Every output but the
-    transcript is the same with and without it, and the bytes of both
-    options count against the byte budget before anything is sampled.
+    Toeplitz hash to the estimated length.  ``write_transcript`` reads
+    ``result.run`` only of a run made with ``transcript``, which holds
+    every round; every other output is the same with and without it.
     """
-    config.check_budget(hash_key, transcript)
-    run = ProtocolRun(config, transcript)
+    run = ProtocolRun(config, transcript, hash_key)
     if run.z_count == 0:
         raise ValueError("no Z rounds were scheduled; lower p_estimation or raise n_rounds")
     ledger = run.ledger
@@ -821,7 +811,7 @@ def _transcript_block(template: np.ndarray, starts: dict[str, int], is_xy: np.nd
 def write_transcript(path: str, run: ProtocolRun) -> None:
     """Write one JSON round record per line, in the format of ``RoundRecord.to_json``."""
     if run.z_bits is None:
-        raise ValueError("the run was sampled without a transcript")
+        raise ValueError("the run was sampled without a transcript; run_protocol needs transcript=True")
     n = run.config.n_parties
     template, starts = _transcript_layout(n)
     z_pos = xy_pos = 0

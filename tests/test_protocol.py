@@ -46,6 +46,11 @@ def family_sigmas(bands, alpha=0.01):
     return NormalDist().inv_cdf(1.0 - alpha / (2 * bands))
 
 
+def draw_z_bits(state, count, rng, rows=None):
+    """``sample_z_bits`` with Alice's packed bits drawn from ``rng`` first, as a run draws them."""
+    return sample_z_bits(state, count, rng, protocol._packed_bits(rng, count), rows)
+
+
 def test_f_sign_values():
     assert [f_sign(k) for k in range(8)] == [1, 0, -1, 0, 1, 0, -1, 0]
     assert all(type(f_sign(k)) is int for k in range(8))
@@ -60,7 +65,7 @@ def test_f_sign_values():
 def test_z_sampling_pure_state():
     rng = np.random.default_rng(0)
     state = depolarized_state(3, 0.0)
-    bits = sample_z_bits(state, 4000, rng)
+    bits = draw_z_bits(state, 4000, rng)
     # perfectly correlated: every round is all-0 or all-1
     assert np.all((bits.sum(axis=1) == 0) | (bits.sum(axis=1) == 3))
     share = (bits[:, 0] == 1).mean()
@@ -70,7 +75,7 @@ def test_z_sampling_pure_state():
 def test_z_sampling_depolarized_rate():
     rng = np.random.default_rng(1)
     state = depolarized_state(3, 0.3)
-    bits = sample_z_bits(state, 30000, rng)
+    bits = draw_z_bits(state, 30000, rng)
     any_differ = (bits[:, 1:] != bits[:, :1]).any(axis=1).mean()
     assert abs(any_differ - 0.3) < three_sigma(0.3, 30000)
 
@@ -81,7 +86,7 @@ def test_z_sampling_from_dense_state_matches():
 
     n, count = 3, 30000
     state = _random_asymmetric_state(n, np.random.default_rng(20))
-    bits = sample_z_bits(state, count, np.random.default_rng(2))
+    bits = draw_z_bits(state, count, np.random.default_rng(2))
     outcomes = bits @ (1 << np.arange(n - 1, -1, -1))
     freqs = np.bincount(outcomes, minlength=1 << n) / count
     for freq, p in zip(freqs, dense_from_ghz_diagonal(state).z_probabilities()):
@@ -100,7 +105,7 @@ def test_z_sampling_of_weight_class_state_matches_born_rule():
 
     n, count = 4, 40000
     state = _random_weight_class_state(n, np.random.default_rng(23))
-    bits = sample_z_bits(state, count, np.random.default_rng(24))
+    bits = draw_z_bits(state, count, np.random.default_rng(24))
     assert bits.shape == (count, n)
     outcomes = bits @ (1 << np.arange(n - 1, -1, -1))
     freqs = np.bincount(outcomes, minlength=1 << n) / count
@@ -127,7 +132,7 @@ def test_z_sampling_follows_the_born_rule_of_both_state_types():
     sigmas = family_sigmas(sum(1 << state.n_parties for state, _ in cases))
     for seed, (state, name) in enumerate(cases):
         n = state.n_parties
-        bits = sample_z_bits(state, count, np.random.default_rng(400 + seed))
+        bits = draw_z_bits(state, count, np.random.default_rng(400 + seed))
         assert bits.shape == (count, n) and bits.max() <= 1
         freqs = np.bincount(bits @ (1 << np.arange(n - 1, -1, -1)), minlength=1 << n) / count
         expanded = state.expand() if isinstance(state, WeightClassState) else state
@@ -178,7 +183,7 @@ def test_z_sampling_of_the_uniform_split_follows_the_born_rule():
     sigmas = family_sigmas(sum(1 << state.n_parties for state, _ in cases))
     for seed, (state, name) in enumerate(cases):
         n = state.n_parties
-        bits = sample_z_bits(state, count, np.random.default_rng(600 + seed))
+        bits = draw_z_bits(state, count, np.random.default_rng(600 + seed))
         assert bits.shape == (count, n) and bits.max() <= 1
         freqs = np.bincount(bits @ (1 << np.arange(n - 1, -1, -1)), minlength=1 << n) / count
         expanded = state.expand() if isinstance(state, WeightClassState) else state
@@ -190,10 +195,10 @@ def test_z_sampling_of_the_uniform_split_follows_the_born_rule():
 def test_z_sampling_extremes_are_exact():
     # a pure state flips no Bob; with P_0 = 0 every round flips at least one
     for n in (2, 3, 6):
-        bits = sample_z_bits(depolarized_state(n, 0.0), 5000, np.random.default_rng(n))
+        bits = draw_z_bits(depolarized_state(n, 0.0), 5000, np.random.default_rng(n))
         assert np.all(bits == bits[:, :1])
         for weight_class in (True, False):
-            bits = sample_z_bits(_every_round_flipped(n, weight_class), 5000, np.random.default_rng(n))
+            bits = draw_z_bits(_every_round_flipped(n, weight_class), 5000, np.random.default_rng(n))
             assert np.all((bits != bits[:, :1]).any(axis=1))
 
 
@@ -217,7 +222,7 @@ def _ghz_diagonal_n4():
 
 # every path of the row-selected Z sampler: uniform part only (depolarized),
 # no draw (pure), residual tails (GHZ_DIAGONAL_N4, every round flipped), and
-# drawn rows sparse enough to be found by binary search (q = 0.002)
+# drawn rows so sparse that most meet no announced row (q = 0.002)
 Z_ORACLE_STATES = {
     "depolarized_n2": lambda: depolarized_state(2, 0.1),
     "depolarized_n3": lambda: depolarized_state(3, 0.1),
@@ -241,13 +246,13 @@ def test_z_sampling_at_rows_is_the_full_matrix_at_those_rows(monkeypatch, name, 
         monkeypatch.setattr(protocol, "BATCH_BYTES", 256)
     state = Z_ORACLE_STATES[name]()
     count = 3000
-    full = sample_z_bits(state, count, np.random.default_rng(70))
+    full = draw_z_bits(state, count, np.random.default_rng(70))
     pick = np.random.default_rng(71)
     row_sets = [np.empty(0, dtype=np.int64), np.array([0]), np.array([count // 2]), np.array([count - 1]),
                 np.arange(count), np.arange(200, 1800), np.arange(1, count, 3)]
     row_sets += [np.sort(pick.choice(count, size, replace=False)) for size in (2, 60, 1500, count - 1)]
     for rows in row_sets:
-        bits = sample_z_bits(state, count, np.random.default_rng(70), rows)
+        bits = draw_z_bits(state, count, np.random.default_rng(70), rows)
         assert bits.shape == (rows.size, state.n_parties) and bits.dtype == np.uint8
         assert np.array_equal(bits, full[rows]), rows.size
 
@@ -256,7 +261,7 @@ def test_z_sampling_draws_no_branch_past_the_last_of_positive_mass():
     # branch 3 is empty, and the renormalised masses of branches 1 and 2 sum to
     # 1 - 2^-52, so a top uniform lies past every bound; it must draw branch 2
     state = GhzDiagonalState(3, [0.4, 0.07, 0.08, 0.0], [0.45, 0.0, 0.0, 0.0])
-    bits = sample_z_bits(state, 2000, _TopUniforms(3))
+    bits = draw_z_bits(state, 2000, _TopUniforms(3))
     assert np.all(bits[:, 2] == bits[:, 0]) and np.any(bits[:, 1] != bits[:, 0])
 
 
@@ -478,11 +483,11 @@ def test_estimate_qx_requires_kept_rounds():
 def test_estimate_qz_values():
     rng = np.random.default_rng(11)
     clean = depolarized_state(3, 0.0)
-    q_z, q_ab = estimate_qz(sample_z_bits(clean, 200, rng))
+    q_z, q_ab = estimate_qz(draw_z_bits(clean, 200, rng))
     assert q_z == 0.0 and q_ab.tolist() == [0.0, 0.0]
 
     noisy = depolarized_state(3, 0.24)
-    q_z, q_ab = estimate_qz(sample_z_bits(noisy, 20000, rng))
+    q_z, q_ab = estimate_qz(draw_z_bits(noisy, 20000, rng))
     assert abs(q_z - 0.24) < three_sigma(0.24, 20000)
     target_ab = 4 / 6 * 0.24
     for value in q_ab:
@@ -500,7 +505,7 @@ def test_estimate_qz_orders_asymmetric_bobs():
     expected = qber_pairwise_all(state)
     assert expected[0] > expected[1]
     rng = np.random.default_rng(12)
-    _, q_ab = estimate_qz(sample_z_bits(state, 20000, rng))
+    _, q_ab = estimate_qz(draw_z_bits(state, 20000, rng))
     assert q_ab[0] > q_ab[1]
     for est, ref in zip(q_ab, expected):
         assert abs(est - ref) < three_sigma(ref, 20000)
@@ -517,7 +522,7 @@ def test_classical_depolarize_properties():
     share = flipped[:, 0].mean()
     assert abs(share - 0.5) < three_sigma(0.5, 5000)
     # estimates are flip-invariant
-    noisy = sample_z_bits(depolarized_state(3, 0.2), 5000, rng)
+    noisy = draw_z_bits(depolarized_state(3, 0.2), 5000, rng)
     flipped, _ = classical_depolarize(noisy, rng)
     q1, ab1 = estimate_qz(noisy)
     q2, ab2 = estimate_qz(flipped)
