@@ -1,13 +1,14 @@
 """Gate and channel noise: combinatorics, closed forms, dense oracles."""
 
 import itertools
+import time
 
 import numpy as np
 import pytest
 
 from nqkd import noise
 from nqkd.dense import DenseState, ghz_state
-from nqkd.ghz import ghz_diagonal_from_dense, qber_pairwise_all, qber_x, qber_z
+from nqkd.ghz import coefficients_from_dense, ghz_diagonal_from_dense, qber_pairwise_all, qber_x, qber_z, twirl_dense
 from nqkd.noise import (
     ChannelNoise,
     GateNoise,
@@ -66,6 +67,27 @@ def enumerated_prefactor_sums(n_parties: int) -> np.ndarray:
     weights = np.bitwise_count(x).astype(int)
     keep = x != (1 << n_gates) - 1
     return np.bincount(weights[keep], weights=pref[keep], minlength=n_gates)[:n_gates]
+
+
+def enumerated_pattern_tables(n_parties: int, alice: str) -> tuple[np.ndarray, np.ndarray]:
+    """``noise._pattern_tables`` by enumeration: every pattern in every order.
+
+    Each of the 2^(N-1) (N-1)! circuits runs through ``prep_circuit_output``
+    and is twirled on its own; entry [w, j] sums the twirled lambda_j^{+/-}
+    of the patterns with w successes, averaged over the orders.
+    """
+    n_gates = n_parties - 1
+    plus = np.zeros((n_gates + 1, 1 << n_gates))
+    minus = np.zeros((n_gates + 1, 1 << n_gates))
+    orders = list(itertools.permutations(range(1, n_parties)))
+    for bits in itertools.product((0, 1), repeat=n_gates):
+        pattern = GatePattern(bits)
+        for order in orders:
+            out = twirl_dense(noise.prep_circuit_output(n_parties, pattern, order, alice))
+            lam_plus, lam_minus = coefficients_from_dense(out)
+            plus[pattern.weight] += lam_plus / len(orders)
+            minus[pattern.weight] += lam_minus / len(orders)
+    return plus, minus
 
 
 def test_block_count_examples():
@@ -234,14 +256,56 @@ def test_prep_circuit_router_variant():
         assert out.lam_minus[0] == pytest.approx(lam_minus, abs=1e-12)
 
 
-def test_prep_circuit_caps_exhaustive_oracle_at_six(monkeypatch):
-    def enumerate_tables(*args):
-        raise AssertionError("the N=7 oracle started enumerating")
+def test_prep_circuit_caps_dense_oracle_at_seven(monkeypatch):
+    def build_tables(*args):
+        raise AssertionError("the N=8 oracle started building its tables")
 
-    monkeypatch.setattr(noise, "_pattern_tables", enumerate_tables)
+    monkeypatch.setattr(noise, "_pattern_tables", build_tables)
     for topology in ("star", "router"):
-        with pytest.raises(ValueError, match="N=6"):
-            simulate_prep_circuit(7, 0.1, topology=topology)
+        with pytest.raises(ValueError, match="N=7"):
+            simulate_prep_circuit(8, 0.1, topology=topology)
+
+
+@pytest.mark.parametrize("n", [1, 0, -1])
+def test_prep_circuit_rejects_too_few_parties_before_building(n):
+    noise._pattern_tables.cache_clear()
+    for topology in ("star", "router"):
+        with pytest.raises(ValueError, match="need at least 2 parties"):
+            simulate_prep_circuit(n, 0.1, topology=topology)
+    assert noise._pattern_tables.cache_info().currsize == 0
+
+
+def test_prep_circuit_rejects_unknown_topology_before_building():
+    noise._pattern_tables.cache_clear()
+    with pytest.raises(ValueError, match="unknown topology 'ring'"):
+        simulate_prep_circuit(5, 0.1, topology="ring")
+    assert noise._pattern_tables.cache_info().currsize == 0
+
+
+def test_pattern_tables_equal_the_enumeration_of_every_pattern_and_order():
+    # the recursion over gated sets sums the same circuits as the enumeration;
+    # both divide by the (N-1)! orders and file each circuit by its successes
+    for n in range(2, 6):
+        for alice in ("plus", "mixed"):
+            plus, minus = noise._pattern_tables(n, alice)
+            ref_plus, ref_minus = enumerated_pattern_tables(n, alice)
+            assert np.abs(plus - ref_plus).max() < 1e-14
+            assert np.abs(minus - ref_minus).max() < 1e-14
+
+
+def test_prep_circuit_matches_closed_forms_at_seven():
+    # a return to enumerating every pattern and order (292 s at N=7) fails here
+    noise._pattern_tables.cache_clear()
+    start = time.perf_counter()
+    simulate_prep_circuit(7, 0.0, topology="router")  # builds both tables
+    assert time.perf_counter() - start < 10.0
+    for f in (0.0, 0.05, 0.1, 0.2):
+        star = simulate_prep_circuit(7, f, topology="star")
+        router = simulate_prep_circuit(7, f, topology="router")
+        for out, (lam_plus, lam_minus) in ((star, lambda0_star(7, f)), (router, lambda0_router(7, f))):
+            assert abs(out.lam_plus[0] - lam_plus) < 1e-12
+            assert abs(out.lam_minus[0] - lam_minus) < 1e-12
+            assert np.abs(qber_pairwise_all(out) - qab_average(7, f)).max() < 1e-12
 
 
 def test_prep_circuit_fixed_pattern_output():
