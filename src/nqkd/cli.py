@@ -116,7 +116,7 @@ def write_text(path: str | None, text: str) -> None:
 
 def cmd_rates(args) -> int:
     """Secret fractions and key rates over the sweep for each N, with one
-    ``keyrate.sweep_fractions`` call per N over the whole grid."""
+    ``network.sweep_rates`` call per N over the whole grid."""
     sweep = parse_sweep(args.sweep)
     n_values = parse_n_list(args.n)
     values = sweep.values()
@@ -131,32 +131,20 @@ def cmd_rates(args) -> int:
         flows = networks.graph_flows(networks.TOPOLOGIES[args.topology](int(n) if finite else 3))
         if not finite and set(flows.hops.values()) != {1}:
             raise ValueError("N=inf curves are only defined on the star topology")
-        t_n = flows.t_rep[networks.NQKD]
-        t_2 = flows.t_rep[networks.TWOQKD]
-        hops = flows.common_hops() if sweep.variable != "Q" else None
-        r_inf, r_link = keyrate.sweep_fractions(sweep.variable, n, grid, hops)
-        rows.extend(zip(repeat(n_label(n)), repeat(sweep.variable), values, r_inf.tolist(),
-                        (np.maximum(r_inf, 0.0) / t_n).tolist(), (np.maximum(r_link, 0.0) / t_2).tolist()))
+        columns = networks.sweep_rates(flows, sweep.variable, n, grid)
+        rows.extend(zip(repeat(n_label(n)), repeat(sweep.variable), values, *(c.tolist() for c in columns)))
     write_rows(args.out, ["n", "variable", "value", "r_inf", "rate_nqkd", "rate_2qkd"], rows, args.format)
     return 0
 
 
 def cmd_thresholds(args) -> int:
-    n_values = parse_n_list(args.n)
+    solve = {"qber": keyrate.threshold_qber, "gate": keyrate.nqkd_gate_threshold,
+             "channel": keyrate.nqkd_channel_threshold}[args.kind]
     rows = []
-    for n in n_values:
-        finite = not (isinstance(n, float) and math.isinf(n))
-        if args.kind == "qber":
-            value = keyrate.threshold_qber(n)
-        elif args.kind == "gate":
-            if not finite:
-                raise ValueError("gate thresholds need a finite N")
-            value = keyrate.nqkd_gate_threshold(int(n))
-        else:
-            if not finite:
-                raise ValueError("channel thresholds need a finite N")
-            value = keyrate.nqkd_channel_threshold(int(n))
-        rows.append([n_label(n), args.kind, value])
+    for n in parse_n_list(args.n):
+        if args.kind != "qber" and math.isinf(n):
+            raise ValueError(f"{args.kind} thresholds need a finite N")
+        rows.append([n_label(n), args.kind, solve(n)])
     write_rows(args.out, ["n", "kind", "threshold"], rows, args.format)
     return 0
 
@@ -180,18 +168,18 @@ def cmd_network(args) -> int:
             model = networks.NetworkModel.from_json(fh.read())
     else:
         model = networks.TOPOLOGIES[args.topology](3 if n_parties is None else n_parties)
-    if args.sweep:
-        sweep = parse_sweep(args.sweep)
-        if sweep.variable == "Q":
-            raise ValueError("network sweeps run over f_G or f_C")
-        rows = []
-        for value in sweep.values():
-            result = networks.compare_rates(model, noise_model.NOISE_SWEEPS[sweep.variable](value), n_parties)
-            rows.append([value, result["rate_nqkd"], result["rate_twoqkd"], result["advantage"]])
-        write_rows(args.out, ["f", "rate_nqkd", "rate_2qkd", "advantage"], rows, args.format)
+    if not args.sweep:
+        result = networks.compare_rates(model, parse_noise(args.noise), n_parties)
+        write_text(args.out, networks.comparison_to_json(result))
         return 0
-    result = networks.compare_rates(model, parse_noise(args.noise), n_parties)
-    write_text(args.out, networks.comparison_to_json(result))
+    sweep = parse_sweep(args.sweep)
+    if sweep.variable == "Q":
+        raise ValueError("network sweeps run over f_G or f_C")
+    values = sweep.values()
+    flows = networks.graph_flows(model, n_parties)
+    _, rate_n, rate_2 = networks.sweep_rates(flows, sweep.variable, model.n_parties, np.array(values))
+    rows = zip(values, rate_n.tolist(), rate_2.tolist(), networks.has_advantage(rate_n, rate_2).tolist())
+    write_rows(args.out, ["f", "rate_nqkd", "rate_2qkd", "advantage"], list(rows), args.format)
     return 0
 
 

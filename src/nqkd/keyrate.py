@@ -11,15 +11,15 @@ one-time-padded conference key, so its rate is the slowest link's rate
 divided by the rounds the network needs.
 
 ``noisy_error_rates`` is the one map from a noise model and the Bobs' hop
-count to multipartite error rates; rate sweeps, the network comparison
-(through ``noisy_rate_input``) and both threshold solvers (through
-``noisy_fractions``) read it.
+count to multipartite error rates, and ``_fraction_terms`` the one formula
+from error rates to a secret fraction, for gate and channel noise alike;
+the sweeps, both threshold solvers (through ``noisy_fractions``) and the
+single-point network report (through ``noisy_rate_input``) read them.
 
 The formulas take a noise level or error rate, or a 1-D float64 grid of
-them, and each grid element has the bits of the float call.  A rate
+them, and each grid element has the bits of the float call.  Every
 sweep evaluates its whole grid at once for each N (``sweep_fractions``);
-the solvers and the network comparison evaluate floats, which is faster
-per point.
+the solvers and the single-point report evaluate floats.
 """
 
 from __future__ import annotations
@@ -291,13 +291,9 @@ def noisy_rate_input(n_parties: int, noise: noise_model.GateNoise | noise_model.
 
 def noisy_fractions(n_parties: int, noise: noise_model.GateNoise | noise_model.ChannelNoise,
                     hops: int) -> tuple:
-    """Unclamped secret fractions of the multipartite protocol and of one relay link;
-    channel noise takes the white-noise closed form ``rate_depolarized``."""
-    if isinstance(noise, noise_model.ChannelNoise):
-        nqkd = rate_depolarized(noise_model.channel_qber(n_parties, noise.f_c), n_parties)
-    else:
-        nqkd = _fraction_terms(*noisy_error_rates(n_parties, noise, hops))[0]
-    return nqkd, six_state_rate(noise.link_qber(hops))
+    """Unclamped secret fractions of the multipartite protocol, the general formula
+    at ``noisy_error_rates``, and of one relay link, for either noise model."""
+    return _fraction_terms(*noisy_error_rates(n_parties, noise, hops))[0], six_state_rate(noise.link_qber(hops))
 
 
 def sweep_fractions(variable: str, n_parties: int | float, grid: np.ndarray, hops: int | None) -> tuple:

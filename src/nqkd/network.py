@@ -9,8 +9,8 @@ qubits: Kobayashi, Le Gall, Nishimura and Roetteler, ICALP 2009), the
 bipartite relay r*, the largest rate every Bob gets at once by routing.
 Breadth-first hop counts pick the noise model: all Bobs one hop from
 Alice prepare as a star, all two hops as a router; other graphs have none.
-``compare_rates`` maps the noise model and that hop count to rates with
-``keyrate.noisy_rate_input`` and the model's ``link_qber``.
+``sweep_rates`` maps a grid of noise levels at that hop count to both
+protocols' rates for every sweep; ``compare_rates`` builds the one-level report.
 ``distribute_ghz_via_router`` verifies the router fan-out on state
 vectors, both measurement branches and a coherent correction included.
 """
@@ -210,8 +210,8 @@ class GraphFlows(NamedTuple):
 
 
 @lru_cache(maxsize=128)
-def graph_flows(network: NetworkModel) -> GraphFlows:
-    """Multicast capacity, relay rate and hop counts of one graph.
+def graph_flows(network: NetworkModel, n_parties: int | None = None) -> GraphFlows:
+    """Multicast capacity, relay rate and hop counts of one graph of ``n_parties`` parties, if given.
 
     r* is the largest lambda with a flow delivering lambda to every Bob
     at once.  Dinkelbach's iteration finds it exactly: for lambda = p/q,
@@ -219,6 +219,8 @@ def graph_flows(network: NetworkModel) -> GraphFlows:
     the flow does not saturate them, set lambda to the minimum cut's
     edges over the Bobs it cuts off.
     """
+    if n_parties is not None and n_parties != network.n_parties:
+        raise ValueError(f"the graph has {network.n_parties} parties, not {n_parties}")
     alice, edges = network.alice, network.edges
     bobs = [b.id for b in network.bobs()]
     # 1 <= h <= the edges leaving Alice or entering any Bob; each flow stops at the least h so far
@@ -343,6 +345,19 @@ def distribute_ghz_via_router(n_parties: int) -> tuple[DenseState, dict]:
 ADVANTAGE_RTOL = 1e-12
 
 
+def has_advantage(rate_nqkd, rate_twoqkd):
+    """Whether the multipartite rate beats the relay rate beyond ``ADVANTAGE_RTOL``; floats or arrays."""
+    return rate_nqkd > rate_twoqkd * (1.0 + ADVANTAGE_RTOL)
+
+
+def sweep_rates(flows: GraphFlows, variable: str, n_parties: int | float, grid: np.ndarray) -> tuple:
+    """The unclamped multipartite fraction and both protocols' rates over a grid of ``variable``
+    (Q, f_G or f_C) at N parties, N = inf for Q only, the Bobs at the graph's common hop count."""
+    hops = None if variable == "Q" else flows.common_hops()
+    r_inf, r_link = keyrate.sweep_fractions(variable, n_parties, grid, hops)
+    return r_inf, np.maximum(r_inf, 0.0) / flows.t_rep[NQKD], np.maximum(r_link, 0.0) / flows.t_rep[TWOQKD]
+
+
 def compare_rates(
     network: NetworkModel | str,
     noise: noise_model.GateNoise | noise_model.ChannelNoise | None,
@@ -356,10 +371,8 @@ def compare_rates(
     """
     if isinstance(network, str):
         network = TOPOLOGIES[network](n_parties)
-    flows = graph_flows(network)
-    if n_parties is not None and n_parties != len(flows.hops) + 1:
-        raise ValueError(f"the graph has {len(flows.hops) + 1} parties, not {n_parties}")
-    n_parties = len(flows.hops) + 1
+    flows = graph_flows(network, n_parties)
+    n_parties = network.n_parties
     t_nqkd = flows.t_rep[NQKD]
     t_twoqkd = flows.t_rep[TWOQKD]
 
@@ -382,7 +395,7 @@ def compare_rates(
         "twoqkd": twoqkd_report,
         "rate_nqkd": rate_n,
         "rate_twoqkd": rate_2,
-        "advantage": rate_n > rate_2 * (1.0 + ADVANTAGE_RTOL),
+        "advantage": has_advantage(rate_n, rate_2),
         "ratio": rate_n / rate_2 if rate_2 > 0 else math.inf if rate_n > 0 else math.nan,
     }
 
@@ -399,5 +412,5 @@ def comparison_to_json(result: dict) -> str:
 __all__ = [
     "NetworkModel", "Node", "GraphFlows", "TOPOLOGIES", "NQKD", "TWOQKD",
     "star_network", "router_network", "butterfly_network", "graph_flows", "edge_loads",
-    "compare_rates", "comparison_to_json", "distribute_ghz_via_router",
+    "sweep_rates", "has_advantage", "compare_rates", "comparison_to_json", "distribute_ghz_via_router",
 ]

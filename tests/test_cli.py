@@ -135,6 +135,28 @@ def test_rates_sweep_bytes_pinned(tmp_path, spec):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == RATES_SHA256[spec]
 
 
+# SHA-256 of the README's network sweep and of its neighbours, and of the
+# channel threshold table, as printed when each network row was its own
+# comparison and the channel fraction took the white-noise closed form
+NETWORK_SHA256 = {
+    ("network", "--topology", "router", "--n", "5", "--sweep", "f_G:0:0.1:100"):
+        "388f59267c4788c41a9010068f7018bee7e548673f5f56859bc3c9a33aebb34a",
+    ("network", "--topology", "router", "--n", "4", "--sweep", "f_C:0:0.3:100"):
+        "f152d22ae5f8fa50b84f8e21216c2e0d7a317515f947ebbf5b5dd73ba36f8b0d",
+    ("network", "--topology", "butterfly", "--sweep", "f_G:0:0.25:100", "--format", "json"):
+        "cf14d3599d9ec157da835e6e7aa6c007305c2076c892f2fdd4d820d362b68df3",
+    ("thresholds", "--kind", "channel", "--n", "3..18"):
+        "c39ff90baf51f121c75cc88d15e914ed918134c719904905e5e150e6b63bc3ad",
+}
+
+
+@pytest.mark.parametrize("argv", NETWORK_SHA256, ids=["-".join(argv) for argv in NETWORK_SHA256])
+def test_network_sweep_bytes_pinned(tmp_path, argv):
+    out = tmp_path / "out.txt"
+    assert run_cli([*argv, "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == NETWORK_SHA256[argv]
+
+
 def test_rates_evaluate_one_grid_per_n(tmp_path, monkeypatch):
     calls = []
     closed_form = keyrate.rate_depolarized
@@ -146,6 +168,27 @@ def test_rates_evaluate_one_grid_per_n(tmp_path, monkeypatch):
     monkeypatch.setattr(keyrate, "rate_depolarized", counted)
     assert run_cli(["rates", "--sweep", "Q:0:0.3:50", "--n", "2..4,inf", "--out", str(tmp_path / "q.csv")]) == 0
     assert calls == [(2, 50), (3, 50), (4, 50), (math.inf, 50)]
+
+
+def test_network_sweep_evaluates_one_grid(tmp_path, monkeypatch):
+    from nqkd import network
+
+    grids, compared = [], []
+    sweep_fractions, compare_rates = keyrate.sweep_fractions, network.compare_rates
+
+    def counted_sweep(variable, n, grid, hops):
+        grids.append((variable, n, len(grid), hops))
+        return sweep_fractions(variable, n, grid, hops)
+
+    def counted_compare(*args, **kwargs):
+        compared.append(args)
+        return compare_rates(*args, **kwargs)
+
+    monkeypatch.setattr(keyrate, "sweep_fractions", counted_sweep)
+    monkeypatch.setattr(network, "compare_rates", counted_compare)
+    assert run_cli(["network", "--topology", "router", "--n", "5", "--sweep", "f_C:0:0.2:50",
+                    "--out", str(tmp_path / "net.csv")]) == 0
+    assert grids == [("f_C", 5, 50, 2)] and compared == []
 
 
 @pytest.mark.parametrize("topology", ["router", "butterfly"])

@@ -226,10 +226,9 @@ def test_noisy_fractions_follow_the_noise_model_and_hops():
     for n in (2, 3, 5, 9, 30):
         for hops, lambda0 in ((1, lambda0_star), (2, lambda0_router)):
             for f in (0.0, 0.01, 0.05, 0.2):
-                # channel noise: the closed form agrees with the general formula
+                # channel noise: the general formula agrees with the white-noise closed form
                 nqkd, link = noisy_fractions(n, ChannelNoise(f), hops)
-                general = secret_fraction(noisy_rate_input(n, ChannelNoise(f), hops)).r_inf
-                assert nqkd == pytest.approx(general, abs=1e-12)
+                assert nqkd == pytest.approx(rate_depolarized(channel_qber(n, f), n), abs=1e-12)
                 assert link == six_state_rate(0.5 * (1.0 - (1.0 - f) ** hops))
                 # gate noise: the hop count picks the star or router circuit
                 nqkd, link = noisy_fractions(n, GateNoise(f), hops)
