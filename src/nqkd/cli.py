@@ -228,11 +228,16 @@ SUBCOMMANDS = {
 
 @functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The ``nqkd`` parser, built once per command; each ``parse_args`` call returns a fresh namespace.
-
-    Every subcommand is listed, but only ``command``'s arguments are
-    added, or every subcommand's when ``command`` is None.
+    """The parser for ``nqkd command``'s arguments alone, or for ``nqkd`` with
+    every subcommand when ``command`` is None; built once per command, and
+    each parse returns a fresh namespace.
     """
+    if command is not None:
+        _, run, add_arguments = SUBCOMMANDS[command]
+        parser = argparse.ArgumentParser(prog=f"nqkd {command}")
+        add_arguments(parser)
+        parser.set_defaults(func=run)
+        return parser
     parser = argparse.ArgumentParser(
         prog="nqkd",
         description="Conference key distribution with multiparty entangled states: "
@@ -241,15 +246,21 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_text, run, add_arguments) in SUBCOMMANDS.items():
         subparser = sub.add_parser(name, help=help_text)
-        if command in (None, name):
-            add_arguments(subparser)
+        add_arguments(subparser)
         subparser.set_defaults(func=run)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand.  A known command is parsed by its own parser; an
+    empty argv, an unknown command or leftover arguments go to the full
+    parser, whose help and usage errors name every subcommand."""
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None).parse_args(argv)
+    args, rest = None, argv
+    if argv and argv[0] in SUBCOMMANDS:
+        args, rest = build_parser(argv[0]).parse_known_args(argv[1:])
+    if args is None or rest:
+        args = build_parser(None).parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

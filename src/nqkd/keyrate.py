@@ -227,8 +227,10 @@ def bisect_root(f, lo: float, hi: float, xtol: float = 1e-9, max_iter: int = 200
         raise SolverError(f"no sign change on [{lo}, {hi}] ({f_lo} .. {f_hi})")
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
+        if hi - lo < xtol:
+            return mid
         f_mid = f(mid)
-        if f_mid == 0.0 or hi - lo < xtol:
+        if f_mid == 0.0:
             return mid
         if f_lo * f_mid < 0.0:
             hi, f_hi = mid, f_mid

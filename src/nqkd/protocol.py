@@ -346,15 +346,20 @@ def _meet(rows: np.ndarray | None, drawn: np.ndarray) -> tuple[np.ndarray, np.nd
     """Where the sorted ``drawn`` rows fall among the sorted ``rows``: their columns there, and a
     mask of the drawn rows that do.  ``rows`` None holds every row, each at its own column.
 
-    Only the rows within the drawn span are read; each drawn row is found
-    among them by binary search.
+    Only the rows within the drawn span are read, and the shorter of the
+    two sorted arrays is searched for in the longer: each drawn row among
+    those rows, or each of those rows among the drawn rows.
     """
     if rows is None:
         return drawn, slice(None)
     first, end = rows.searchsorted((drawn[0], drawn[-1] + 1))
     window = rows[first:end]
-    if not window.size:
-        return window, np.zeros(drawn.size, dtype=bool)
+    if window.size < drawn.size:
+        at = drawn.searchsorted(window)
+        found = drawn.take(at) == window
+        hit = np.zeros(drawn.size, dtype=bool)
+        hit[at[found]] = True
+        return first + np.flatnonzero(found), hit
     at = window.searchsorted(drawn)
     hit = window.take(at, mode="clip") == drawn
     return first + at[hit], hit

@@ -621,12 +621,21 @@ def test_network_graph_file_checks_party_count(tmp_path, capsys):
         assert run_cli(base + ["--n", "3"] + extra + ["--out", str(tmp_path / "out.txt")]) == 0
 
 
-@pytest.mark.parametrize("argv", [["--help"], ["rates", "--help"], ["thresholds", "--help"], ["simulate", "--help"],
-                                  ["network", "--help"], ["bogus"], []],
-                         ids=["help", "rates", "thresholds", "simulate", "network", "invalid_choice", "no_command"])
+@pytest.mark.parametrize("argv", [
+    ["--help"], ["rates", "--help"], ["thresholds", "--help"], ["simulate", "--help"], ["network", "--help"],
+    ["bogus"], [],
+    ["simulate", "--config", "x", "--bogus"], ["thresholds", "--kind", "qber", "--n", "3", "--extra"],
+    ["simulate"], ["thresholds", "--kind", "bad", "--n", "3"], ["simulate", "--seed", "abc", "--config", "x"],
+    ["network", "--noise", "gate:0.1", "--sweep", "f_G:0:0.1:3"],
+    ["simulate", "--", "--config", "x"], ["simulate", "--config", "x", "-h"],
+], ids=[
+    "help", "rates", "thresholds", "simulate", "network", "invalid_choice", "no_command",
+    "unrecognized_simulate", "unrecognized_thresholds", "missing_required", "bad_choice", "bad_type",
+    "exclusive", "double_dash", "late_help",
+])
 def test_main_prints_what_the_full_parser_prints(monkeypatch, capsys, argv):
-    # main adds only the named subcommand's arguments; its help and usage
-    # errors read as those of the parser with every subcommand's arguments
+    # main parses a known command with that command's parser alone; its help
+    # and usage errors read as those of the parser with every subcommand
     from nqkd.cli import build_parser
 
     monkeypatch.setenv("COLUMNS", "80")
@@ -638,6 +647,27 @@ def test_main_prints_what_the_full_parser_prints(monkeypatch, capsys, argv):
     assert printed[0] == printed[1] and "usage: nqkd" in printed[0][1].out + printed[0][1].err
     if argv[1:] == ["--help"]:
         assert "--out" in printed[0][1].out
+
+
+def test_a_known_command_builds_one_parser(monkeypatch, tmp_path):
+    import argparse
+
+    import nqkd.cli as cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    try:
+        assert main(["thresholds", "--kind", "qber", "--n", "3", "--out", str(tmp_path / "t.csv")]) == 0
+    finally:
+        cli.build_parser.cache_clear()
+    assert built == ["nqkd thresholds"]
 
 
 def test_network_noise_and_sweep_are_exclusive(capsys):

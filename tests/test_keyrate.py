@@ -170,6 +170,44 @@ def test_bisect_root_requires_sign_change():
     assert root == pytest.approx(0.25, abs=1e-10)
 
 
+def former_bisect_root(f, lo, hi, xtol=1e-9, max_iter=200):
+    """The former bisection loop, which evaluated f at the midpoint it then returned."""
+    f_lo, f_hi = f(lo), f(hi)
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if f_lo * f_hi > 0.0:
+        raise SolverError(f"no sign change on [{lo}, {hi}] ({f_lo} .. {f_hi})")
+    for _ in range(max_iter):
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0.0 or hi - lo < xtol:
+            return mid
+        if f_lo * f_mid < 0.0:
+            hi, f_hi = mid, f_mid
+        else:
+            lo, f_lo = mid, f_mid
+    return 0.5 * (lo + hi)
+
+
+def test_thresholds_equal_those_of_the_former_bisection_loop(monkeypatch):
+    # bisect_root no longer evaluates the midpoint it returns; every root stays the same float
+    cases = [(threshold_qber, range(2, 18)), (nqkd_gate_threshold, range(3, 23)), (nqkd_channel_threshold, range(3, 11))]
+    now = [[solve(n) for n in ns] for solve, ns in cases]
+    monkeypatch.setattr(keyrate, "bisect_root", former_bisect_root)
+    assert now == [[solve(n) for n in ns] for solve, ns in cases]
+    evaluated = []
+
+    def f(x):
+        evaluated.append(x)
+        return x - 0.3
+
+    # both ends, then one midpoint per halving of [0, 1] down to a width below 1e-3
+    assert bisect_root(f, 0.0, 1.0, xtol=1e-3) == former_bisect_root(lambda x: x - 0.3, 0.0, 1.0, xtol=1e-3)
+    assert len(evaluated) == 2 + 10 and len(set(evaluated)) == len(evaluated)
+
+
 def test_twoqkd_conference_rate():
     ideal = twoqkd_conference_rate([0.0, 0.0], t_rep=1.0)
     assert ideal.rate == pytest.approx(1.0)

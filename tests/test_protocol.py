@@ -257,6 +257,21 @@ def test_z_sampling_at_rows_is_the_full_matrix_at_those_rows(monkeypatch, name, 
         assert np.array_equal(bits, full[rows]), rows.size
 
 
+def test_meet_matches_isin_whichever_array_is_shorter():
+    # _meet searches the shorter of the drawn rows and the announced rows in
+    # their span for the other; both orders give np.isin's mask and the columns
+    pick = np.random.default_rng(72)
+    for n_rows, n_drawn in [(5, 400), (400, 5), (300, 300), (1, 50), (50, 1), (0, 30), (2000, 2000)]:
+        for _ in range(20):
+            population = pick.integers(max(n_rows, n_drawn), 3 * max(n_rows, n_drawn) + 2)
+            rows = np.sort(pick.choice(population, n_rows, replace=False))
+            drawn = np.sort(pick.choice(population, n_drawn, replace=False))
+            columns, hit = protocol._meet(rows, drawn)
+            expected = np.isin(drawn, rows)
+            assert np.array_equal(hit, expected)
+            assert np.array_equal(columns, rows.searchsorted(drawn[expected]))
+
+
 def test_z_sampling_draws_no_branch_past_the_last_of_positive_mass():
     # branch 3 is empty, and the renormalised masses of branches 1 and 2 sum to
     # 1 - 2^-52, so a top uniform lies past every bound; it must draw branch 2
