@@ -15,7 +15,7 @@ import json
 import math
 import sys
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -92,8 +92,8 @@ def write_rows(path: str | None, header: list[str], rows: list, fmt_name: str) -
     as ``str``, or as a JSON list of objects keyed by ``header``.  Every row
     holds the cell types of the first, so one format string prints them all."""
     if fmt_name == "csv":
-        line = ",".join("{:.9g}" if isinstance(x, float) else "{}" for x in rows[0]).format if rows else None
-        text = "\n".join([",".join(header)] + [line(*row) for row in rows])
+        line = "\n" + ",".join("%.9g" if isinstance(x, float) else "%s" for x in rows[0]) if rows else ""
+        text = ",".join(header) + ("".join(repeat(line, len(rows))) % tuple(chain.from_iterable(rows)))
     else:
         text = json.dumps([dict(zip(header, row)) for row in rows], indent=2)
     write_text(path, text)

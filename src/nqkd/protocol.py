@@ -66,7 +66,8 @@ outcomes and the announced rounds' outcomes, and no array of a byte or
 more for every round.  The key and its flip mask are built from the
 packed bits only when read (``--hash-key``).  With a transcript the run
 also holds the schedule as a mask over the rounds and every Z round's
-N outcome bits, which the transcript writer interleaves.
+N outcome bits, from which the transcript writer joins each line out of
+byte pieces looked up by the line's bits, eight parties at a time.
 """
 
 from __future__ import annotations
@@ -75,6 +76,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -760,79 +762,94 @@ def run_protocol(config: ProtocolConfig, hash_key: bool = False, transcript: boo
     )
 
 
-# Rounds formatted per block: the writer's buffers hold one block, whatever L is,
-# about four bytes per character of its lines.
+# Rounds written per block: the writer's buffers hold one block, whatever L is:
+# a pointer per piece, one or two pieces per round and eight parties, and their join.
 TRANSCRIPT_BLOCK_ROUNDS = 1 << 12
 
 
-def _transcript_layout(n: int) -> tuple[np.ndarray, dict[str, int]]:
-    """Byte template of one transcript line and the start column of each variable slot.
+def _transcript_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Byte pieces of the ``RoundRecord.to_json`` lines of N parties, per chunk of up to eight.
 
-    Every field gets a fixed-width slot; bytes a round does not use are
-    masked out when the line is written.
+    A chunk's pieces are indexed by its parties' bits as ``_packed_chunks``
+    packs them.  A Z line joins its chunks' Z pieces, the first of which
+    holds the line's head and the last its tail; an XY line joins its
+    chunks' basis pieces, their outcome pieces and the tail of its
+    kappa_tilde.  The chunks between the first and the last share one set
+    of tables, so at most three sets are built.  Returns the pieces and the
+    offsets that turn a Z line's codes, and an XY line's codes followed by
+    its kappa_tilde, into indices of them, as columns.
     """
-    parts = [
-        (None, b'{"type": "'), ("type", b"XY"), (None, b'", "bases": "'), ("bases", b"Z" * n),
-        (None, b'", "outcomes": ['), ("outcomes", (b"-1, " * n)[:-2]), (None, b'], "kappa_tilde": '),
-        ("kappa", b"0" * len(str(n))), (None, b', "kept": '), ("kept", b"false}"), (None, b"\n"),
-    ]
-    starts = {}
-    col = 0
-    for name, raw in parts:
-        if name is not None:
-            starts[name] = col
-        col += len(raw)
-    return np.frombuffer(b"".join(raw for _, raw in parts), dtype=np.uint8), starts
+    z_head = b'{"type": "Z", "bases": "' + b"Z" * n + b'", "outcomes": ['
+    z_tail = b'], "kappa_tilde": 0, "kept": true}\n'
+    chunks = [(start == 0, n - start <= 8) for start in range(0, n, 8)]
+    pieces, offsets = [], {}
+    for start, (first, last) in zip(range(0, n, 8), chunks):
+        if (first, last) in offsets:
+            continue
+        width = min(8, n - start)
+        sep = b"" if first else b", "
+        xy_head = b'{"type": "XY", "bases": "' if first else b""
+        xy_mid = b'", "outcomes": [' if last else b""
+        # product varies its last factor fastest, so reversed, party k is bit k of the index
+        outcomes = [sep + b", ".join(o[::-1]) for o in product((b"1", b"-1"), repeat=width)]
+        bases = [xy_head + bytes(b[::-1]) + xy_mid for b in product(b"XY", repeat=width)]
+        z = [(z_head if first else b"") + o + (z_tail if last else b"") for o in outcomes]
+        offsets[first, last] = (len(pieces), len(pieces) + 2**width, len(pieces) + 2 * 2**width)
+        pieces += z + bases + outcomes
+    z_off = [offsets[key][0] for key in chunks]
+    xy_off = [offsets[key][1] for key in chunks] + [offsets[key][2] for key in chunks] + [len(pieces)]
+    pieces += [b'], "kappa_tilde": %d, "kept": %s}\n' % (kappa, b"false" if kappa % 2 else b"true")
+               for kappa in range(n + 1)]
+    table = np.empty(len(pieces), dtype=object)
+    table[:] = pieces
+    return table, np.array(z_off)[:, None], np.array(xy_off)[:, None]
 
 
-def _transcript_block(template: np.ndarray, starts: dict[str, int], is_xy: np.ndarray,
-                      bases: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """The ``RoundRecord.to_json`` lines of one block of rounds, as uint8 characters.
+def _packed_chunks(rows: np.ndarray) -> np.ndarray:
+    """Party-major bits, one row per party, packed eight parties to a byte.
 
-    ``bases`` holds 0/1/2 for X/Y/Z per round and party, ``bits`` the
-    outcome bits (1 is the -1 outcome).
+    Party 8c + k is bit k of row c, the order of ``np.packbits`` with
+    ``bitorder="little"``; eight shifts over whole rows cost less than
+    packing each round's few bits on its own.
     """
-    n = bases.shape[1]
-    chars = np.empty((is_xy.size, template.size), dtype=np.uint8)
-    chars[:] = template
-    keep = np.ones(chars.shape, dtype=bool)
-    t, b, o, k, c = (starts[name] for name in ("type", "bases", "outcomes", "kappa", "kept"))
-    chars[:, t] = np.where(is_xy, ord("X"), ord("Z"))
-    keep[:, t + 1] = is_xy
-    chars[:, b : b + n] = bases + ord("X")
-    keep[:, o : o + 4 * n : 4] = bits.astype(bool)  # the "-" of each -1
-    kappa = (bases == 1).sum(axis=1)
-    digits = len(str(n))  # kappa_tilde <= n
-    for place in range(digits):
-        chars[:, k + digits - 1 - place] += (kappa // 10**place % 10).astype(np.uint8)
-        if place:
-            keep[:, k + digits - 1 - place] = kappa >= 10**place
-    kept = kappa % 2 == 0
-    chars[kept, c : c + 5] = np.frombuffer(b"true}", dtype=np.uint8)
-    keep[:, c + 5] = ~kept
-    return chars[keep]
+    n = rows.shape[0]
+    codes = np.zeros(((n + 7) // 8, rows.shape[1]), dtype=np.uint8)
+    for k in range(min(8, n)):
+        codes[: (n - k + 7) // 8] |= rows[k::8] << k
+    return codes
 
 
 def write_transcript(path: str, run: ProtocolRun) -> None:
-    """Write one JSON round record per line, in the format of ``RoundRecord.to_json``."""
+    """Write one JSON round record per line, in the format of ``RoundRecord.to_json``.
+
+    Each block of ``TRANSCRIPT_BLOCK_ROUNDS`` rounds packs its bits per
+    chunk of eight parties, places the pieces of ``_transcript_tables``
+    they index in round order, ceil(N/8) per Z round and 2 ceil(N/8) + 1
+    per XY round, and is written as their join.
+    """
     if run.z_bits is None:
         raise ValueError("the run was sampled without a transcript; run_protocol needs transcript=True")
-    n = run.config.n_parties
-    template, starts = _transcript_layout(n)
+    table, z_off, xy_off = _transcript_tables(run.config.n_parties)
+    z_cols, xy_cols = np.arange(z_off.size)[:, None], np.arange(xy_off.size)[:, None]
+    # party-major rows, so a block is a column slice
+    z_bits, xy_bases, xy_bits = run.z_bits.T, run.xy_bases.T, run.xy_bits.T
     z_pos = xy_pos = 0
     with open(path, "wb") as fh:
         for start in range(0, run.is_xy.size, TRANSCRIPT_BLOCK_ROUNDS):
             is_xy = run.is_xy[start : start + TRANSCRIPT_BLOCK_ROUNDS]
-            xy_count = int(is_xy.sum())
-            z_count = is_xy.size - xy_count
-            bases = np.full((is_xy.size, n), 2, dtype=np.uint8)
-            bases[is_xy] = run.xy_bases[xy_pos : xy_pos + xy_count]
-            bits = np.empty((is_xy.size, n), dtype=np.uint8)
-            bits[is_xy] = run.xy_bits[xy_pos : xy_pos + xy_count]
-            bits[~is_xy] = run.z_bits[z_pos : z_pos + z_count]
-            xy_pos += xy_count
-            z_pos += z_count
-            fh.write(_transcript_block(template, starts, is_xy, bases, bits))
+            xy_end = xy_pos + int(np.count_nonzero(is_xy))
+            z_end = z_pos + is_xy.size - (xy_end - xy_pos)
+            bases = xy_bases[:, xy_pos:xy_end]
+            xy_codes = np.concatenate([_packed_chunks(bases), _packed_chunks(xy_bits[:, xy_pos:xy_end]),
+                                       bases.sum(axis=0, keepdims=True)], dtype=np.intp)
+            width = np.where(is_xy, xy_off.size, z_off.size)
+            ends = np.cumsum(width)
+            first = ends - width
+            pieces = np.empty(ends[-1], dtype=object)
+            pieces[first[~is_xy] + z_cols] = table[_packed_chunks(z_bits[:, z_pos:z_end]) + z_off]
+            pieces[first[is_xy] + xy_cols] = table[xy_codes + xy_off]
+            fh.write(b"".join(pieces.tolist()))
+            xy_pos, z_pos = xy_end, z_end
 
 
 CONFIG_KEYS = {"n_parties", "n_rounds", "p_estimation", "seed", "state", "announced_z_rounds"}

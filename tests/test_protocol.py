@@ -790,7 +790,8 @@ def assert_transcript_matches_reference(run, path):
     assert path.read_bytes() == reference_transcript(run)
 
 
-@pytest.mark.parametrize("n", [2, 3, 6, 12, 20])
+# 8, 9, 16 and 17 sit on either side of the writer's chunks of eight parties; 64 has eight full ones
+@pytest.mark.parametrize("n", [2, 3, 6, 8, 9, 12, 16, 17, 20, 64])
 def test_transcript_matches_round_records(tmp_path, n):
     config = ProtocolConfig(n, 3000, depolarized_state(n, 0.1), p_estimation=0.4, seed=n)
     run = ProtocolRun(config)
@@ -812,12 +813,35 @@ def test_config_rejects_dense_state():
         ProtocolConfig(3, 1000, ghz_state(3), p_estimation=0.3, seed=4)
 
 
-@pytest.mark.parametrize("n_rounds", [1, 63, 192, 1001])
-def test_transcript_across_blocks(tmp_path, monkeypatch, n_rounds):
+@pytest.mark.parametrize("n, n_rounds", [(5, 1), (5, 63), (5, 192), (5, 1001), (9, 1001)],
+                         ids=["1", "63", "192", "1001", "n9_1001"])
+def test_transcript_across_blocks(tmp_path, monkeypatch, n, n_rounds):
     # 192 rounds fill three blocks exactly, 1001 end in a partial block
     monkeypatch.setattr(protocol, "TRANSCRIPT_BLOCK_ROUNDS", 64)
-    config = ProtocolConfig(5, n_rounds, depolarized_state(5, 0.1), p_estimation=0.3, seed=8)
+    config = ProtocolConfig(n, n_rounds, depolarized_state(n, 0.1), p_estimation=0.3, seed=8)
     assert_transcript_matches_reference(ProtocolRun(config), tmp_path / "t.jsonl")
+
+
+def test_transcript_block_without_z_rounds(tmp_path, monkeypatch):
+    monkeypatch.setattr(protocol, "TRANSCRIPT_BLOCK_ROUNDS", 8)
+    run = ProtocolRun(ProtocolConfig(9, 400, depolarized_state(9, 0.1), p_estimation=0.9, seed=3))
+    assert run.is_xy.reshape(-1, 8).all(axis=1).any()  # a block of parity rounds only
+    assert_transcript_matches_reference(run, tmp_path / "t.jsonl")
+
+
+@pytest.mark.parametrize("n", [3, 20])
+def test_transcript_writer_memory_does_not_grow_with_the_run(tmp_path, n):
+    # the writer holds one block of rounds at a time, so eight times the rounds peak as high
+    peaks = []
+    for n_rounds in (1 << 14, 1 << 17):
+        run = ProtocolRun(ProtocolConfig(n, n_rounds, depolarized_state(n, 0.1), seed=1))
+        tracemalloc.start()
+        try:
+            write_transcript(str(tmp_path / "t.jsonl"), run)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] / peaks[0] - 1) < 0.05, peaks
 
 
 DEPOLARIZED = {"model": "depolarized", "q": 0.1}
