@@ -229,7 +229,8 @@ def apply_single_qubit(psi: np.ndarray, gate: np.ndarray, qubit: int, n_qubits: 
 def replace_with_mixed(rho: np.ndarray, n_qubits: int, qubits: tuple[int, ...]) -> np.ndarray:
     """Trace out ``qubits`` and put back the maximally mixed state there.
 
-    This is the failure branch of the noisy two-qubit gate model.
+    This is the failure branch of the noisy two-qubit gate model; the
+    result keeps ``rho``'s dtype, so a real matrix stays real.
     """
     r = len(qubits)
     keep = [q for q in range(n_qubits) if q not in qubits]
@@ -239,23 +240,12 @@ def replace_with_mixed(rho: np.ndarray, n_qubits: int, qubits: tuple[int, ...]) 
     t = t.transpose(order + [n_qubits + q for q in order])
     t = t.reshape(1 << m, 1 << r, 1 << m, 1 << r)
     sub = np.einsum("aibi->ab", t)
-    mixed = np.eye(1 << r, dtype=complex) / (1 << r)
+    mixed = np.eye(1 << r, dtype=rho.dtype) / (1 << r)
     full = sub[:, None, :, None] * mixed[None, :, None, :]
     full = full.reshape((2,) * (2 * n_qubits))
     inverse = np.argsort(order)
     full = full.transpose(list(inverse) + [n_qubits + q for q in inverse])
     return full.reshape(1 << n_qubits, 1 << n_qubits)
-
-
-def partial_trace(rho: np.ndarray, n_qubits: int, keep: tuple[int, ...]) -> np.ndarray:
-    """Reduced density matrix on ``keep`` (in the listed order)."""
-    traced = [q for q in range(n_qubits) if q not in keep]
-    order = list(keep) + traced
-    t = rho.reshape((2,) * (2 * n_qubits))
-    t = t.transpose(order + [n_qubits + q for q in order])
-    m, r = len(keep), len(traced)
-    t = t.reshape(1 << m, 1 << r, 1 << m, 1 << r)
-    return np.einsum("aibi->ab", t)
 
 
 # X-basis and Y-basis eigenvector columns (+1 eigenvector first).

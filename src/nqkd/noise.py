@@ -245,9 +245,9 @@ def apply_channel_noise(state: DenseState, f_c: float) -> DenseState:
 # ---------------------------------------------------------------------------
 
 def _initial_density(n_parties: int, alice: str) -> np.ndarray:
-    """|alice><alice| on qubit 0, |0> on every Bob qubit."""
+    """|alice><alice| on qubit 0, |0> on every Bob qubit, as a real matrix."""
     dim = 1 << n_parties
-    rho = np.zeros((dim, dim), dtype=complex)
+    rho = np.zeros((dim, dim))
     step = 1 << (n_parties - 1)
     if alice == "plus":
         rho[0, 0] = rho[0, step] = rho[step, 0] = rho[step, step] = 0.5
@@ -301,7 +301,8 @@ def _pattern_tables(n_parties: int, alice: str) -> tuple[np.ndarray, np.ndarray]
     maximally mixed state).  Every step, the twirl and the coefficient
     read are linear, so the full set's sums divided by (N-1)! are the
     order averages; the twirl runs once per w.  Only two sizes of S are
-    held at once: C(N-1, |S|) (|S|+1) dense matrices each.
+    held at once: C(N-1, |S|) (|S|+1) dense matrices each, real ones,
+    since the initial states, CNOTs and failures have real entries.
     """
     n_gates = n_parties - 1
     dim = 1 << n_parties
@@ -314,7 +315,7 @@ def _pattern_tables(n_parties: int, alice: str) -> tuple[np.ndarray, np.ndarray]
                 if gated & bit:
                     continue
                 if (sums := grown.get(gated | bit)) is None:
-                    sums = grown[gated | bit] = np.zeros((size + 1, dim, dim), dtype=complex)
+                    sums = grown[gated | bit] = np.zeros((size + 1, dim, dim))
                 for w, rho in enumerate(by_weight):
                     sums[w + 1] += apply_cnot(rho, n_parties, 0, bob)
                     sums[w] += replace_with_mixed(rho, n_parties, (0, bob))
@@ -338,9 +339,9 @@ def simulate_prep_circuit(n_parties: int, f_g: float, topology: str = STAR) -> G
     same sums with one pair of dense gates per (set of gated Bobs, next
     Bob, success count), N (N-1) 2^(N-3) pairs in all, instead of one
     circuit per pattern and order.  Each gate is O(4^N), so the oracle
-    is capped at N=7: one initial state peaks at 40 MiB there and 318 MiB
-    at N=8 (tracemalloc), and takes 0.6 s and 3.6 s on one core of a
-    2-vCPU x86 machine.  The closed forms cover every N.
+    is capped at N=7: one initial state's real float64 sums peak at 20 MiB
+    there and 159 MiB at N=8 (tracemalloc), and take about 0.3 s and 1.8 s
+    on one core of a 2-vCPU x86 machine.  The closed forms cover every N.
     """
     if not 0.0 <= f_g <= 1.0:
         raise ValueError(f"f_g={f_g} outside [0, 1]")

@@ -12,11 +12,22 @@ from nqkd.dense import (
     apply_twirl_operator,
     ghz_basis_vector,
     ghz_state,
-    partial_trace,
     product_basis_probabilities,
 )
 
 RT2 = 1 / np.sqrt(2.0)
+
+
+def partial_trace(rho: np.ndarray, n_qubits: int, keep: tuple[int, ...]) -> np.ndarray:
+    """Reduced density matrix on ``keep`` (in the listed order); the tests' reference, which the
+    package itself never forms."""
+    traced = [q for q in range(n_qubits) if q not in keep]
+    order = list(keep) + traced
+    t = rho.reshape((2,) * (2 * n_qubits))
+    t = t.transpose(order + [n_qubits + q for q in order])
+    m, r = len(keep), len(traced)
+    t = t.reshape(1 << m, 1 << r, 1 << m, 1 << r)
+    return np.einsum("aibi->ab", t)
 
 
 def test_bell_state_is_j0_plus():

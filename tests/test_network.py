@@ -3,11 +3,14 @@
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from test_dense import partial_trace
 
 from nqkd.cli import main
+from nqkd.dense import apply_cz, apply_single_qubit, ghz_state
 from nqkd.network import (
     NQKD,
     TWOQKD,
@@ -82,6 +85,74 @@ def test_router_distribution_fidelity(n):
     assert report["fidelity_coherent"] == pytest.approx(1.0, abs=1e-12)
     assert report["probability_plus"] == pytest.approx(0.5, abs=1e-12)
     assert report["branches_agree"]
+
+
+def router_report_by_density_matrices(n_parties: int) -> dict:
+    """``distribute_ghz_via_router``'s report from 2^(N+1)-square density matrices:
+    projectors on C, a partial trace over C, and the coherent correction as a unitary."""
+    total = n_parties + 1
+    dim = 1 << total
+    psi = np.full(dim, 1 / math.sqrt(dim), dtype=complex)
+    for q in range(1, total):
+        psi = apply_cz(psi, total, 0, q)
+    rho = np.outer(psi, psi.conj())
+    hadamard = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
+    target = ghz_state(n_parties).data
+    for q in range(n_parties):
+        target = apply_single_qubit(target, hadamard, q, n_parties)
+    flip_bob1 = np.kron(np.kron(np.eye(2), [[0, 1], [1, 0]]), np.eye(1 << (n_parties - 2)))
+    rest = tuple(range(1, total))
+    report, reduced = {"n_parties": n_parties}, {}
+    for label, sign in (("plus", 1), ("minus", -1)):
+        c = np.array([1, sign]) / math.sqrt(2)
+        project = np.kron(np.outer(c, c), np.eye(dim // 2))
+        branch = partial_trace(project @ rho @ project, total, rest)
+        report[f"probability_{label}"] = np.trace(branch).real
+        reduced[label] = branch / np.trace(branch).real
+        if label == "minus":
+            reduced[label] = flip_bob1 @ reduced[label] @ flip_bob1
+        report[f"fidelity_{label}"] = np.vdot(target, reduced[label] @ target).real
+    correct = np.kron(np.diag([1, 0]), np.eye(dim // 2)) + np.kron(np.diag([0, 1]), flip_bob1)
+    unitary = correct @ np.kron(hadamard, np.eye(dim // 2))
+    coherent = partial_trace(unitary @ rho @ unitary.conj().T, total, rest)
+    report["fidelity_coherent"] = np.vdot(target, coherent @ target).real
+    report["branches_agree"] = abs(np.trace(reduced["plus"] @ reduced["minus"]).real - 1) < 1e-12
+    return report
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_router_report_equals_the_density_matrix_reference(n):
+    _, report = distribute_ghz_via_router(n)
+    reference = router_report_by_density_matrices(n)
+    assert report.keys() == reference.keys()
+    assert (report["n_parties"], report["branches_agree"]) == (n, reference["branches_agree"])
+    for key in ("probability_plus", "probability_minus", "fidelity_plus", "fidelity_minus", "fidelity_coherent"):
+        assert abs(report[key] - reference[key]) < 1e-12, key
+
+
+def test_router_check_holds_vectors_only():
+    distribute_ghz_via_router(10)  # warm up imports and caches outside the trace
+    tracemalloc.start()
+    try:
+        distribute_ghz_via_router(10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # a density matrix at N=10 takes 64 MiB alone
+
+
+def test_router_check_runs_to_the_dense_cap():
+    _, report = distribute_ghz_via_router(11)
+    assert abs(report["fidelity_coherent"] - 1.0) < 1e-12
+    assert report["branches_agree"]
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="cap of 12"):
+            distribute_ghz_via_router(12)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16  # the 2^13-amplitude complex vector alone takes 128 KiB
 
 
 def test_router_distribution_bell_case():

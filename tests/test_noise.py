@@ -2,6 +2,7 @@
 
 import itertools
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -306,6 +307,18 @@ def test_prep_circuit_matches_closed_forms_at_seven():
             assert abs(out.lam_plus[0] - lam_plus) < 1e-12
             assert abs(out.lam_minus[0] - lam_minus) < 1e-12
             assert np.abs(qber_pairwise_all(out) - qab_average(7, f)).max() < 1e-12
+
+
+def test_pattern_tables_at_seven_hold_real_matrices():
+    noise._pattern_tables.cache_clear()
+    tracemalloc.start()
+    try:
+        noise._pattern_tables(7, "plus")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        noise._pattern_tables.cache_clear()
+    assert peak < 24 << 20  # real sums take 19.8 MiB, complex ones twice that
 
 
 def test_prep_circuit_fixed_pattern_output():
