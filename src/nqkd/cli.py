@@ -20,9 +20,15 @@ from itertools import chain, repeat
 import numpy as np
 
 from . import keyrate, network as networks, noise as noise_model, protocol as protocol_sim
+from .ghz import ARRAY_BYTE_BUDGET
 
 USAGE_ERROR = 2
 NUMERIC_ERROR = 3
+
+# Bytes a sweep holds per output row at its peak, by format: the row's floats, tuples and
+# CSV text, or the JSON encoder's token strings.  Measured with tracemalloc over rates and
+# network sweeps (at most 381 and 1,811 B); test_sweep_peak_memory_within_row_bytes pins them.
+SWEEP_ROW_BYTES = {"csv": 400, "json": 1900}
 
 
 @dataclass(frozen=True)
@@ -37,12 +43,20 @@ class SweepSpec:
             raise ValueError(f"unknown sweep variable {self.variable!r}")
         if self.steps < 2:
             raise ValueError("sweep needs at least 2 steps")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ValueError(f"sweep bounds {self.start} and {self.stop} must be finite")
         if not self.stop > self.start >= 0.0:
             raise ValueError("sweep range must satisfy 0 <= start < stop")
 
     def values(self) -> list[float]:
         step = (self.stop - self.start) / (self.steps - 1)
         return [self.start + i * step for i in range(self.steps)]
+
+
+def check_sweep_budget(rows: int, fmt_name: str) -> None:
+    """Raise ``ValueError`` when a sweep of ``rows`` output rows would pass ``ARRAY_BYTE_BUDGET``."""
+    if (needed := rows * SWEEP_ROW_BYTES[fmt_name]) > ARRAY_BYTE_BUDGET:
+        raise ValueError(f"{rows} {fmt_name} rows need about {needed} bytes, over the {ARRAY_BYTE_BUDGET}-byte budget")
 
 
 def parse_sweep(text: str) -> SweepSpec:
@@ -119,6 +133,7 @@ def cmd_rates(args) -> int:
     ``network.sweep_rates`` call per N over the whole grid."""
     sweep = parse_sweep(args.sweep)
     n_values = parse_n_list(args.n)
+    check_sweep_budget(sweep.steps * len(n_values), args.format)
     values = sweep.values()
     grid = np.array(values)
     rows = []
@@ -175,6 +190,7 @@ def cmd_network(args) -> int:
     sweep = parse_sweep(args.sweep)
     if sweep.variable == "Q":
         raise ValueError("network sweeps run over f_G or f_C")
+    check_sweep_budget(sweep.steps, args.format)
     values = sweep.values()
     flows = networks.graph_flows(model, n_parties)
     _, rate_n, rate_2 = networks.sweep_rates(flows, sweep.variable, model.n_parties, np.array(values))

@@ -2,9 +2,7 @@
 
 The general rate takes the measured error rates (Q_Z, Q_X, per-Bob
 Q_AB_i) of a symmetrised state and charges the worst Bob for error
-correction.  For the white-noise mixture the same quantity collapses to
-a closed form in (Q, N) alone, including an N -> infinity limit; the two
-code paths are kept independent and cross-checked in the tests.
+correction.
 
 The bipartite baseline runs one six-state link per Bob and relays a
 one-time-padded conference key, so its rate is the slowest link's rate
@@ -13,8 +11,11 @@ divided by the rounds the network needs.
 ``noisy_error_rates`` is the one map from a noise model and the Bobs' hop
 count to multipartite error rates, and ``_fraction_terms`` the one formula
 from error rates to a secret fraction, for gate and channel noise alike;
-the sweeps, both threshold solvers (through ``noisy_fractions``) and the
-single-point network report (through ``noisy_rate_input``) read them.
+the sweeps, both noise threshold solvers (through ``noisy_fractions``) and
+the single-point network report (through ``noisy_rate_input``) read them.
+The white-noise Q sweeps and the QBER threshold take the same formula at
+the mixture's error rates, N -> infinity included (``rate_depolarized``);
+the tests keep the mixture's closed form in (Q, N) as their reference.
 
 The formulas take a noise level or error rate, or a 1-D float64 grid of
 them, and each grid element has the bits of the float call.  Every
@@ -27,13 +28,12 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 
 import numpy as np
 
 from . import noise as noise_model
 
-LOG2 = math.log(2.0)
 SIX_STATE_SLOPE = 1.5 * math.log2(3.0)
 
 
@@ -60,13 +60,6 @@ def _xlog2x(x):
         x = np.where(x > 0.0, x, 1.0)  # 1 log2 1 = 0 stands in for x <= 0
         return x * _log2_each(x)
     return x * math.log2(x) if x > 0.0 else 0.0
-
-
-def _at_most_one(x):
-    """min(x, 1), elementwise on a grid."""
-    if type(x) is np.ndarray:
-        return np.minimum(x, 1.0)
-    return 1.0 if x > 1.0 else x
 
 
 def binary_entropy(p):
@@ -179,34 +172,17 @@ def depolarized_rate_input(q: float, n_parties: int, t_rep: float = 1.0) -> Rate
 
 
 def rate_depolarized(q, n_parties: int | float):
-    """Closed-form secret fraction of the white-noise mixture.
-
-    ``n_parties`` may be ``math.inf``; large N is evaluated through
-    ratios of the form (1 - 2^-N) that never overflow.
-    """
-    if math.isinf(n_parties):
-        if (bad := noise_model.outside(q, 0.0, 1.0)) is not None:
-            raise ValueError(f"q={bad} is negative" if bad < 0.0 else f"q={bad} outside [0, 1]")
-        return 1.0 - _entropy(q / 2.0) - q
-    n = int(n_parties)
-    if n < 2:
+    """Secret fraction of the white-noise mixture at Z error rate ``q``: the general
+    formula at ``depolarized_error_rates``.  ``n_parties`` may be ``math.inf``, where
+    ``q`` may reach 1; a finite N admits ``q`` up to ``noise.white_noise_q_max``."""
+    finite = not math.isinf(n_parties)
+    if finite and (n_parties := int(n_parties)) < 2:
         raise ValueError("need at least 2 parties")
-    q_max, ratio_full, ratio_half, slope = _white_noise_constants(n)
-    if (bad := noise_model.outside(q, 0.0, q_max + 1e-15)) is not None:
-        raise ValueError(f"q={bad} is negative" if bad < 0.0 else f"q={bad} above the admissible {q_max} for N={n}")
-    return 1.0 + _entropy(q) - _entropy(_at_most_one(q * ratio_full)) - _entropy(q * ratio_half) + slope * q
-
-
-@lru_cache(maxsize=None)
-def _white_noise_constants(n: int) -> tuple[float, float, float, float]:
-    """The N-dependent factors of ``rate_depolarized``: the admissible q_max,
-    the two ratios and the slope of the linear term, all in powers 2^-N."""
-    eps = 2.0 ** (-n)
-    ratio_full = (1.0 - eps) / (1.0 - 2.0 * eps)      # (2^N-1)/(2^N-2)
-    ratio_half = 0.5 / (1.0 - 2.0 * eps)              # 2^(N-1)/(2^N-2)
-    log_half = (n - 1) + math.log1p(-2.0 * eps) / LOG2  # log2(2^(N-1)-1)
-    log_full = n + math.log1p(-eps) / LOG2              # log2(2^N-1)
-    return (1.0 - 2.0 * eps) / (1.0 - eps), ratio_full, ratio_half, log_half - ratio_full * log_full
+    q_max = noise_model.white_noise_q_max(n_parties) if finite else 1.0
+    if (bad := noise_model.outside(q, 0.0, q_max + 1e-15 if finite else q_max)) is not None:
+        above = f"above the admissible {q_max} for N={n_parties}" if finite else "outside [0, 1]"
+        raise ValueError(f"q={bad} is negative" if bad < 0.0 else f"q={bad} {above}")
+    return _fraction_terms(*depolarized_error_rates(q, n_parties))[0]
 
 
 def six_state_rate(q):

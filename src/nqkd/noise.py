@@ -106,6 +106,11 @@ NOISE_SWEEPS = {model.sweep_name: model for model in NOISE_MODELS.values()}  # b
 # White-noise mixture
 # ---------------------------------------------------------------------------
 
+def white_noise_q_max(n_parties: int) -> float:
+    """Largest Z error rate (2^N - 2)/(2^N - 1) of the white-noise mixture, in powers 2^-N."""
+    return (1.0 - 2.0 ** (1 - n_parties)) / (1.0 - 2.0 ** -n_parties)
+
+
 def depolarized_state(n_parties: int, q: float) -> WeightClassState:
     """Mixture of the resource state with white noise, at Z error rate ``q``.
 
@@ -116,7 +121,7 @@ def depolarized_state(n_parties: int, q: float) -> WeightClassState:
     """
     if n_parties < 2:
         raise ValueError("need at least 2 parties")
-    q_max = (1.0 - 2.0 ** (1 - n_parties)) / (1.0 - 2.0 ** -n_parties)  # (2^N - 2)/(2^N - 1)
+    q_max = white_noise_q_max(n_parties)
     if not 0.0 <= q <= q_max:
         raise ValueError(f"q={q} outside [0, {q_max}] for N={n_parties}")
     noise = q * binomial_shares(n_parties) / (2.0 - 2.0 ** (2 - n_parties))  # q C(N-1, w)/(2^N - 2)

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import nqkd
-from nqkd import keyrate
+from nqkd import cli, keyrate
 from nqkd.cli import main, parse_n_list, parse_noise, parse_sweep
 from nqkd.noise import ChannelNoise, GateNoise
 
@@ -111,9 +111,59 @@ def test_rates_usage_errors(tmp_path, capsys):
         ("Q:0:1.5:5", "inf", "q=1.125 outside [0, 1]"),
         ("f_G:0:1.2:5", "3", "f_g=1.2 outside [0, 1]"),
         ("f_C:0:1.5:5", "3..5", "f_c=1.125 outside [0, 1]"),
+        # an infinite bound once reached the range checks as q=nan
+        ("Q:0:inf:3", "3", "sweep bounds 0.0 and inf must be finite"),
+        ("f_G:0:inf:3", "3", "sweep bounds 0.0 and inf must be finite"),
+        ("f_C:-inf:0.1:3", "3", "sweep bounds -inf and 0.1 must be finite"),
+        ("Q:nan:0.3:3", "3", "sweep bounds nan and 0.3 must be finite"),
     ):
         assert run_cli(["rates", "--sweep", sweep, "--n", n_text]) == 2
         assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_sweeps_over_the_byte_budget_exit_2_before_allocating(tmp_path, monkeypatch, capsys):
+    # a sweep of 10^8 rows once grew until the system killed it (exit 137);
+    # with the budget at 1 MB, 10^4 rows are refused before any grid is built
+    monkeypatch.setattr(cli, "ARRAY_BYTE_BUDGET", 1 << 20)
+    out = tmp_path / "out.txt"
+    for argv in (["rates", "--sweep", "Q:0:0.3:10000", "--n", "3"],
+                 ["network", "--topology", "router", "--n", "5", "--sweep", "f_G:0:0.1:10000"],
+                 # 1000 rows fit as CSV, not as JSON; 2000 steps fit for one N, not for three
+                 ["rates", "--sweep", "Q:0:0.3:1000", "--n", "3", "--format", "json"],
+                 ["rates", "--sweep", "f_C:0:0.1:2000", "--n", "3..5"]):
+        tracemalloc.start()
+        try:
+            assert run_cli([*argv, "--out", str(out)]) == 2
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 18
+        assert "over the 1048576-byte budget" in capsys.readouterr().err
+        assert not out.exists()
+    assert run_cli(["rates", "--sweep", "Q:0:0.3:1000", "--n", "3", "--out", str(out)]) == 0
+    assert run_cli(["rates", "--sweep", "f_C:0:0.1:2000", "--n", "3", "--out", str(out)]) == 0
+
+
+def test_sweep_peak_memory_within_row_bytes(tmp_path):
+    # SWEEP_ROW_BYTES is what the sweeps' byte budget checks; a traced sweep
+    # stays under it in each format, and the widest rows sit near it
+    ratios, rows = [], 4000
+    for fmt in ("csv", "json"):
+        for argv in (["rates", "--sweep", f"Q:0:0.3:{rows // 8}", "--n", "2..8,inf"],
+                     ["rates", "--sweep", f"f_G:0:0.2:{rows}", "--n", "5"],
+                     ["network", "--topology", "router", "--n", "5", "--sweep", f"f_C:0:0.3:{rows}"]):
+            argv = [*argv, "--format", fmt, "--out", str(tmp_path / "out.txt")]
+            assert run_cli(argv) == 0  # fills the caches a sweep keeps
+            tracemalloc.start()
+            try:
+                assert run_cli(argv) == 0
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            counted = rows * cli.SWEEP_ROW_BYTES[fmt]
+            assert peak <= counted, argv
+            ratios.append(peak / counted)
+    assert max(ratios) > 0.85
 
 
 # SHA-256 of the README's and the benchmark's rate sweeps, as printed before
@@ -123,6 +173,11 @@ RATES_SHA256 = {
     ("f_G:0:0.25:200", "2..8", "star", "csv"): "9360fe15cb854f3f73a76b1dad7a31cf82e1fce055083327a44e4d98078c3a3f",
     ("f_C:0:0.1:200", "3..8", "router", "csv"): "0d9fe32b683f74f587772112ad4ba81c8ad54e5531f9b9cb61f954fc3fdb5ae5",
     ("f_G:0:0.25:200", "2..8", "star", "json"): "2c7e8a7e1c0559064cbd067eb2089e03ac0a2466129f960ad933ddcbc5129087",
+    # as printed when the Q sweeps took the white-noise closed form
+    ("Q:0:0.9:200", "1100,2000", "star", "csv"): "cffdea50869f9f042a11ac6a6f4bf6761a011fd1b164f95adfbddf333ac3440b",
+    # as printed since they take the general formula; JSON's full precision
+    # shows its last-bit differences from the closed form
+    ("Q:0:0.35:200", "2..8,inf", "star", "json"): "741a8b3a7ba3bb9574a8fab4a01de3711f73b90ca4130e05780eaf4f1607f051",
 }
 
 
@@ -147,6 +202,9 @@ NETWORK_SHA256 = {
         "cf14d3599d9ec157da835e6e7aa6c007305c2076c892f2fdd4d820d362b68df3",
     ("thresholds", "--kind", "channel", "--n", "3..18"):
         "c39ff90baf51f121c75cc88d15e914ed918134c719904905e5e150e6b63bc3ad",
+    # as printed when the QBER threshold bisected the white-noise closed form
+    ("thresholds", "--kind", "qber", "--n", "2..40,inf"):
+        "ae9c87c2ad4d8ff2b43a06a82a0a7cf7ab710e093cff2e6939873b195c4d4ef7",
 }
 
 
@@ -159,11 +217,11 @@ def test_network_sweep_bytes_pinned(tmp_path, argv):
 
 def test_rates_evaluate_one_grid_per_n(tmp_path, monkeypatch):
     calls = []
-    closed_form = keyrate.rate_depolarized
+    rate_depolarized = keyrate.rate_depolarized
 
     def counted(q, n):
         calls.append((n, len(q)))
-        return closed_form(q, n)
+        return rate_depolarized(q, n)
 
     monkeypatch.setattr(keyrate, "rate_depolarized", counted)
     assert run_cli(["rates", "--sweep", "Q:0:0.3:50", "--n", "2..4,inf", "--out", str(tmp_path / "q.csv")]) == 0

@@ -43,6 +43,38 @@ TABLE_GATE = {
 }
 
 
+# rate_depolarized against the white-noise mixture's closed form below: the two
+# differ by rounding alone (under 1e-14 for N=2..2000 and N=inf), and a
+# relative 1e-9 change of Q_X moves the general formula by more than this
+CLOSED_FORM_ATOL = 1e-12
+
+
+def _h(p: float) -> float:
+    """Binary entropy in bits, written out here."""
+    return -sum(x * math.log2(x) for x in (p, 1.0 - p) if x > 0.0)
+
+
+def _q_max(n):
+    eps = 2.0 ** -n
+    return (1.0 - 2.0 * eps) / (1.0 - eps)
+
+
+def white_noise_closed_form(q: float, n: int | float) -> float:
+    """Secret fraction of the white-noise mixture in closed form, independent of
+    the general formula: 1 + h(Q) - h(Q r_1) - h(Q r_2) + s Q with r_1 =
+    (2^N-1)/(2^N-2), r_2 = 2^(N-1)/(2^N-2) and s = log2(2^(N-1)-1) - r_1
+    log2(2^N-1), each in powers 2^-N; 1 - h(Q/2) - Q as N -> infinity."""
+    if math.isinf(n):
+        return 1.0 - _h(q / 2.0) - q
+    eps = 2.0 ** -n
+    ratio_full = (1.0 - eps) / (1.0 - 2.0 * eps)
+    ratio_half = 0.5 / (1.0 - 2.0 * eps)
+    log_half = (n - 1) + math.log1p(-2.0 * eps) / math.log(2.0)
+    log_full = n + math.log1p(-eps) / math.log(2.0)
+    slope = log_half - ratio_full * log_full
+    return 1.0 + _h(q) - _h(min(q * ratio_full, 1.0)) - _h(q * ratio_half) + slope * q
+
+
 def test_binary_entropy_values():
     assert binary_entropy(0.5) == 1.0
     assert binary_entropy(0.0) == 0.0
@@ -65,17 +97,20 @@ def test_secret_fraction_noiseless():
 
 
 def test_secret_fraction_matches_closed_form():
-    for n in range(2, 17):
-        q_max = (2.0**n - 2) / (2.0**n - 1)
-        for q in np.linspace(0.0, 0.6 * q_max, 25):
-            general = secret_fraction(depolarized_rate_input(float(q), n)).r_inf
-            closed = rate_depolarized(float(q), n)
-            assert general == pytest.approx(closed, abs=1e-10), (n, q)
+    for n in [*range(2, 19), 40, 64, 100, 1100, 2000, math.inf]:
+        q_max = 1.0 if math.isinf(n) else _q_max(n)
+        for q in np.linspace(0.0, 0.999 * q_max, 100).tolist() + [q_max]:
+            closed = white_noise_closed_form(q, n)
+            assert rate_depolarized(q, n) == pytest.approx(closed, abs=CLOSED_FORM_ATOL), (n, q)
+            if not math.isinf(n):
+                general = secret_fraction(depolarized_rate_input(q, n)).r_inf
+                assert general == rate_depolarized(q, n), (n, q)
 
 
 def test_six_state_special_case():
-    for q in np.linspace(0.0, 0.3, 16):
-        assert rate_depolarized(float(q), 2) == pytest.approx(six_state_rate(float(q)), abs=1e-12)
+    for q in np.linspace(0.0, 2.0 / 3.0, 100).tolist():
+        assert white_noise_closed_form(q, 2) == pytest.approx(six_state_rate(q), abs=1e-12)
+        assert rate_depolarized(q, 2) == pytest.approx(six_state_rate(q), abs=1e-12)
 
 
 def test_secret_fraction_continuous_at_parity_corner():
@@ -264,9 +299,10 @@ def test_noisy_fractions_follow_the_noise_model_and_hops():
     for n in (2, 3, 5, 9, 30):
         for hops, lambda0 in ((1, lambda0_star), (2, lambda0_router)):
             for f in (0.0, 0.01, 0.05, 0.2):
-                # channel noise: the general formula agrees with the white-noise closed form
+                # channel noise yields the white-noise mixture
                 nqkd, link = noisy_fractions(n, ChannelNoise(f), hops)
-                assert nqkd == pytest.approx(rate_depolarized(channel_qber(n, f), n), abs=1e-12)
+                assert nqkd == rate_depolarized(channel_qber(n, f), n)
+                assert nqkd == pytest.approx(white_noise_closed_form(channel_qber(n, f), n), abs=CLOSED_FORM_ATOL)
                 assert link == six_state_rate(0.5 * (1.0 - (1.0 - f) ** hops))
                 # gate noise: the hop count picks the star or router circuit
                 nqkd, link = noisy_fractions(n, GateNoise(f), hops)
@@ -276,11 +312,6 @@ def test_noisy_fractions_follow_the_noise_model_and_hops():
                 assert inp.q_x == 0.5 * (1.0 - (lam_plus - lam_minus))
                 assert nqkd == secret_fraction(inp).r_inf
                 assert link == six_state_rate(f / 2)
-
-
-def _q_max(n):
-    eps = 2.0 ** -n
-    return (1.0 - 2.0 * eps) / (1.0 - eps)
 
 
 def _same_bits(grid, floats):
