@@ -66,24 +66,24 @@ def parse_sweep(text: str) -> SweepSpec:
     return SweepSpec(parts[0], float(parts[1]), float(parts[2]), int(parts[3]))
 
 
-def parse_n_list(text: str) -> list[int | float]:
-    """Party counts: '3', '2,5,inf' or a range '2..8'."""
-    out: list[int | float] = []
+def parse_n_list(text: str, fmt_name: str, rows_per_n: int) -> list[int | float]:
+    """Party counts: '3', '2,5,inf' or a range '2..8'.  ``rows_per_n`` rows per count
+    pass ``check_sweep_budget`` first, each range counted and not listed."""
+    chunks: list[range | list[int | float]] = []
+    count = 0
     for chunk in text.split(","):
         chunk = chunk.strip()
         if ".." in chunk:
-            lo, hi = chunk.split("..")
-            values = range(int(lo), int(hi) + 1)
-            if not values:
+            lo, hi = map(int, chunk.split(".."))
+            if hi < lo:
                 raise ValueError(f"empty party range {chunk!r}")
-            out.extend(values)
-        elif chunk.lower() in ("inf", "infinity"):
-            out.append(math.inf)
+            chunks.append(range(lo, hi + 1))
+            count += hi + 1 - lo  # len() of a range past sys.maxsize overflows
         else:
-            out.append(int(chunk))
-    if not out:
-        raise ValueError("empty party list")
-    return out
+            chunks.append([math.inf if chunk.lower() in ("inf", "infinity") else int(chunk)])
+            count += 1
+    check_sweep_budget(rows_per_n * count, fmt_name)
+    return list(chain.from_iterable(chunks))
 
 
 def parse_noise(text: str | None) -> noise_model.GateNoise | noise_model.ChannelNoise | None:
@@ -132,8 +132,7 @@ def cmd_rates(args) -> int:
     """Secret fractions and key rates over the sweep for each N, with one
     ``network.sweep_rates`` call per N over the whole grid."""
     sweep = parse_sweep(args.sweep)
-    n_values = parse_n_list(args.n)
-    check_sweep_budget(sweep.steps * len(n_values), args.format)
+    n_values = parse_n_list(args.n, args.format, sweep.steps)
     values = sweep.values()
     grid = np.array(values)
     rows = []
@@ -156,7 +155,7 @@ def cmd_thresholds(args) -> int:
     solve = {"qber": keyrate.threshold_qber, "gate": keyrate.nqkd_gate_threshold,
              "channel": keyrate.nqkd_channel_threshold}[args.kind]
     rows = []
-    for n in parse_n_list(args.n):
+    for n in parse_n_list(args.n, args.format, 1):
         if args.kind != "qber" and math.isinf(n):
             raise ValueError(f"{args.kind} thresholds need a finite N")
         rows.append([n_label(n), args.kind, solve(n)])
@@ -169,7 +168,8 @@ def cmd_simulate(args) -> int:
         config = protocol_sim.protocol_config_from_json(fh.read())
     if args.seed is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    result = protocol_sim.run_protocol(config, hash_key=args.hash_key, transcript=bool(args.transcript))
+    config.check_budget(args.hash_key, bool(args.transcript))
+    result = protocol_sim.run_protocol(config, hash_key=args.hash_key)
     if args.transcript:
         protocol_sim.write_transcript(args.transcript, result.run)
     write_text(args.out, result.summary_json())

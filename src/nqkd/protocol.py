@@ -54,20 +54,19 @@ a slightly larger Bernoulli subset in O(size) (``_uniform_subset``).
 
 What a run holds
 ----------------
-Five seeded streams feed a run (schedule, Z rounds, parity rounds,
-announced subset, post-processing), and each is drawn in the same order
-whatever the run writes, so every output but the transcript is the same
-with and without one.  Without a transcript the schedule is only
-counted, the announced subset is drawn next, and the Z sampler writes
-the Bobs' bits only on the announced rows: sorted drawn positions meet
-the sorted announced positions batch by batch (``_meet``).  Such a run
-holds Alice's Z bits packed, L/8 bytes, the parity rounds' bases and
-outcomes and the announced rounds' outcomes, and no array of a byte or
-more for every round.  The key and its flip mask are built from the
-packed bits only when read (``--hash-key``).  With a transcript the run
-also holds the schedule as a mask over the rounds and every Z round's
-N outcome bits, from which the transcript writer joins each line out of
-byte pieces looked up by the line's bits, eight parties at a time.
+Five seeded streams feed a run (``_streams``): the schedule, the Z
+rounds, the parity rounds, the announced subset and post-processing.
+The schedule is only counted, the announced subset is drawn next, and
+the Z sampler writes the Bobs' bits only on the announced rows: sorted
+drawn positions meet the sorted announced positions batch by batch
+(``_meet``).  A run holds Alice's Z bits packed, L/8 bytes, the parity
+rounds' bases and outcomes and the announced rounds' outcomes, and no
+array of a byte or more for every round.  The key and its flip mask are
+built from the packed bits only when read (``--hash-key``).  A stream
+depends only on the seed and its index, so the transcript writer draws
+the schedule and every Z round's N bits again, takes the parity rounds
+from the run, and joins each line out of byte pieces looked up by the
+line's bits, eight parties at a time.
 """
 
 from __future__ import annotations
@@ -95,8 +94,8 @@ ANNOUNCED_ROUND_BYTES = 14
 # 2^(N-1): sample_xy_bits holds six float64 copies and three bool ones at
 # its peak, 51 B per branch (tracemalloc at N=20), so k = 6.5 float64 copies
 BRANCH_BYTES = 52
-# a run with a transcript holds every round's N outcome bits, the schedule
-# and the full matrix's transients beyond them
+# write_transcript draws every Z round's N bits again, with the schedule mask and Alice's
+# packed bits (1 1/8 B); its transients fit in the run's freed BATCH_BYTES (tracemalloc)
 TRANSCRIPT_ROUND_BYTES = 2
 # toeplitz_hash per key bit at its worst, a key just above a power of two hashed to
 # its full length: two spectra of 32 B and the key's float64 copy (tracemalloc),
@@ -144,8 +143,8 @@ class ProtocolConfig:
         an announced Z round its N outcome bits plus
         ``ANNOUNCED_ROUND_BYTES``; the batched draws add at most
         ``BATCH_BYTES``, and a ``GhzDiagonalState`` ``BRANCH_BYTES`` per
-        branch.  A transcript adds N + ``TRANSCRIPT_ROUND_BYTES`` and a
-        hashed key ``HASH_BIT_BYTES`` per round.  Parity rounds are
+        branch.  ``write_transcript`` adds N + ``TRANSCRIPT_ROUND_BYTES``
+        and a hashed key ``HASH_BIT_BYTES`` per round.  Parity rounds are
         counted at their expected number.
         """
         parity = self.n_rounds * self.p_estimation
@@ -546,9 +545,23 @@ def classical_depolarize(z_bits: np.ndarray, rng: np.random.Generator) -> tuple[
 # Accounting and the full run
 # ---------------------------------------------------------------------------
 
-def _schedule_rng_streams(config: ProtocolConfig) -> list[np.random.Generator]:
-    seq = np.random.SeedSequence(config.seed)
-    return [np.random.default_rng(s) for s in seq.spawn(5)]
+def _streams(seed: int, count: int = 5) -> list[np.random.Generator]:
+    """A run's first ``count`` seeded streams, each a function of the seed and its index only:
+    the schedule (``_schedule``), the Z rounds (``_z_rounds``), the parity rounds' bases then
+    outcomes, the announced subset, and the flip mask then the hash's diagonals."""
+    return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
+
+
+def _schedule(config: ProtocolConfig, rng: np.random.Generator):
+    """The parity rounds' positions among the ``n_rounds`` rounds, in sorted blocks, from child 0."""
+    return _bernoulli_positions(config.n_rounds, config.p_estimation, rng)
+
+
+def _z_rounds(state: GhzDiagonalState | WeightClassState, count: int, rng: np.random.Generator,
+              rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's packed bits of ``count`` Z rounds, drawn first, and the Z outcome bits at ``rows``."""
+    alice = _packed_bits(rng, count)
+    return alice, sample_z_bits(state, count, rng, alice, rows)
 
 
 def preshared_key_accounting(config: ProtocolConfig, second_type_rounds: int) -> ResourceLedger:
@@ -608,7 +621,7 @@ class ProtocolResult:
     key_length_estimate: float
     discard_fraction: float
     hashed_key: np.ndarray | None
-    run: ProtocolRun              # the sampled rounds, for the transcript
+    run: ProtocolRun              # the sampled rounds, which write_transcript prints
 
     @property
     def key_bits(self) -> np.ndarray:
@@ -656,45 +669,25 @@ class ProtocolResult:
 class ProtocolRun:
     """The sampled rounds of one protocol execution.
 
-    Every run holds Alice's Z bits packed (``z_alice``), the announced Z
+    A run holds Alice's Z bits packed (``z_alice``), the announced Z
     rounds' sorted positions among the ``z_count`` Z rounds
     (``announced_rows``) and their outcome bits (``announced_bits``), and
-    the parity rounds' ``xy_bases`` and ``xy_bits``.  A run built with
-    ``transcript`` also holds the schedule ``is_xy`` and every Z round's
-    outcome bits ``z_bits``, which ``write_transcript`` reads; without it
-    both are None and the Bobs' bits are written only where announced.
-    Both kinds draw the same streams in the same order.  Bit arrays have
-    shape (rounds, N) and are views of party-major arrays, one contiguous
-    row per party.  The run's bytes, and with ``hash_key`` those of the
-    key's hash, count against the byte budget before anything is sampled.
+    the parity rounds' ``xy_bases`` and ``xy_bits``; the Bobs' bits are
+    written only where announced.  Bit arrays have shape (rounds, N) and
+    are views of party-major arrays, one contiguous row per party.  The
+    run's bytes, and with ``hash_key`` those of the key's hash, count
+    against the byte budget before anything is sampled.
     """
 
-    def __init__(self, config: ProtocolConfig, transcript: bool = True, hash_key: bool = False):
-        config.check_budget(hash_key, transcript)
+    def __init__(self, config: ProtocolConfig, hash_key: bool = False):
+        config.check_budget(hash_key)
         self.config = config
-        schedule_rng, z_rng, xy_rng, subset_rng, self._post_rng = _schedule_rng_streams(config)
-        schedule = _bernoulli_positions(config.n_rounds, config.p_estimation, schedule_rng)
-        if transcript:
-            self.is_xy = np.zeros(config.n_rounds, dtype=bool)
-            for positions in schedule:
-                self.is_xy[positions] = True
-            xy_count = int(np.count_nonzero(self.is_xy))
-        else:
-            self.is_xy = None
-            xy_count = sum(positions.size for positions in schedule)
+        schedule_rng, z_rng, xy_rng, subset_rng, self._post_rng = _streams(config.seed)
+        xy_count = sum(positions.size for positions in _schedule(config, schedule_rng))
         self.z_count = config.n_rounds - xy_count
         self.ledger = preshared_key_accounting(config, second_type_rounds=xy_count)
         self.announced_rows = _uniform_subset(self.z_count, self.ledger.announced_z_rounds, subset_rng)
-
-        self.z_alice = _packed_bits(z_rng, self.z_count)
-        if transcript:
-            self.z_bits = sample_z_bits(config.state, self.z_count, z_rng, self.z_alice)
-            # take, unlike [:, rows], returns C-ordered party rows for the estimator
-            self.announced_bits = self.z_bits.T.take(self.announced_rows, axis=1).T
-        else:
-            self.z_bits = None
-            self.announced_bits = sample_z_bits(config.state, self.z_count, z_rng, self.z_alice,
-                                                self.announced_rows)
+        self.z_alice, self.announced_bits = _z_rounds(config.state, self.z_count, z_rng, self.announced_rows)
         self.xy_bases = _uniform_bits(xy_rng, (config.n_parties, xy_count)).T
         self.xy_bits = sample_xy_bits(config.state, self.xy_bases, xy_rng)
 
@@ -709,7 +702,7 @@ class ProtocolRun:
         return flipped[:, 0], mask
 
 
-def run_protocol(config: ProtocolConfig, hash_key: bool = False, transcript: bool = False) -> ProtocolResult:
+def run_protocol(config: ProtocolConfig, hash_key: bool = False) -> ProtocolResult:
     """Execute a full protocol run and account for the resulting key.
 
     Error correction and privacy amplification enter as information
@@ -717,11 +710,10 @@ def run_protocol(config: ProtocolConfig, hash_key: bool = False, transcript: boo
     h(max Q_AB) bits of correction information per key bit and the
     corresponding amplification subtraction.  With ``hash_key`` the
     corrected string is additionally compressed through a seeded
-    Toeplitz hash to the estimated length.  ``write_transcript`` reads
-    ``result.run`` only of a run made with ``transcript``, which holds
-    every round; every other output is the same with and without it.
+    Toeplitz hash to the estimated length.  ``write_transcript`` prints
+    the rounds of ``result.run``, drawing again those the run does not hold.
     """
-    run = ProtocolRun(config, transcript, hash_key)
+    run = ProtocolRun(config, hash_key)
     if run.z_count == 0:
         raise ValueError("no Z rounds were scheduled; lower p_estimation or raise n_rounds")
     ledger = run.ledger
@@ -825,18 +817,25 @@ def write_transcript(path: str, run: ProtocolRun) -> None:
     Each block of ``TRANSCRIPT_BLOCK_ROUNDS`` rounds packs its bits per
     chunk of eight parties, places the pieces of ``_transcript_tables``
     they index in round order, ceil(N/8) per Z round and 2 ceil(N/8) + 1
-    per XY round, and is written as their join.
+    per XY round, and is written as their join.  The budget is checked with
+    the transcript's bytes first; the parity rounds are read from the run, and
+    the schedule and every Z round's bits are drawn again from its streams.
     """
-    if run.z_bits is None:
-        raise ValueError("the run was sampled without a transcript; run_protocol needs transcript=True")
-    table, z_off, xy_off = _transcript_tables(run.config.n_parties)
+    config = run.config
+    config.check_budget(transcript=True)
+    schedule_rng, z_rng = _streams(config.seed, 2)
+    schedule = np.zeros(config.n_rounds, dtype=bool)
+    for positions in _schedule(config, schedule_rng):
+        schedule[positions] = True
+    table, z_off, xy_off = _transcript_tables(config.n_parties)
     z_cols, xy_cols = np.arange(z_off.size)[:, None], np.arange(xy_off.size)[:, None]
     # party-major rows, so a block is a column slice
-    z_bits, xy_bases, xy_bits = run.z_bits.T, run.xy_bases.T, run.xy_bits.T
+    z_bits = _z_rounds(config.state, run.z_count, z_rng)[1].T
+    xy_bases, xy_bits = run.xy_bases.T, run.xy_bits.T
     z_pos = xy_pos = 0
     with open(path, "wb") as fh:
-        for start in range(0, run.is_xy.size, TRANSCRIPT_BLOCK_ROUNDS):
-            is_xy = run.is_xy[start : start + TRANSCRIPT_BLOCK_ROUNDS]
+        for start in range(0, schedule.size, TRANSCRIPT_BLOCK_ROUNDS):
+            is_xy = schedule[start : start + TRANSCRIPT_BLOCK_ROUNDS]
             xy_end = xy_pos + int(np.count_nonzero(is_xy))
             z_end = z_pos + is_xy.size - (xy_end - xy_pos)
             bases = xy_bases[:, xy_pos:xy_end]

@@ -14,7 +14,9 @@ import pytest
 import nqkd
 from nqkd import cli, keyrate
 from nqkd.cli import main, parse_n_list, parse_noise, parse_sweep
+from nqkd.ghz import ARRAY_BYTE_BUDGET
 from nqkd.noise import ChannelNoise, GateNoise
+from nqkd.protocol import protocol_config_from_json
 
 TABLE_QBER_SUBSET = {2: 0.126193, 5: 0.295974, 17: 0.341045}
 
@@ -28,11 +30,11 @@ def test_parse_helpers():
     assert sweep.variable == "Q" and sweep.steps == 7
     assert sweep.values()[0] == 0.0
     assert sweep.values()[-1] == pytest.approx(0.3)
-    assert parse_n_list("2..5") == [2, 3, 4, 5]
-    assert parse_n_list("2,9,inf") == [2, 9, math.inf]
-    assert parse_n_list("4..4") == [4]
+    assert parse_n_list("2..5", "csv", 1) == [2, 3, 4, 5]
+    assert parse_n_list("2,9,inf", "csv", 1) == [2, 9, math.inf]
+    assert parse_n_list("4..4", "json", 1) == [4]
     with pytest.raises(ValueError, match="5..3"):
-        parse_n_list("2,5..3")
+        parse_n_list("2,5..3", "csv", 1)
     with pytest.raises(ValueError):
         parse_sweep("Q:0:0.3")
     with pytest.raises(ValueError):
@@ -142,6 +144,24 @@ def test_sweeps_over_the_byte_budget_exit_2_before_allocating(tmp_path, monkeypa
         assert not out.exists()
     assert run_cli(["rates", "--sweep", "Q:0:0.3:1000", "--n", "3", "--out", str(out)]) == 0
     assert run_cli(["rates", "--sweep", "f_C:0:0.1:2000", "--n", "3", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize("argv", [["rates", "--sweep", "Q:0:0.3:2"], ["thresholds", "--kind", "qber"]],
+                         ids=["rates", "thresholds"])
+@pytest.mark.parametrize("n_range", ["2..100000000", f"2..{10**20}"])
+def test_party_ranges_are_counted_before_they_are_listed(tmp_path, capsys, argv, n_range):
+    # a listed party count held about 40 B, so 2..100000000 held about 4 GB before any check;
+    # a range past sys.maxsize has no len() and is still a usage error
+    out = tmp_path / "out.txt"
+    tracemalloc.start()
+    try:
+        assert run_cli([*argv, "--n", n_range, "--out", str(out)]) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 22
+    assert f"over the {ARRAY_BYTE_BUDGET}-byte budget" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_sweep_peak_memory_within_row_bytes(tmp_path):
@@ -581,6 +601,25 @@ def test_simulate_counts_the_hash_against_the_budget(tmp_path, capsys):
     assert peak < 1 << 22
     assert "budget" in capsys.readouterr().err
     assert not (tmp_path / "s.json").exists()
+
+
+def test_simulate_counts_the_transcript_against_the_budget(tmp_path, capsys):
+    # N=3, L=1e9 holds about 1.6 GB without a transcript; the writer draws
+    # N + 2 bytes per round more, so the command exits 2 before sampling
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_parties": 3, "n_rounds": 10**9, "state": {"model": "depolarized", "q": 0.1}}))
+    config = protocol_config_from_json(cfg.read_text())  # the run alone fits
+    assert config.peak_bytes() < ARRAY_BYTE_BUDGET < config.peak_bytes(transcript=True)
+    transcript, out = tmp_path / "t.jsonl", tmp_path / "s.json"
+    tracemalloc.start()
+    try:
+        assert run_cli(["simulate", "--config", str(cfg), "--transcript", str(transcript), "--out", str(out)]) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 22
+    assert "with a transcript" in capsys.readouterr().err
+    assert not transcript.exists() and not out.exists()
 
 
 def _simulate_peak_kb(tmp_path, n, n_rounds) -> tuple[int, dict]:

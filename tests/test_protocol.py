@@ -657,7 +657,7 @@ def _every_round_flipped(n, weight_class):
     return GhzDiagonalState(n, lam, lam.copy())
 
 
-def test_run_protocol_peak_memory_within_peak_bytes():
+def test_run_protocol_peak_memory_within_peak_bytes(tmp_path):
     # ProtocolConfig.peak_bytes is what the byte budget checks; the traced
     # peak of a run stays under it, and the worst case sits near it, so its
     # constants neither leak nor hide slack
@@ -675,15 +675,18 @@ def test_run_protocol_peak_memory_within_peak_bytes():
         # the state-sized temporaries of a GhzDiagonalState's samplers
         (12, _every_round_flipped(12, False), 0.05, None, False),
         (20, _every_round_flipped(20, False), 0.05, None, False),
-        # a transcript holds every Z round's outcome bits and the schedule
+        # the run, then its transcript, which draws every Z round's outcome bits and the schedule again
         (20, _every_round_flipped(20, True), 0.05, n_rounds, True),
+        (3, depolarized_state(3, 0.1), 0.05, None, True),
     ]
     ratios = []
     for n, state, p, announced, transcript in cases:
         config = ProtocolConfig(n, n_rounds, state, p_estimation=p, seed=1, announced_z_rounds=announced)
         tracemalloc.start()
         try:
-            run_protocol(config, transcript=transcript)
+            result = run_protocol(config)
+            if transcript:
+                write_transcript(str(tmp_path / "t.jsonl"), result.run)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -761,12 +764,26 @@ def test_transcript_file(tmp_path):
     assert sum(r.round_type == "XY" for r in records) == run.xy_bases.shape[0]
 
 
+def reference_rounds(config):
+    """The schedule as a mask over the rounds, and every Z round's bits, drawn from
+    the first two of the seed's five child streams."""
+    schedule_rng, z_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(5)[:2])
+    schedule = np.zeros(config.n_rounds, dtype=bool)
+    for positions in protocol._bernoulli_positions(config.n_rounds, config.p_estimation, schedule_rng):
+        schedule[positions] = True
+    z_count = config.n_rounds - int(np.count_nonzero(schedule))
+    return schedule, draw_z_bits(config.state, z_count, z_rng)
+
+
 def reference_transcript(run):
-    """The transcript built round by round from ``RoundRecord.to_json``."""
+    """The transcript built round by round from ``RoundRecord.to_json``, the
+    schedule and Z rounds from ``reference_rounds`` and the parity rounds the run's."""
     n = run.config.n_parties
+    schedule, z_bits = reference_rounds(run.config)
+    assert z_bits.shape[0] == run.z_count
     lines = []
     z_pos = xy_pos = 0
-    for is_xy in run.is_xy:
+    for is_xy in schedule:
         if is_xy:
             bases = run.xy_bases[xy_pos]
             kappa = int(bases.sum())
@@ -779,7 +796,7 @@ def reference_transcript(run):
             )
             xy_pos += 1
         else:
-            record = RoundRecord("Z", ("Z",) * n, tuple(1 - 2 * int(b) for b in run.z_bits[z_pos]), 0, True)
+            record = RoundRecord("Z", ("Z",) * n, tuple(1 - 2 * int(b) for b in z_bits[z_pos]), 0, True)
             z_pos += 1
         lines.append(record.to_json() + "\n")
     return "".join(lines).encode()
@@ -825,22 +842,25 @@ def test_transcript_across_blocks(tmp_path, monkeypatch, n, n_rounds):
 def test_transcript_block_without_z_rounds(tmp_path, monkeypatch):
     monkeypatch.setattr(protocol, "TRANSCRIPT_BLOCK_ROUNDS", 8)
     run = ProtocolRun(ProtocolConfig(9, 400, depolarized_state(9, 0.1), p_estimation=0.9, seed=3))
-    assert run.is_xy.reshape(-1, 8).all(axis=1).any()  # a block of parity rounds only
+    assert reference_rounds(run.config)[0].reshape(-1, 8).all(axis=1).any()  # a block of parity rounds only
     assert_transcript_matches_reference(run, tmp_path / "t.jsonl")
 
 
 @pytest.mark.parametrize("n", [3, 20])
 def test_transcript_writer_memory_does_not_grow_with_the_run(tmp_path, n):
-    # the writer holds one block of rounds at a time, so eight times the rounds peak as high
+    # the writer draws the schedule mask, every Z round's N bits and Alice's
+    # packed bits again; beyond them it holds one block of rounds at a time,
+    # so eight times the rounds peak as high
     peaks = []
     for n_rounds in (1 << 14, 1 << 17):
         run = ProtocolRun(ProtocolConfig(n, n_rounds, depolarized_state(n, 0.1), seed=1))
         tracemalloc.start()
         try:
             write_transcript(str(tmp_path / "t.jsonl"), run)
-            peaks.append(tracemalloc.get_traced_memory()[1])
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        peaks.append(peak - (n_rounds + n * run.z_count + -(-run.z_count // 8)))
     assert abs(peaks[1] / peaks[0] - 1) < 0.05, peaks
 
 
@@ -879,7 +899,7 @@ def test_simulate_transcript_bytes_pinned(tmp_path, n, n_rounds, seed, state, di
     ids=["n2", "n3_hash", "n20_hash", "n64", "n200", "ghz_diagonal_n4_hash", "pure_n4", "sparse_n3"],
 )
 def test_simulate_summary_does_not_depend_on_the_transcript(tmp_path, n, state, hash_key):
-    # a run without --transcript writes only the announced rows, from the same streams
+    # a run is sampled the same way with and without --transcript; the writer draws its rounds again
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n_parties": n, "n_rounds": 20000, "seed": n, "state": state}))
     base = ["simulate", "--config", str(cfg)] + ["--hash-key"] * hash_key
@@ -887,18 +907,39 @@ def test_simulate_summary_does_not_depend_on_the_transcript(tmp_path, n, state, 
     assert main(base + ["--transcript", str(tmp_path / "t.jsonl"), "--out", str(tmp_path / "full.json")]) == 0
     assert (tmp_path / "plain.json").read_bytes() == (tmp_path / "full.json").read_bytes()
     config = protocol_config_from_json(cfg.read_text())
-    lean, full = run_protocol(config, hash_key=hash_key), run_protocol(config, hash_key=hash_key, transcript=True)
-    assert lean.run.z_bits is None and lean.run.is_xy is None
-    assert hash_key or "flipped_key" not in vars(lean.run)  # the key is built when read
-    assert np.array_equal(lean.key_bits, full.key_bits) and np.array_equal(lean.flip_mask, full.flip_mask)
-    if hash_key:
-        assert np.array_equal(lean.hashed_key, full.hashed_key)
-    with pytest.raises(ValueError, match="without a transcript"):
-        write_transcript(str(tmp_path / "lean.jsonl"), lean.run)
+    plain, written = run_protocol(config, hash_key=hash_key), run_protocol(config, hash_key=hash_key)
+    write_transcript(str(tmp_path / "again.jsonl"), written.run)
+    assert (tmp_path / "again.jsonl").read_bytes() == (tmp_path / "t.jsonl").read_bytes()
+    assert hash_key or "flipped_key" not in vars(written.run)  # the writer builds no key
+    assert np.array_equal(plain.key_bits, written.key_bits) and np.array_equal(plain.flip_mask, written.flip_mask)
+
+
+@pytest.mark.parametrize("state, hash_key", [(depolarized_state(5, 0.2), False), (depolarized_state(5, 0.2), True),
+                                             (GHZ_DIAGONAL_N4, False), (GHZ_DIAGONAL_N4, True)],
+                         ids=["depolarized", "depolarized_hash", "ghz_diagonal_n4", "ghz_diagonal_n4_hash"])
+def test_transcript_prints_the_summarised_run(tmp_path, state, hash_key):
+    # the writer draws the Z rounds again; the lines it prints are the rounds the summary counted
+    if isinstance(state, dict):
+        state = GhzDiagonalState(4, np.array(state["lambda_plus"]), np.array(state["lambda_minus"]))
+    config = ProtocolConfig(state.n_parties, 6000, state, p_estimation=0.1, seed=12)
+    result = run_protocol(config, hash_key=hash_key)
+    run = result.run
+    write_transcript(str(tmp_path / "t.jsonl"), run)
+    records = [json.loads(line) for line in (tmp_path / "t.jsonl").read_text().splitlines()]
+    is_z = np.array([r["type"] == "Z" for r in records])
+    outcomes = (np.array([r["outcomes"] for r in records]) < 0).astype(np.uint8)
+    z_bits, xy_bits = outcomes[is_z], outcomes[~is_z]
+    xy_bases = np.array([[b == "Y" for b in r["bases"]] for r in records if r["type"] == "XY"], dtype=np.uint8)
+    assert z_bits.shape[0] == run.z_count and xy_bits.shape[0] == result.ledger.second_type_rounds
+    assert np.array_equal(z_bits[run.announced_rows], run.announced_bits)
+    assert np.array_equal(z_bits[:, 0], np.unpackbits(run.z_alice, count=run.z_count))
+    key_rows = np.delete(z_bits[:, 0], run.announced_rows)
+    assert np.array_equal(key_rows ^ result.flip_mask, result.key_bits)
+    assert np.array_equal(xy_bases.reshape(-1, state.n_parties), run.xy_bases) and np.array_equal(xy_bits, run.xy_bits)
 
 
 def test_simulate_transcript_is_the_summarised_run(tmp_path):
-    # the transcript comes from the run that run_protocol sampled, not a second one
+    # the CLI prints the run it summarised: a fresh run of the same config, written again, reads the same
     obj = {"n_parties": 4, "n_rounds": 3000, "p_estimation": 0.2, "seed": 6,
            "state": {"model": "depolarized", "q": 0.1}}
     cfg = tmp_path / "cfg.json"
