@@ -36,8 +36,8 @@ its j = 0 class alone.  Every random variable costs what it carries:
   that draw is skipped when the uniform part is the only one; every
   other row copies Alice's bit to the Bobs.
 - Outcome and basis arrays are held party-major, one contiguous row
-  per party; the samplers and estimators take and return
-  (rounds, parties) views of them and reduce along the party axis.
+  per party; the samplers take and return (rounds, parties) views of
+  them and reduce along the party axis.
 
 In a Z round the Bobs read Alice's bit XOR their bits of j.  In a parity
 round with an odd Y count kappa every outcome is a fair bit.  With kappa
@@ -56,17 +56,22 @@ What a run holds
 ----------------
 Five seeded streams feed a run (``_streams``): the schedule, the Z
 rounds, the parity rounds, the announced subset and post-processing.
-The schedule is only counted, the announced subset is drawn next, and
-the Z sampler writes the Bobs' bits only on the announced rows: sorted
-drawn positions meet the sorted announced positions batch by batch
-(``_meet``).  A run holds Alice's Z bits packed, L/8 bytes, the parity
-rounds' bases and outcomes and the announced rounds' outcomes, and no
-array of a byte or more for every round.  The key and its flip mask are
-built from the packed bits only when read (``--hash-key``).  A stream
-depends only on the seed and its index, so the transcript writer draws
-the schedule and every Z round's N bits again, takes the parity rounds
-from the run, and joins each line out of byte pieces looked up by the
-line's bits, eight parties at a time.
+The schedule is only counted, and the announced subset is drawn next
+and marked in a packed bitmap, one bit per Z round.  The estimates are
+counts, and the run takes them as it draws: a drawn Z row is tested
+against the bitmap with one byte read, a kept row's fair bits are read
+from their packed block at its column alone, and each Bob's
+disagreements with Alice are counted there (``_z_disagreements``).  A
+parity round stops after its component draw, which gives its sign
+sigma (-1)^{|j AND y|}; with kappa even that sign is what the estimate
+reads, and the outcome bits, the stream's last draw, are not drawn.  A
+run holds Alice's Z bits packed, L/8 bytes, the announced positions
+and the counts, and no array of a byte or more for every round.  The
+key and its flip mask are built from the packed bits only when read
+(``--hash-key``).  A stream depends only on the seed and its index, so
+the transcript writer draws the schedule, every Z round's N bits and
+the parity rounds' bases and outcome bits again, and joins each line
+out of byte pieces looked up by the line's bits, eight parties at a time.
 """
 
 from __future__ import annotations
@@ -84,18 +89,20 @@ from .keyrate import RateInput, RateReport, binary_entropy, secret_fraction
 from .noise import depolarized_state
 
 
-# ProtocolConfig.peak_bytes: bytes beyond the packed Z bits, the basis and
-# outcome bits of the parity rounds and those of the announced Z rounds,
-# measured with tracemalloc up to p = 0.95 and with every Z round announced;
+# ProtocolConfig.peak_bytes: bytes of a parity round beyond its N basis bits (its
+# uniform and sign while the components are drawn), and of an announced Z round
+# (its position, twice while the subset is thinned), measured with tracemalloc up
+# to p = 0.95 and with every Z round announced;
 # test_run_protocol_peak_memory_within_peak_bytes pins them.
-PARITY_ROUND_BYTES = 6
-ANNOUNCED_ROUND_BYTES = 14
+PARITY_ROUND_BYTES = 9
+ANNOUNCED_ROUND_BYTES = 17
 # a GhzDiagonalState adds state-sized temporaries, per branch j of its
-# 2^(N-1): sample_xy_bits holds six float64 copies and three bool ones at
+# 2^(N-1): _xy_signs holds six float64 copies and three bool ones at
 # its peak, 51 B per branch (tracemalloc at N=20), so k = 6.5 float64 copies
 BRANCH_BYTES = 52
 # write_transcript draws every Z round's N bits again, with the schedule mask and Alice's
-# packed bits (1 1/8 B); its transients fit in the run's freed BATCH_BYTES (tracemalloc)
+# packed bits (1 1/8 B), and every parity round's N basis and N outcome bits, N of them
+# in the run's freed bytes of that round; its transients fit in the run's freed BATCH_BYTES (tracemalloc)
 TRANSCRIPT_ROUND_BYTES = 2
 # toeplitz_hash per key bit at its worst, a key just above a power of two hashed to
 # its full length: two spectra of 32 B and the key's float64 copy (tracemalloc),
@@ -138,23 +145,27 @@ class ProtocolConfig:
     def peak_bytes(self, hash_key: bool = False, transcript: bool = False) -> int:
         """Bytes ``run_protocol`` holds at its peak, from the per-round costs it was measured at.
 
-        Every round is counted at Alice's packed Z bit; a parity round
-        holds its N basis and N outcome bits plus ``PARITY_ROUND_BYTES``,
-        an announced Z round its N outcome bits plus
-        ``ANNOUNCED_ROUND_BYTES``; the batched draws add at most
-        ``BATCH_BYTES``, and a ``GhzDiagonalState`` ``BRANCH_BYTES`` per
-        branch.  ``write_transcript`` adds N + ``TRANSCRIPT_ROUND_BYTES``
-        and a hashed key ``HASH_BIT_BYTES`` per round.  Parity rounds are
-        counted at their expected number.
+        Every round is counted at Alice's packed Z bit and its bit in the
+        announced rows' bitmap, 1/4 byte; a parity round at its N basis bits
+        plus ``PARITY_ROUND_BYTES`` while its component is drawn, and an
+        announced Z round at ``ANNOUNCED_ROUND_BYTES``.  The counts keep no
+        outcome bits, but the Bobs' bits of one batch of announced rows are
+        held while they are counted, N bytes for each of up to
+        ``DRAW_BATCH`` rows.  The batched draws add at most ``BATCH_BYTES``,
+        and a ``GhzDiagonalState`` ``BRANCH_BYTES`` per branch.
+        ``write_transcript`` adds N + ``TRANSCRIPT_ROUND_BYTES`` and a
+        hashed key ``HASH_BIT_BYTES`` per round.  Parity rounds are counted
+        at their expected number.
         """
+        n = self.n_parties
         parity = self.n_rounds * self.p_estimation
         announced = min(parity if self.announced_z_rounds is None else self.announced_z_rounds,
                         self.n_rounds - parity)
-        branches = 1 << (self.n_parties - 1) if isinstance(self.state, GhzDiagonalState) else 0
-        per_round = 1 / 8 + hash_key * HASH_BIT_BYTES + transcript * (self.n_parties + TRANSCRIPT_ROUND_BYTES)
+        branches = 1 << (n - 1) if isinstance(self.state, GhzDiagonalState) else 0
+        per_round = 1 / 4 + hash_key * HASH_BIT_BYTES + transcript * (n + TRANSCRIPT_ROUND_BYTES)
         return math.ceil(BATCH_BYTES + BRANCH_BYTES * branches + self.n_rounds * per_round
-                         + parity * (2 * self.n_parties + PARITY_ROUND_BYTES)
-                         + announced * (self.n_parties + ANNOUNCED_ROUND_BYTES))
+                         + parity * (n + PARITY_ROUND_BYTES) + announced * ANNOUNCED_ROUND_BYTES
+                         + n * min(announced, DRAW_BATCH))
 
     def check_budget(self, hash_key: bool = False, transcript: bool = False) -> None:
         """Raise ``ValueError`` when a run with these outputs would pass ``ARRAY_BYTE_BUDGET``."""
@@ -343,77 +354,56 @@ def _bob_flips(state: GhzDiagonalState | WeightClassState, branch: np.ndarray,
             yield ((branch >> (n - 1 - bob)) & 1).astype(bool)
 
 
-def _meet(rows: np.ndarray | None, drawn: np.ndarray) -> tuple[np.ndarray, np.ndarray | slice]:
-    """Where the sorted ``drawn`` rows fall among the sorted ``rows``: their columns there, and a
-    mask of the drawn rows that do.  ``rows`` None holds every row, each at its own column.
-
-    Only the rows within the drawn span are read, and the shorter of the
-    two sorted arrays is searched for in the longer: each drawn row among
-    those rows, or each of those rows among the drawn rows.
-    """
-    if rows is None:
-        return drawn, slice(None)
-    first, end = rows.searchsorted((drawn[0], drawn[-1] + 1))
-    window = rows[first:end]
-    if window.size < drawn.size:
-        at = drawn.searchsorted(window)
-        found = drawn.take(at) == window
-        hit = np.zeros(drawn.size, dtype=bool)
-        hit[at[found]] = True
-        return first + np.flatnonzero(found), hit
-    at = window.searchsorted(drawn)
-    hit = window.take(at, mode="clip") == drawn
-    return first + at[hit], hit
+def _row_bitmap(rows: np.ndarray, count: int) -> np.ndarray:
+    """The sorted distinct ``rows`` of range(``count``) as a packed bitmap of ceil(count/8) bytes,
+    in ``np.unpackbits`` order, so ``_bits_at`` tests a row with one byte read."""
+    bitmap = np.zeros(-(-count // 8), dtype=np.uint8)
+    for start in range(0, rows.size, DRAW_BATCH):  # the int64 transients stay per slice
+        chunk = rows[start : start + DRAW_BATCH]
+        np.bitwise_or.at(bitmap, chunk >> 3, np.right_shift(128, chunk & 7).astype(np.uint8))
+    return bitmap
 
 
-def sample_z_bits(state: GhzDiagonalState | WeightClassState, count: int,
-                  rng: np.random.Generator, alice: np.ndarray,
-                  rows: np.ndarray | None = None) -> np.ndarray:
-    """Z-basis outcome bits of ``count`` rounds, shape (count, N); bit 0 is the +1 outcome.
+def _z_draws(state: GhzDiagonalState | WeightClassState, count: int, rng: np.random.Generator,
+             alice: np.ndarray, wanted: np.ndarray | None = None):
+    """The Bobs' bits of the drawn Z rounds, the rounds that do not copy Alice's bit, batch by batch.
 
-    Given sorted distinct ``rows``, only those rounds' bits are written and
-    returned, shape (rows.size, N), and they equal the same rows of the
-    full matrix drawn from the same stream: every draw below is made
-    whatever ``rows`` holds, and a drawn row that is not among them is
-    skipped after its draw.  ``alice`` holds Alice's ``count`` bits
-    packed (``_packed_bits``), drawn from ``rng`` before this call.
+    Yields pairs of sorted drawn rows and their Bobs' bits, shape (N-1,
+    rows), Bob 1 first.  ``wanted``, a ``_row_bitmap``, keeps the drawn rows
+    it marks, and None every drawn row; every draw below is made whatever
+    it holds.  A row that is not drawn gives each Bob Alice's bit.
+    ``alice`` holds Alice's ``count`` bits packed (``_packed_bits``),
+    drawn from ``rng`` before this call.
 
     A round draws a branch j and Alice's bit; |j, sigma> gives the Bobs the
-    bits of j when Alice reads 0 and those of ~j when she reads 1.  Alice's
-    bits are fair bits, read at the rows that are written, and every row
-    that is not drawn below copies them to the Bobs.
-
-    The state's class masses (per branch j, or per Bob weight w) are split
+    bits of j when Alice reads 0 and those of ~j when she reads 1.  The
+    state's class masses (per branch j, or per Bob weight w) are split
     into a part uniform over all branches and residual classes
     (``ghz.uniform_split``).  The drawn rows are a Bernoulli process of
     rate 1 - R_0, and each belongs to the uniform part or to a residual
     class c >= 1 in proportion to their masses, by one uniform per row,
-    drawn only when the residual tail is not zero.  A uniform-part row
-    gives each Bob a fair bit, whatever Alice's, drawn as one packed
-    (N-1, rows) block; a residual row gives the Bobs the bits of its
-    class (``_bob_flips``).  The result is the transpose of a party-major
-    array.
+    drawn only when the residual tail is not zero.  A residual row gives
+    the Bobs Alice's bit XOR the bits of its class (``_bob_flips``).  A
+    uniform-part row gives each Bob a fair bit, whatever Alice's, drawn
+    as one packed (N-1, rows) block; with ``wanted`` set, the bits are
+    read only at the hit columns, Bob b's bit of column c being bit
+    b * rows + c of the block.
     """
     n = state.n_parties
-    if rows is None:
-        bits = np.empty((n, count), dtype=np.uint8)  # one contiguous row per party
-        bits[0] = np.unpackbits(alice, count=count)
-    else:
-        bits = np.empty((n, rows.size), dtype=np.uint8)
-        for start in range(0, rows.size, DRAW_BATCH):  # the bit reads' int64 transients stay per batch
-            bits[0, start : start + DRAW_BATCH] = _bits_at(alice, rows[start : start + DRAW_BATCH])
-    bits[1:] = bits[0]
     uniform_mass, masses = uniform_split(state)
     tail_mass = masses[1:].sum()
     drawn_mass = uniform_mass + tail_mass
     if drawn_mass == 0.0:
-        return bits.T
+        return
     # part 0 is the uniform part, part c >= 1 the residual of branch c or of Bob weight c
     parts = np.concatenate(([uniform_mass], masses[1:])) / drawn_mass
     bounds = np.cumsum(parts)  # a uniform in [bounds[c - 1], bounds[c]) draws part c
     last = bounds.searchsorted(bounds[-1])  # the last part of positive mass
     block_rows = max(1, BATCH_BYTES // (2 * (n - 1)))  # the unpacked fair bits of a block stay within BATCH_BYTES / 2
+    read_cols = max(1, BATCH_BYTES // (64 * (n - 1)))  # the int64 bit indices of one read stay within BATCH_BYTES / 8
+    bobs = np.arange(n - 1)[:, None]
     for drawn in _bernoulli_positions(count, drawn_mass / (masses[0] + drawn_mass), rng):
+        hit = np.ones(drawn.size, dtype=bool) if wanted is None else _bits_at(wanted, drawn).view(bool)
         if tail_mass == 0.0:
             uniform_rows = drawn
         else:
@@ -422,16 +412,56 @@ def sample_z_bits(state: GhzDiagonalState | WeightClassState, count: int,
             residual = part > 0
             uniform_rows = drawn[~residual]
             if residual.any():
-                at, hit = _meet(rows, drawn[residual])
-                alice_bits = bits[0, at]
-                for bob, flip in enumerate(_bob_flips(state, part[residual], rng), start=1):
-                    bits[bob, at] = alice_bits ^ flip[hit]
+                rows_hit = hit[residual]
+                rows = drawn[residual][rows_hit]
+                alice_bits = _bits_at(alice, rows)
+                bits = np.empty((n - 1, rows.size), dtype=np.uint8)
+                for bob, flip in enumerate(_bob_flips(state, part[residual], rng)):
+                    bits[bob] = alice_bits ^ flip[rows_hit]
+                yield rows, bits
+                del bits  # the next batch's bits are not built while these are held
+            hit = hit[~residual]
         for start in range(0, uniform_rows.size, block_rows):
             block = uniform_rows[start : start + block_rows]
-            fair = _uniform_bits(rng, (n - 1, block.size))
-            at, hit = _meet(rows, block)
-            bits[1:, at] = fair[:, hit]
+            packed = _packed_bits(rng, (n - 1) * block.size)
+            if wanted is None:
+                yield block, np.unpackbits(packed, count=(n - 1) * block.size).reshape(n - 1, block.size)
+                continue
+            columns = np.flatnonzero(hit[start : start + block.size])
+            for first in range(0, columns.size, read_cols):
+                at = columns[first : first + read_cols]
+                yield block[at], _bits_at(packed, bobs * block.size + at)
+
+
+def sample_z_bits(state: GhzDiagonalState | WeightClassState, count: int,
+                  rng: np.random.Generator, alice: np.ndarray) -> np.ndarray:
+    """Z-basis outcome bits of ``count`` rounds, shape (count, N); bit 0 is the +1 outcome.
+
+    ``alice`` holds Alice's ``count`` bits packed (``_packed_bits``), drawn
+    from ``rng`` before this call; ``_z_draws`` gives the Bobs' bits of the
+    drawn rows, and every other row copies Alice's bit to the Bobs.  The
+    result is the transpose of a party-major array.
+    """
+    bits = np.empty((state.n_parties, count), dtype=np.uint8)  # one contiguous row per party
+    bits[0] = np.unpackbits(alice, count=count)
+    bits[1:] = bits[0]
+    for rows, bob_bits in _z_draws(state, count, rng, alice):
+        bits[1:, rows] = bob_bits
     return bits.T
+
+
+def _z_disagreements(state: GhzDiagonalState | WeightClassState, count: int, rng: np.random.Generator,
+                     alice: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, int]:
+    """Over the Z rounds at the sorted ``rows``: how many times each Bob's bit differs from
+    Alice's, Bob 1 first, and in how many rounds any Bob's does.  Only drawn rows can differ."""
+    per_bob = np.zeros(state.n_parties - 1, dtype=np.int64)
+    any_bob = 0
+    for drawn, differs in _z_draws(state, count, rng, alice, _row_bitmap(rows, count)):
+        differs ^= _bits_at(alice, drawn)
+        per_bob += differs.sum(axis=1, dtype=np.int64)  # no bool copy, as count_nonzero would make
+        any_bob += int(np.count_nonzero(differs.any(axis=0)))
+        del differs  # dropped before the next batch is drawn
+    return per_bob, any_bob
 
 
 def _y_counts(bases_by_party: np.ndarray) -> np.ndarray:
@@ -439,19 +469,16 @@ def _y_counts(bases_by_party: np.ndarray) -> np.ndarray:
     return bases_by_party.sum(axis=0, dtype=np.min_scalar_type(bases_by_party.shape[0]))
 
 
-def sample_xy_bits(state: GhzDiagonalState | WeightClassState, bases: np.ndarray,
-                   rng: np.random.Generator) -> np.ndarray:
-    """Outcome bits for parity rounds with given bases (0 = X, 1 = Y), shape (count, N).
+def _xy_signs(state: GhzDiagonalState | WeightClassState, by_party: np.ndarray,
+              rng: np.random.Generator) -> np.ndarray:
+    """The component draw of parity rounds with party-major bases ``by_party`` (0 = X, 1 = Y):
+    per round 1 where sigma (-1)^{|j AND y|} is -1, else 0 (uint8).
 
     Each round draws its component |j, sigma> with one uniform against the
     cumulative coefficients: j = 0 first, then every other branch (or Bob
-    weight) with sigma = +, then with sigma = -; the module docstring
-    gives the outcomes of a component.  ``bases`` is best a view of a
-    party-major array, as ``ProtocolRun`` holds it; the result is the
-    transpose of one.
+    weight) with sigma = +, then with sigma = -.  The bits of j are drawn
+    only where sigma is not a fair coin given j (see the module docstring).
     """
-    by_party = np.asarray(bases, dtype=np.uint8).T
-    n, count = by_party.shape
     plus, minus = (np.maximum(c, 0.0) for c in diagonal_coefficients(state))
     branches = plus.size - 1
     zero_mass = plus[0] + minus[0]
@@ -460,26 +487,39 @@ def sample_xy_bits(state: GhzDiagonalState | WeightClassState, bases: np.ndarray
     bounds = np.cumsum(tail)
     last = bounds.searchsorted(bounds[-1])  # the last component of positive mass
     skewed = np.concatenate([plus[1:] != minus[1:]] * 2)  # components whose sigma is not a fair coin given j
+    count = by_party.shape[1]
     uniform = rng.random(count)
     uniform *= zero_mass + bounds[-1]  # the coefficients may sum to 1 +- 1e-9
-    product_is_minus = (uniform >= plus[0]).view(np.uint8)  # sigma = - of the j = 0 rows
+    sign_is_minus = (uniform >= plus[0]).view(np.uint8)  # sigma = - of the j = 0 rows
     for start in range(0, count, DRAW_BATCH):
         rows = np.flatnonzero(uniform[start : start + DRAW_BATCH] >= zero_mass)
         rows += start
         component = np.searchsorted(bounds, uniform[rows] - zero_mass, side="right")
         np.minimum(component, last, out=component)  # rounding may land past the last bound
-        product_is_minus[rows] = component >= branches
+        sign_is_minus[rows] = component >= branches
         draw = skewed[component]
         if draw.any():
             rows = rows[draw]
             overlap = np.zeros(rows.size, dtype=np.uint8)  # parity of |j AND y|
             for bob, flip in enumerate(_bob_flips(state, component[draw] % branches + 1, rng), start=1):
                 overlap ^= flip & by_party[bob, rows]
-            product_is_minus[rows] ^= overlap
-    del uniform  # 8 B per round, freed before the outcome bits are drawn
+            sign_is_minus[rows] ^= overlap
+    return sign_is_minus  # the uniforms, 8 B per round, are freed on return
+
+
+def sample_xy_bits(state: GhzDiagonalState | WeightClassState, bases: np.ndarray,
+                   rng: np.random.Generator) -> np.ndarray:
+    """Outcome bits for parity rounds with given bases (0 = X, 1 = Y), shape (count, N).
+
+    The component draw (``_xy_signs``) comes first, then the outcome bits;
+    the module docstring gives the outcomes of a component.  ``bases`` is
+    best a view of a party-major array; the result is the transpose of one.
+    """
+    by_party = np.asarray(bases, dtype=np.uint8).T
+    product_is_minus = _xy_signs(state, by_party, rng)
     kappa = _y_counts(by_party)
     product_is_minus ^= (kappa & 2) != 0  # f(kappa) = -1 for even kappa
-    bits = _uniform_bits(rng, (n, count))
+    bits = _uniform_bits(rng, by_party.shape)
     product_is_minus ^= np.bitwise_xor.reduce(bits, axis=0)  # where the last bit must flip
     product_is_minus &= (kappa & 1) == 0  # with kappa odd every bit stays fair
     bits[-1] ^= product_is_minus
@@ -487,47 +527,8 @@ def sample_xy_bits(state: GhzDiagonalState | WeightClassState, bases: np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# Estimators
+# Post-processing
 # ---------------------------------------------------------------------------
-
-def estimate_qx(bases: np.ndarray, bits: np.ndarray) -> tuple[float, int, int, int]:
-    """Parity error estimate from the second-type rounds' bases (0 = X, 1 = Y) and outcome bits.
-
-    Both arrays have shape (rounds, N); views of party-major arrays are
-    reduced along their contiguous rows.  Alice's flip for Y counts that
-    are not multiples of four enters as the sign f(kappa); rounds with
-    odd kappa contribute nothing.  Returns (Q_X, n_plus, n_minus, kept
-    rounds).
-    """
-    bases_by_party, bits_by_party = np.asarray(bases).T, np.asarray(bits).T
-    signs = f_sign(_y_counts(bases_by_party))
-    kept = signs != 0
-    n_kept = int(np.count_nonzero(kept))
-    if not n_kept:
-        raise ValueError("no parity rounds with an even Y count")
-    odd = np.bitwise_xor.reduce(bits_by_party, axis=0).astype(bool)  # product -1
-    n_minus = int(np.count_nonzero(kept & ((signs < 0) != odd)))
-    n_plus = n_kept - n_minus
-    x_hat = (n_plus - n_minus) / n_kept
-    return 0.5 * (1.0 - x_hat), n_plus, n_minus, n_kept
-
-
-def estimate_qz(bits: np.ndarray) -> tuple[float, np.ndarray]:
-    """(Q_Z, per-Bob Q_AB) estimates from the outcome bits (rounds, N) of announced Z rounds."""
-    by_party = np.asarray(bits).T
-    count = by_party.shape[1]
-    if count == 0:
-        raise ValueError("no announced Z rounds")
-    n = by_party.shape[0]
-    any_differs = np.zeros(count, dtype=bool)
-    q_ab = np.empty(n - 1)
-    bobs_per_pass = max(1, DRAW_BATCH // count)  # no (N-1, rounds) temporary, few passes at large N
-    for first in range(1, n, bobs_per_pass):
-        differs = by_party[first : first + bobs_per_pass] != by_party[0]
-        q_ab[first - 1 : first - 1 + differs.shape[0]] = np.count_nonzero(differs, axis=1) / count
-        any_differs |= differs.any(axis=0)
-    return np.count_nonzero(any_differs) / count, q_ab
-
 
 def classical_depolarize(z_bits: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Flip a random half of the Z rounds identically for all parties.
@@ -547,21 +548,15 @@ def classical_depolarize(z_bits: np.ndarray, rng: np.random.Generator) -> tuple[
 
 def _streams(seed: int, count: int = 5) -> list[np.random.Generator]:
     """A run's first ``count`` seeded streams, each a function of the seed and its index only:
-    the schedule (``_schedule``), the Z rounds (``_z_rounds``), the parity rounds' bases then
-    outcomes, the announced subset, and the flip mask then the hash's diagonals."""
+    the schedule (``_schedule``), the Z rounds (Alice's packed bits, then ``_z_draws``), the
+    parity rounds' bases, component draw and outcome bits, the announced subset, and the flip
+    mask then the hash's diagonals."""
     return [np.random.default_rng(s) for s in np.random.SeedSequence(seed).spawn(count)]
 
 
 def _schedule(config: ProtocolConfig, rng: np.random.Generator):
     """The parity rounds' positions among the ``n_rounds`` rounds, in sorted blocks, from child 0."""
     return _bernoulli_positions(config.n_rounds, config.p_estimation, rng)
-
-
-def _z_rounds(state: GhzDiagonalState | WeightClassState, count: int, rng: np.random.Generator,
-              rows: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Alice's packed bits of ``count`` Z rounds, drawn first, and the Z outcome bits at ``rows``."""
-    alice = _packed_bits(rng, count)
-    return alice, sample_z_bits(state, count, rng, alice, rows)
 
 
 def preshared_key_accounting(config: ProtocolConfig, second_type_rounds: int) -> ResourceLedger:
@@ -621,7 +616,7 @@ class ProtocolResult:
     key_length_estimate: float
     discard_fraction: float
     hashed_key: np.ndarray | None
-    run: ProtocolRun              # the sampled rounds, which write_transcript prints
+    run: ProtocolRun              # the sampled run; write_transcript prints its rounds, drawn again
 
     @property
     def key_bits(self) -> np.ndarray:
@@ -667,16 +662,19 @@ class ProtocolResult:
 
 
 class ProtocolRun:
-    """The sampled rounds of one protocol execution.
+    """The sampled rounds of one protocol execution, reduced to the counts its estimates read.
 
     A run holds Alice's Z bits packed (``z_alice``), the announced Z
     rounds' sorted positions among the ``z_count`` Z rounds
-    (``announced_rows``) and their outcome bits (``announced_bits``), and
-    the parity rounds' ``xy_bases`` and ``xy_bits``; the Bobs' bits are
-    written only where announced.  Bit arrays have shape (rounds, N) and
-    are views of party-major arrays, one contiguous row per party.  The
-    run's bytes, and with ``hash_key`` those of the key's hash, count
-    against the byte budget before anything is sampled.
+    (``announced_rows``), how often each Bob's bit differs from Alice's
+    on them (``bob_disagreements``, Bob 1 first) and in how many of them
+    any Bob's does (``any_disagreements``), and over the parity rounds
+    with an even Y count (``kept``) those whose sign sigma (-1)^{|j AND y|}
+    is + (``n_plus``) or - (``n_minus``).  With kappa even the outcome
+    product is sigma f(kappa) (-1)^{|j AND y|}, so ``n_minus`` counts the
+    kept rounds whose product differs from f(kappa); the outcome bits are
+    not drawn.  The run's bytes, and with ``hash_key`` those of the key's
+    hash, count against the byte budget before anything is sampled.
     """
 
     def __init__(self, config: ProtocolConfig, hash_key: bool = False):
@@ -687,9 +685,15 @@ class ProtocolRun:
         self.z_count = config.n_rounds - xy_count
         self.ledger = preshared_key_accounting(config, second_type_rounds=xy_count)
         self.announced_rows = _uniform_subset(self.z_count, self.ledger.announced_z_rounds, subset_rng)
-        self.z_alice, self.announced_bits = _z_rounds(config.state, self.z_count, z_rng, self.announced_rows)
-        self.xy_bases = _uniform_bits(xy_rng, (config.n_parties, xy_count)).T
-        self.xy_bits = sample_xy_bits(config.state, self.xy_bases, xy_rng)
+        self.z_alice = _packed_bits(z_rng, self.z_count)
+        self.bob_disagreements, self.any_disagreements = _z_disagreements(
+            config.state, self.z_count, z_rng, self.z_alice, self.announced_rows)
+        bases = _uniform_bits(xy_rng, (config.n_parties, xy_count))
+        sign_is_minus = _xy_signs(config.state, bases, xy_rng)
+        kept = (_y_counts(bases) & 1) == 0
+        self.kept = int(np.count_nonzero(kept))
+        self.n_minus = int(np.count_nonzero(sign_is_minus[kept]))
+        self.n_plus = self.kept - self.n_minus
 
     @functools.cached_property
     def flipped_key(self) -> tuple[np.ndarray, np.ndarray]:
@@ -711,24 +715,27 @@ def run_protocol(config: ProtocolConfig, hash_key: bool = False) -> ProtocolResu
     corresponding amplification subtraction.  With ``hash_key`` the
     corrected string is additionally compressed through a seeded
     Toeplitz hash to the estimated length.  ``write_transcript`` prints
-    the rounds of ``result.run``, drawing again those the run does not hold.
+    the rounds of ``result.run``, drawing them again from its streams.
     """
     run = ProtocolRun(config, hash_key)
     if run.z_count == 0:
         raise ValueError("no Z rounds were scheduled; lower p_estimation or raise n_rounds")
     ledger = run.ledger
+    announced = ledger.announced_z_rounds
+    if announced == 0:
+        raise ValueError("no announced Z rounds")
+    if run.kept == 0:
+        raise ValueError("no parity rounds with an even Y count")
     xy_count = ledger.second_type_rounds
-    q_z_hat, q_ab_hat = estimate_qz(run.announced_bits)
-    q_x_hat, n_plus, n_minus, kept = estimate_qx(run.xy_bases, run.xy_bits)
     estimate = EstimationResult(
-        q_z_hat=q_z_hat,
-        q_x_hat=q_x_hat,
-        q_ab_hat=tuple(q_ab_hat.tolist()),
-        n_plus=n_plus,
-        n_minus=n_minus,
-        z_rounds_used=ledger.announced_z_rounds,
+        q_z_hat=run.any_disagreements / announced,
+        q_x_hat=0.5 * (1.0 - (run.n_plus - run.n_minus) / run.kept),
+        q_ab_hat=tuple((run.bob_disagreements / announced).tolist()),
+        n_plus=run.n_plus,
+        n_minus=run.n_minus,
+        z_rounds_used=announced,
         xy_rounds_total=xy_count,
-        xy_rounds_kept=kept,
+        xy_rounds_kept=run.kept,
     )
     report = secret_fraction(
         RateInput(
@@ -748,7 +755,7 @@ def run_protocol(config: ProtocolConfig, hash_key: bool = False) -> ProtocolResu
         ledger=ledger,
         rate_report=report,
         key_length_estimate=key_length,
-        discard_fraction=1.0 - kept / xy_count,
+        discard_fraction=1.0 - run.kept / xy_count,
         hashed_key=hashed,
         run=run,
     )
@@ -818,20 +825,21 @@ def write_transcript(path: str, run: ProtocolRun) -> None:
     chunk of eight parties, places the pieces of ``_transcript_tables``
     they index in round order, ceil(N/8) per Z round and 2 ceil(N/8) + 1
     per XY round, and is written as their join.  The budget is checked with
-    the transcript's bytes first; the parity rounds are read from the run, and
-    the schedule and every Z round's bits are drawn again from its streams.
+    the transcript's bytes first; the schedule, every Z round's bits and the
+    parity rounds' bases and outcome bits are drawn again from the run's streams.
     """
     config = run.config
     config.check_budget(transcript=True)
-    schedule_rng, z_rng = _streams(config.seed, 2)
+    schedule_rng, z_rng, xy_rng = _streams(config.seed, 3)
     schedule = np.zeros(config.n_rounds, dtype=bool)
     for positions in _schedule(config, schedule_rng):
         schedule[positions] = True
     table, z_off, xy_off = _transcript_tables(config.n_parties)
     z_cols, xy_cols = np.arange(z_off.size)[:, None], np.arange(xy_off.size)[:, None]
     # party-major rows, so a block is a column slice
-    z_bits = _z_rounds(config.state, run.z_count, z_rng)[1].T
-    xy_bases, xy_bits = run.xy_bases.T, run.xy_bits.T
+    z_bits = sample_z_bits(config.state, run.z_count, z_rng, _packed_bits(z_rng, run.z_count)).T
+    xy_bases = _uniform_bits(xy_rng, (config.n_parties, run.ledger.second_type_rounds))
+    xy_bits = sample_xy_bits(config.state, xy_bases.T, xy_rng).T
     z_pos = xy_pos = 0
     with open(path, "wb") as fh:
         for start in range(0, schedule.size, TRANSCRIPT_BLOCK_ROUNDS):

@@ -486,6 +486,25 @@ def test_simulate_malformed_config_shape_exits_2(tmp_path, capsys, config, messa
     assert captured.out == "" and message in captured.err
 
 
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({**GOOD_CONFIG, "announced_z_rounds": 0}, "error: no announced Z rounds"),
+        # at p = 1e-4 no round of 50 is a parity round, so none has an even Y count
+        ({"n_parties": 3, "n_rounds": 50, "p_estimation": 0.0001, "seed": 1, "announced_z_rounds": 10,
+          "state": {"model": "depolarized", "q": 0.1}}, "error: no parity rounds with an even Y count"),
+    ],
+    ids=["no_announced_z_rounds", "no_kept_parity_rounds"],
+)
+def test_simulate_estimation_errors_exit_2(tmp_path, capsys, config, message):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.strip() == message
+    assert not (tmp_path / "s.json").exists()
+
+
 def test_simulate_accepts_integral_float_counts(tmp_path):
     # 1e4 is how a JSON writer may spell an integer
     cfg = tmp_path / "cfg.json"
@@ -557,8 +576,8 @@ def test_simulate_at_large_n_exits_0(tmp_path, n):
 
 def test_simulate_over_the_byte_budget_exits_2_before_allocating(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    # 10^6 parity and 10^6 announced Z rounds of 2000 bits each hold about 6 GB
-    cfg.write_text(json.dumps({"n_parties": 2000, "n_rounds": 2 * 10**7, "state": {"model": "depolarized", "q": 0.1}}))
+    # 2.5 x 10^6 parity rounds hold their 2000 basis bits each while their components are drawn, about 5 GB
+    cfg.write_text(json.dumps({"n_parties": 2000, "n_rounds": 5 * 10**7, "state": {"model": "depolarized", "q": 0.1}}))
     tracemalloc.start()
     try:
         assert run_cli(["simulate", "--config", str(cfg), "--out", str(tmp_path / "s.json")]) == 2
@@ -571,8 +590,8 @@ def test_simulate_over_the_byte_budget_exits_2_before_allocating(tmp_path, capsy
 
 
 def test_simulate_counts_the_whole_run_against_the_budget(tmp_path, capsys):
-    # N=3, L=3e9 holds about 1.6 bytes per round (Alice's packed Z bits and the
-    # parity and announced rounds), 4.7 GB in all; such a run used to die in
+    # N=3, L=3e9 holds about 1.7 bytes per round (Alice's packed Z bits, the announced
+    # rows' bitmap, and the parity and announced rounds), 5.1 GB in all; such a run used to die in
     # ProtocolRun with an allocation error (exit 1) instead of exiting 2 before allocating
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n_parties": 3, "n_rounds": 3 * 10**9, "state": {"model": "depolarized", "q": 0.1}}))
@@ -588,7 +607,7 @@ def test_simulate_counts_the_whole_run_against_the_budget(tmp_path, capsys):
 
 
 def test_simulate_counts_the_hash_against_the_budget(tmp_path, capsys):
-    # N=3, L=1e8 holds about 160 MB without --hash-key; the hash of its key
+    # N=3, L=1e8 holds about 170 MB without --hash-key; the hash of its key
     # needs about 74 B per round more, so the run exits 2 before sampling
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n_parties": 3, "n_rounds": 10**8, "state": {"model": "depolarized", "q": 0.1}}))
@@ -604,7 +623,7 @@ def test_simulate_counts_the_hash_against_the_budget(tmp_path, capsys):
 
 
 def test_simulate_counts_the_transcript_against_the_budget(tmp_path, capsys):
-    # N=3, L=1e9 holds about 1.6 GB without a transcript; the writer draws
+    # N=3, L=1e9 holds about 1.7 GB without a transcript; the writer draws
     # N + 2 bytes per round more, so the command exits 2 before sampling
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"n_parties": 3, "n_rounds": 10**9, "state": {"model": "depolarized", "q": 0.1}}))

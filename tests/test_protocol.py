@@ -19,8 +19,6 @@ from nqkd.protocol import (
     ProtocolRun,
     RoundRecord,
     classical_depolarize,
-    estimate_qx,
-    estimate_qz,
     f_sign,
     preshared_key_accounting,
     protocol_config_from_json,
@@ -46,9 +44,39 @@ def family_sigmas(bands, alpha=0.01):
     return NormalDist().inv_cdf(1.0 - alpha / (2 * bands))
 
 
-def draw_z_bits(state, count, rng, rows=None):
+def draw_z_bits(state, count, rng):
     """``sample_z_bits`` with Alice's packed bits drawn from ``rng`` first, as a run draws them."""
-    return sample_z_bits(state, count, rng, protocol._packed_bits(rng, count), rows)
+    return sample_z_bits(state, count, rng, protocol._packed_bits(rng, count))
+
+
+def estimate_qx(bases, bits):
+    """(Q_X, n_plus, n_minus, kept rounds) from parity rounds' bases (0 = X, 1 = Y) and outcome bits.
+
+    Both arrays have shape (rounds, N).  Alice's flip for Y counts that are
+    not multiples of four enters as the sign f(kappa); rounds with odd
+    kappa contribute nothing.  The reference for the counts a run keeps.
+    """
+    bases, bits = np.asarray(bases), np.asarray(bits)
+    signs = f_sign(bases.sum(axis=1))
+    kept = signs != 0
+    n_kept = int(np.count_nonzero(kept))
+    if not n_kept:
+        raise ValueError("no parity rounds with an even Y count")
+    odd = np.bitwise_xor.reduce(bits, axis=1).astype(bool)  # product -1
+    n_minus = int(np.count_nonzero(kept & ((signs < 0) != odd)))
+    n_plus = n_kept - n_minus
+    return 0.5 * (1.0 - (n_plus - n_minus) / n_kept), n_plus, n_minus, n_kept
+
+
+def estimate_qz(bits):
+    """(Q_Z, per-Bob Q_AB) from the outcome bits (rounds, N) of announced Z rounds; the reference
+    for the disagreement counts a run keeps."""
+    bits = np.asarray(bits)
+    count = bits.shape[0]
+    if count == 0:
+        raise ValueError("no announced Z rounds")
+    differs = bits[:, 1:] != bits[:, :1]
+    return np.count_nonzero(differs.any(axis=1)) / count, np.count_nonzero(differs, axis=0) / count
 
 
 def test_f_sign_values():
@@ -239,37 +267,53 @@ Z_ORACLE_STATES = {
 @pytest.mark.parametrize("small_batches", [False, True], ids=["batches", "small_batches"])
 @pytest.mark.parametrize("name", list(Z_ORACLE_STATES))
 def test_z_sampling_at_rows_is_the_full_matrix_at_those_rows(monkeypatch, name, small_batches):
-    # the rows argument changes what is written, never what is drawn; with
-    # small batches the rows fall on both sides of many batch and block edges
+    # the rows a run asks for change what _z_draws yields, never what it draws;
+    # with small batches the rows fall on both sides of many batch, block and read edges
     if small_batches:
         monkeypatch.setattr(protocol, "DRAW_BATCH", 64)
         monkeypatch.setattr(protocol, "BATCH_BYTES", 256)
     state = Z_ORACLE_STATES[name]()
-    count = 3000
-    full = draw_z_bits(state, count, np.random.default_rng(70))
+    n, count = state.n_parties, 3000
+    rng = np.random.default_rng(70)
+    full = draw_z_bits(state, count, rng)
+    after = rng.bytes(16)
     pick = np.random.default_rng(71)
     row_sets = [np.empty(0, dtype=np.int64), np.array([0]), np.array([count // 2]), np.array([count - 1]),
                 np.arange(count), np.arange(200, 1800), np.arange(1, count, 3)]
     row_sets += [np.sort(pick.choice(count, size, replace=False)) for size in (2, 60, 1500, count - 1)]
     for rows in row_sets:
-        bits = draw_z_bits(state, count, np.random.default_rng(70), rows)
-        assert bits.shape == (rows.size, state.n_parties) and bits.dtype == np.uint8
+        rng = np.random.default_rng(70)
+        alice = protocol._packed_bits(rng, count)
+        bits = np.repeat(np.unpackbits(alice, count=count)[rows][:, None], n, axis=1)  # undrawn rows copy Alice
+        yielded = []
+        for drawn, bob_bits in protocol._z_draws(state, count, rng, alice, protocol._row_bitmap(rows, count)):
+            assert bob_bits.shape == (n - 1, drawn.size) and bob_bits.dtype == np.uint8
+            bits[rows.searchsorted(drawn), 1:] = bob_bits.T
+            yielded.append(drawn)
+        assert rng.bytes(16) == after, rows.size
+        yielded = np.concatenate([np.empty(0, dtype=np.int64), *yielded])
+        assert np.isin(yielded, rows).all() and np.unique(yielded).size == yielded.size
         assert np.array_equal(bits, full[rows]), rows.size
 
 
-def test_meet_matches_isin_whichever_array_is_shorter():
-    # _meet searches the shorter of the drawn rows and the announced rows in
-    # their span for the other; both orders give np.isin's mask and the columns
+def test_row_bitmap_matches_isin(monkeypatch):
+    # rows at byte edges, in counts that are and are not multiples of 8; slices of
+    # 3 rows put one byte's rows in two slices
+    monkeypatch.setattr(protocol, "DRAW_BATCH", 3)
     pick = np.random.default_rng(72)
-    for n_rows, n_drawn in [(5, 400), (400, 5), (300, 300), (1, 50), (50, 1), (0, 30), (2000, 2000)]:
-        for _ in range(20):
-            population = pick.integers(max(n_rows, n_drawn), 3 * max(n_rows, n_drawn) + 2)
-            rows = np.sort(pick.choice(population, n_rows, replace=False))
-            drawn = np.sort(pick.choice(population, n_drawn, replace=False))
-            columns, hit = protocol._meet(rows, drawn)
-            expected = np.isin(drawn, rows)
-            assert np.array_equal(hit, expected)
-            assert np.array_equal(columns, rows.searchsorted(drawn[expected]))
+    row_sets = []
+    for count in (1, 7, 8, 9, 64, 1001):
+        edges = np.array([0, 7, 8, 15, 16, count - 1])
+        row_sets += [(count, np.empty(0, dtype=np.int64)), (count, np.arange(count)),
+                     (count, np.unique(edges[edges < count]))]
+        row_sets += [(count, np.sort(pick.choice(count, size, replace=False)))
+                     for size in sorted({1, count // 2, count - 1} - {0})]
+    for count, rows in row_sets:
+        bitmap = protocol._row_bitmap(rows, count)
+        assert bitmap.dtype == np.uint8 and bitmap.size == -(-count // 8)
+        assert np.array_equal(np.unpackbits(bitmap).view(bool), np.isin(np.arange(bitmap.size * 8), rows))
+        probe = np.sort(pick.choice(count, min(count, 50), replace=False))
+        assert np.array_equal(protocol._bits_at(bitmap, probe).view(bool), np.isin(probe, rows))
 
 
 def test_z_sampling_draws_no_branch_past_the_last_of_positive_mass():
@@ -675,13 +719,18 @@ def test_run_protocol_peak_memory_within_peak_bytes(tmp_path):
         # the state-sized temporaries of a GhzDiagonalState's samplers
         (12, _every_round_flipped(12, False), 0.05, None, False),
         (20, _every_round_flipped(20, False), 0.05, None, False),
-        # the run, then its transcript, which draws every Z round's outcome bits and the schedule again
+        # the run, then its transcript, which draws the schedule and every round's outcome bits again
         (20, _every_round_flipped(20, True), 0.05, n_rounds, True),
         (3, depolarized_state(3, 0.1), 0.05, None, True),
     ]
+    configs = [(ProtocolConfig(n, n_rounds, state, p_estimation=p, seed=1, announced_z_rounds=announced), transcript)
+               for n, state, p, announced, transcript in cases]
+    # every Z round announced and drawn from the residual, in one batch: the Bobs'
+    # bits of DRAW_BATCH rows are held while they are counted
+    configs.append((ProtocolConfig(200, 1 << 16, _every_round_flipped(200, True), p_estimation=1e-4, seed=1,
+                                   announced_z_rounds=1 << 16), False))
     ratios = []
-    for n, state, p, announced, transcript in cases:
-        config = ProtocolConfig(n, n_rounds, state, p_estimation=p, seed=1, announced_z_rounds=announced)
+    for config, transcript in configs:
         tracemalloc.start()
         try:
             result = run_protocol(config)
@@ -691,7 +740,7 @@ def test_run_protocol_peak_memory_within_peak_bytes(tmp_path):
         finally:
             tracemalloc.stop()
         counted = config.peak_bytes(transcript=transcript)
-        assert peak <= counted, (n, p, announced, transcript)
+        assert peak <= counted, (config.n_parties, config.p_estimation, config.announced_z_rounds, transcript)
         ratios.append(peak / counted)
     assert max(ratios) > 0.85
 
@@ -761,36 +810,37 @@ def test_transcript_file(tmp_path):
         else:
             assert set(record.bases) <= {"X", "Y"}
             assert record.kept == (record.kappa_tilde % 2 == 0)
-    assert sum(r.round_type == "XY" for r in records) == run.xy_bases.shape[0]
+    assert sum(r.round_type == "XY" for r in records) == run.ledger.second_type_rounds
 
 
 def reference_rounds(config):
-    """The schedule as a mask over the rounds, and every Z round's bits, drawn from
-    the first two of the seed's five child streams."""
-    schedule_rng, z_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(5)[:2])
+    """The schedule as a mask over the rounds, every Z round's bits, and the parity rounds'
+    bases and bits, drawn from the first three of the seed's five child streams."""
+    schedule_rng, z_rng, xy_rng = (np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(5)[:3])
     schedule = np.zeros(config.n_rounds, dtype=bool)
     for positions in protocol._bernoulli_positions(config.n_rounds, config.p_estimation, schedule_rng):
         schedule[positions] = True
-    z_count = config.n_rounds - int(np.count_nonzero(schedule))
-    return schedule, draw_z_bits(config.state, z_count, z_rng)
+    xy_count = int(np.count_nonzero(schedule))
+    xy_bases = protocol._uniform_bits(xy_rng, (config.n_parties, xy_count)).T
+    return (schedule, draw_z_bits(config.state, config.n_rounds - xy_count, z_rng), xy_bases,
+            sample_xy_bits(config.state, xy_bases, xy_rng))
 
 
 def reference_transcript(run):
-    """The transcript built round by round from ``RoundRecord.to_json``, the
-    schedule and Z rounds from ``reference_rounds`` and the parity rounds the run's."""
+    """The transcript built round by round from ``RoundRecord.to_json``, its rounds from ``reference_rounds``."""
     n = run.config.n_parties
-    schedule, z_bits = reference_rounds(run.config)
+    schedule, z_bits, xy_bases, xy_bits = reference_rounds(run.config)
     assert z_bits.shape[0] == run.z_count
     lines = []
     z_pos = xy_pos = 0
     for is_xy in schedule:
         if is_xy:
-            bases = run.xy_bases[xy_pos]
+            bases = xy_bases[xy_pos]
             kappa = int(bases.sum())
             record = RoundRecord(
                 "XY",
                 tuple("Y" if b else "X" for b in bases),
-                tuple(1 - 2 * int(b) for b in run.xy_bits[xy_pos]),
+                tuple(1 - 2 * int(b) for b in xy_bits[xy_pos]),
                 kappa,
                 kappa % 2 == 0,
             )
@@ -812,7 +862,7 @@ def assert_transcript_matches_reference(run, path):
 def test_transcript_matches_round_records(tmp_path, n):
     config = ProtocolConfig(n, 3000, depolarized_state(n, 0.1), p_estimation=0.4, seed=n)
     run = ProtocolRun(config)
-    kappas = run.xy_bases.sum(axis=1)
+    kappas = reference_rounds(config)[2].sum(axis=1)
     assert (kappas % 2 == 1).any() and (kappas % 2 == 0).any()
     if n == 20:
         assert (kappas >= 10).any() and (kappas < 10).any()  # one- and two-digit kappa_tilde
@@ -821,7 +871,7 @@ def test_transcript_matches_round_records(tmp_path, n):
 
 def test_transcript_without_parity_rounds(tmp_path):
     run = ProtocolRun(ProtocolConfig(4, 200, depolarized_state(4, 0.1), p_estimation=1e-9, seed=1))
-    assert run.xy_bases.shape[0] == 0
+    assert run.ledger.second_type_rounds == 0
     assert_transcript_matches_reference(run, tmp_path / "t.jsonl")
 
 
@@ -848,9 +898,9 @@ def test_transcript_block_without_z_rounds(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("n", [3, 20])
 def test_transcript_writer_memory_does_not_grow_with_the_run(tmp_path, n):
-    # the writer draws the schedule mask, every Z round's N bits and Alice's
-    # packed bits again; beyond them it holds one block of rounds at a time,
-    # so eight times the rounds peak as high
+    # the writer draws the schedule mask, every Z round's N bits, Alice's packed
+    # bits and every parity round's N basis and N outcome bits again; beyond
+    # them it holds one block of rounds at a time, so eight times the rounds peak as high
     peaks = []
     for n_rounds in (1 << 14, 1 << 17):
         run = ProtocolRun(ProtocolConfig(n, n_rounds, depolarized_state(n, 0.1), seed=1))
@@ -860,7 +910,8 @@ def test_transcript_writer_memory_does_not_grow_with_the_run(tmp_path, n):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        peaks.append(peak - (n_rounds + n * run.z_count + -(-run.z_count // 8)))
+        xy_count = run.ledger.second_type_rounds
+        peaks.append(peak - (n_rounds + n * run.z_count + -(-run.z_count // 8) + 2 * n * xy_count))
     assert abs(peaks[1] / peaks[0] - 1) < 0.05, peaks
 
 
@@ -914,28 +965,60 @@ def test_simulate_summary_does_not_depend_on_the_transcript(tmp_path, n, state, 
     assert np.array_equal(plain.key_bits, written.key_bits) and np.array_equal(plain.flip_mask, written.flip_mask)
 
 
+def transcript_rounds(path):
+    """A transcript's Z rounds' outcome bits, and its parity rounds' bases (1 = Y) and outcome bits."""
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    is_z = np.array([r["type"] == "Z" for r in records])
+    outcomes = (np.array([r["outcomes"] for r in records]) < 0).astype(np.uint8)
+    xy_bases = np.array([[b == "Y" for b in r["bases"]] for r in records if r["type"] == "XY"], dtype=np.uint8)
+    return outcomes[is_z], xy_bases.reshape(-1, outcomes.shape[1]), outcomes[~is_z]
+
+
+RUN_COUNT_STATES = {
+    **{f"depolarized_n{n}": (lambda n=n: depolarized_state(n, 0.1)) for n in (2, 3, 9, 20, 64)},
+    "flipped_weight_class_n5": lambda: _every_round_flipped(5, True),
+    "flipped_ghz_diagonal_n5": lambda: _every_round_flipped(5, False),
+    "ghz_diagonal_n4": _ghz_diagonal_n4,
+}
+
+
+@pytest.mark.parametrize("announced", [None, 2500], ids=["announced_null", "announced_2500"])
+@pytest.mark.parametrize("name", list(RUN_COUNT_STATES))
+def test_run_counts_equal_the_estimators_on_the_transcript(tmp_path, name, announced):
+    # the run counts its estimation rounds as it draws them; the estimators on the
+    # printed rounds, the announced Z lines and every XY line, give the same numbers
+    state = RUN_COUNT_STATES[name]()
+    config = ProtocolConfig(state.n_parties, 6000, state, p_estimation=0.1, seed=13, announced_z_rounds=announced)
+    result = run_protocol(config)
+    run = result.run
+    write_transcript(str(tmp_path / "t.jsonl"), run)
+    z_bits, xy_bases, xy_bits = transcript_rounds(tmp_path / "t.jsonl")
+    assert run.announced_rows.size == result.ledger.announced_z_rounds == (announced or xy_bases.shape[0])
+    q_z, q_ab = estimate_qz(z_bits[run.announced_rows])
+    q_x, n_plus, n_minus, kept = estimate_qx(xy_bases, xy_bits)
+    assert (run.n_plus, run.n_minus, run.kept) == (n_plus, n_minus, kept)
+    est = result.estimate
+    assert (est.q_z_hat, est.q_x_hat, est.n_plus, est.n_minus, est.xy_rounds_kept) == (q_z, q_x, n_plus, n_minus, kept)
+    assert est.q_ab_hat == tuple(q_ab.tolist())
+    assert 0 < n_minus < kept  # both signs occur
+
+
 @pytest.mark.parametrize("state, hash_key", [(depolarized_state(5, 0.2), False), (depolarized_state(5, 0.2), True),
                                              (GHZ_DIAGONAL_N4, False), (GHZ_DIAGONAL_N4, True)],
                          ids=["depolarized", "depolarized_hash", "ghz_diagonal_n4", "ghz_diagonal_n4_hash"])
 def test_transcript_prints_the_summarised_run(tmp_path, state, hash_key):
-    # the writer draws the Z rounds again; the lines it prints are the rounds the summary counted
+    # the writer draws the rounds again; the lines it prints are the rounds the summary counted
     if isinstance(state, dict):
         state = GhzDiagonalState(4, np.array(state["lambda_plus"]), np.array(state["lambda_minus"]))
     config = ProtocolConfig(state.n_parties, 6000, state, p_estimation=0.1, seed=12)
     result = run_protocol(config, hash_key=hash_key)
     run = result.run
     write_transcript(str(tmp_path / "t.jsonl"), run)
-    records = [json.loads(line) for line in (tmp_path / "t.jsonl").read_text().splitlines()]
-    is_z = np.array([r["type"] == "Z" for r in records])
-    outcomes = (np.array([r["outcomes"] for r in records]) < 0).astype(np.uint8)
-    z_bits, xy_bits = outcomes[is_z], outcomes[~is_z]
-    xy_bases = np.array([[b == "Y" for b in r["bases"]] for r in records if r["type"] == "XY"], dtype=np.uint8)
+    z_bits, _, xy_bits = transcript_rounds(tmp_path / "t.jsonl")
     assert z_bits.shape[0] == run.z_count and xy_bits.shape[0] == result.ledger.second_type_rounds
-    assert np.array_equal(z_bits[run.announced_rows], run.announced_bits)
     assert np.array_equal(z_bits[:, 0], np.unpackbits(run.z_alice, count=run.z_count))
     key_rows = np.delete(z_bits[:, 0], run.announced_rows)
     assert np.array_equal(key_rows ^ result.flip_mask, result.key_bits)
-    assert np.array_equal(xy_bases.reshape(-1, state.n_parties), run.xy_bases) and np.array_equal(xy_bits, run.xy_bits)
 
 
 def test_simulate_transcript_is_the_summarised_run(tmp_path):
@@ -952,7 +1035,7 @@ def test_simulate_transcript_is_the_summarised_run(tmp_path):
     write_transcript(str(fresh), ProtocolRun(config))
     assert transcript.read_bytes() == fresh.read_bytes()
     result = run_protocol(config, hash_key=True)
-    assert result.run.xy_bases.shape[0] == result.estimate.xy_rounds_total
+    assert transcript.read_bytes().count(b'"type": "XY"') == result.estimate.xy_rounds_total
     assert result.summary_json() == (tmp_path / "s.json").read_text().rstrip("\n")
 
 
