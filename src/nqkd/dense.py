@@ -23,6 +23,8 @@ Conventions, fixed once for the whole package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import product
 
 import numpy as np
 
@@ -195,20 +197,23 @@ def apply_twirl_operator(state: DenseState, op: str, k: int | None = None) -> De
 # Gates and channels for the circuit oracles
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=None)
 def cnot_permutation(n_qubits: int, control: int, target: int) -> np.ndarray:
-    """Index permutation implemented by a controlled-NOT."""
+    """Index permutation implemented by a controlled-NOT (cached, read-only)."""
     if control == target:
         raise ValueError("control and target must differ")
     idx = np.arange(1 << n_qubits)
     flip = qubit_bits(idx, control, n_qubits) == 1
     out = idx.copy()
     out[flip] = idx[flip] ^ (1 << (n_qubits - 1 - target))
+    out.flags.writeable = False
     return out
 
 
 def apply_cnot(rho: np.ndarray, n_qubits: int, control: int, target: int) -> np.ndarray:
+    """rho[p][:, p] for the CNOT's permutation p, taken one axis at a time."""
     p = cnot_permutation(n_qubits, control, target)
-    return rho[np.ix_(p, p)]
+    return rho.take(p, axis=0).take(p, axis=1)
 
 
 def apply_cz(psi: np.ndarray, n_qubits: int, a: int, b: int) -> np.ndarray:
@@ -226,26 +231,38 @@ def apply_single_qubit(psi: np.ndarray, gate: np.ndarray, qubit: int, n_qubits: 
     return t.reshape(-1)
 
 
+@lru_cache(maxsize=None)
+def _mixed_plan(n_qubits: int, qubits: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[tuple, ...]]:
+    """Axes that put ``qubits`` after the kept ones, on both sides of a 2N-axis
+    density tensor, and the index of each of the 2^r diagonal blocks of the
+    traced-out qubits in that order."""
+    keep = [q for q in range(n_qubits) if q not in qubits]
+    order = keep + list(qubits)
+    axes = tuple(order + [n_qubits + q for q in order])
+    kept = (slice(None),) * len(keep)
+    return axes, tuple(kept + bits + kept + bits for bits in product((0, 1), repeat=len(qubits)))
+
+
 def replace_with_mixed(rho: np.ndarray, n_qubits: int, qubits: tuple[int, ...]) -> np.ndarray:
     """Trace out ``qubits`` and put back the maximally mixed state there.
 
     This is the failure branch of the noisy two-qubit gate model; the
-    result keeps ``rho``'s dtype, so a real matrix stays real.
+    result keeps ``rho``'s dtype, so a real matrix stays real.  The reduced
+    matrix over 2^r is written onto each diagonal block of the traced-out
+    qubits, through a view of the output with their axes last.
     """
+    axes, blocks = _mixed_plan(n_qubits, tuple(qubits))
     r = len(qubits)
-    keep = [q for q in range(n_qubits) if q not in qubits]
-    m = len(keep)
-    order = keep + list(qubits)
-    t = rho.reshape((2,) * (2 * n_qubits))
-    t = t.transpose(order + [n_qubits + q for q in order])
+    m = n_qubits - r
+    t = rho.reshape((2,) * (2 * n_qubits)).transpose(axes)
     t = t.reshape(1 << m, 1 << r, 1 << m, 1 << r)
-    sub = np.einsum("aibi->ab", t)
-    mixed = np.eye(1 << r, dtype=rho.dtype) / (1 << r)
-    full = sub[:, None, :, None] * mixed[None, :, None, :]
-    full = full.reshape((2,) * (2 * n_qubits))
-    inverse = np.argsort(order)
-    full = full.transpose(list(inverse) + [n_qubits + q for q in inverse])
-    return full.reshape(1 << n_qubits, 1 << n_qubits)
+    sub = np.einsum("aibi->ab", t) / (1 << r)
+    sub = sub.reshape((2,) * (2 * m))
+    out = np.zeros((2,) * (2 * n_qubits), dtype=rho.dtype)
+    view = out.transpose(axes)
+    for block in blocks:
+        view[block] = sub
+    return out.reshape(1 << n_qubits, 1 << n_qubits)
 
 
 # X-basis and Y-basis eigenvector columns (+1 eigenvector first).

@@ -149,23 +149,46 @@ class WeightClassState:
                                 (self.minus_by_weight / branches)[weight])
 
 
+@lru_cache(maxsize=16)
+def _twirl_phase_product(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nonzero entries of the product of the averaging factors (1 + d[x] conj(d[y]))/2
+    of the twirl set's 2(N-1) diagonal operators diag(d), as flat indices and values
+    (read-only).
+
+    A phase-pair factor is 0 unless d[x] = d[y], which holds for all N-1 pairs
+    only at y = x and y = ~x, so the product is evaluated on those 2^(N+1)
+    entries.  It is 1 on the diagonal and at the two corners: 2^N + 2 entries.
+    """
+    dim = 1 << n_qubits
+    x = np.arange(dim)
+    rows, cols = np.concatenate([x, x]), np.concatenate([x, x[::-1]])  # (x, x) and (x, ~x)
+    product = np.ones(2 * dim, dtype=complex)
+    for k in range(1, n_qubits):
+        for d in (_phase_pair_diagonal(n_qubits, k), _quarter_phase_diagonal(n_qubits, k)):
+            product *= 0.5 * (1.0 + d[rows] * d[cols].conj())
+    kept = np.flatnonzero(product)
+    flat, values = rows[kept] * dim + cols[kept], product[kept]
+    flat.flags.writeable = False
+    values.flags.writeable = False
+    return flat, values
+
+
 def twirl_dense(state: DenseState) -> DenseState:
     """Exact 50/50 mixture over all subset products of the twirl set.
 
     Applying each operator independently with probability 1/2 equals the
     sequential averaging rho -> (rho + U rho U^dag)/2 over the 2N-1
-    operators, which is what is computed here (deterministically, no
-    sampling).
+    operators (deterministically, no sampling).  The flip of every qubit
+    averages rho with rho[::-1, ::-1], and the diagonal operators together
+    multiply it by ``_twirl_phase_product``, whose nonzero entries are the
+    only ones computed: O(2^N) work beyond the output's allocation.
     """
-    n = state.n_qubits
-    rho = state.density().astype(complex)
-    rho = 0.5 * (rho + rho[::-1, ::-1])
-    for k in range(1, n):
-        d = _phase_pair_diagonal(n, k)
-        rho = 0.5 * (rho + np.outer(d, d.conj()) * rho)
-        d = _quarter_phase_diagonal(n, k)
-        rho = 0.5 * (rho + np.outer(d, d.conj()) * rho)
-    return DenseState.from_matrix(rho)
+    rho = state.density()
+    flat, values = _twirl_phase_product(state.n_qubits)
+    twirled = np.zeros(rho.shape, dtype=complex)
+    # the flip of every qubit sends flat index (x, y) to (~x, ~y), i.e. rho.size - 1 - flat
+    twirled.flat[flat] = 0.5 * (rho.flat[flat] + rho.flat[rho.size - 1 - flat]) * values
+    return DenseState.from_matrix(twirled)
 
 
 def coefficients_from_dense(state: DenseState) -> tuple[np.ndarray, np.ndarray]:

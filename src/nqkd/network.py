@@ -65,11 +65,14 @@ class NetworkModel:
             raise ValueError("duplicate edges")
         if roles.count(ALICE) != 1 or BOB not in roles:
             raise ValueError("network needs exactly one alice and at least one bob")
+        successors: dict[str, list[str]] = {}
+        for a, b in self.edges:
+            successors.setdefault(a, []).append(b)
         queue = [ids[roles.index(ALICE)]]
         hops = {queue[0]: 0}
         for here in queue:
-            for a, b in self.edges:
-                if a == here and b not in hops:
+            for b in successors.get(here, ()):
+                if b not in hops:
                     hops[b] = hops[here] + 1
                     queue.append(b)
         object.__setattr__(self, "hops", hops)
@@ -225,8 +228,11 @@ def graph_flows(network: NetworkModel, n_parties: int | None = None) -> GraphFlo
     bobs = [b.id for b in network.bobs()]
     # 1 <= h <= the edges leaving Alice or entering any Bob; each flow stops at the least h so far
     out_of_alice = sum(1 for a, _ in edges if a == alice)
-    targets = [b for _, b in edges]
-    multicast = min(out_of_alice, *map(targets.count, bobs))
+    in_degree = dict.fromkeys(bobs, 0)
+    for _, b in edges:
+        if b in in_degree:
+            in_degree[b] += 1
+    multicast = min(out_of_alice, *in_degree.values())
     for bob in bobs if multicast > 1 else ():
         multicast = _max_flow(edges, [1] * len(edges), alice, bob, multicast)[0]
 

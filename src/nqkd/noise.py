@@ -345,7 +345,7 @@ def simulate_prep_circuit(n_parties: int, f_g: float, topology: str = STAR) -> G
     Bob, success count), N (N-1) 2^(N-3) pairs in all, instead of one
     circuit per pattern and order.  Each gate is O(4^N), so the oracle
     is capped at N=7: one initial state's real float64 sums peak at 20 MiB
-    there and 159 MiB at N=8 (tracemalloc), and take about 0.3 s and 1.8 s
+    there and 159 MiB at N=8 (tracemalloc), and take about 0.08 s and 1.1 s
     on one core of a 2-vCPU x86 machine.  The closed forms cover every N.
     """
     if not 0.0 <= f_g <= 1.0:

@@ -104,6 +104,10 @@ BRANCH_BYTES = 52
 # packed bits (1 1/8 B), and every parity round's N basis and N outcome bits, N of them
 # in the run's freed bytes of that round; its transients fit in the run's freed BATCH_BYTES (tracemalloc)
 TRANSCRIPT_ROUND_BYTES = 2
+# write_transcript's block buffers per byte piece of its largest block: the piece's pointer
+# in the piece array and in their list, the 80 B buffer view that b"".join takes of it, and
+# its share of the joined lines, up to 40 B at large N (tracemalloc at N=1000 and 2000)
+TRANSCRIPT_PIECE_BYTES = 136
 # toeplitz_hash per key bit at its worst, a key just above a power of two hashed to
 # its full length: two spectra of 32 B and the key's float64 copy (tracemalloc),
 # and the key and flip mask it reads; counted for a key of L bits
@@ -153,9 +157,12 @@ class ProtocolConfig:
         held while they are counted, N bytes for each of up to
         ``DRAW_BATCH`` rows.  The batched draws add at most ``BATCH_BYTES``,
         and a ``GhzDiagonalState`` ``BRANCH_BYTES`` per branch.
-        ``write_transcript`` adds N + ``TRANSCRIPT_ROUND_BYTES`` and a
-        hashed key ``HASH_BIT_BYTES`` per round.  Parity rounds are counted
-        at their expected number.
+        ``write_transcript`` adds N + ``TRANSCRIPT_ROUND_BYTES`` per round,
+        and ``TRANSCRIPT_PIECE_BYTES`` per byte piece of one block of
+        ``TRANSCRIPT_BLOCK_ROUNDS``: ceil(N/8) per Z round and
+        2 ceil(N/8) + 1 per parity round.  A hashed key adds
+        ``HASH_BIT_BYTES`` per round.  Parity rounds are counted at their
+        expected number.
         """
         n = self.n_parties
         parity = self.n_rounds * self.p_estimation
@@ -163,9 +170,11 @@ class ProtocolConfig:
                         self.n_rounds - parity)
         branches = 1 << (n - 1) if isinstance(self.state, GhzDiagonalState) else 0
         per_round = 1 / 4 + hash_key * HASH_BIT_BYTES + transcript * (n + TRANSCRIPT_ROUND_BYTES)
+        chunks = -(-n // 8)
+        block_pieces = min(self.n_rounds, TRANSCRIPT_BLOCK_ROUNDS) * (chunks + self.p_estimation * (chunks + 1))
         return math.ceil(BATCH_BYTES + BRANCH_BYTES * branches + self.n_rounds * per_round
                          + parity * (n + PARITY_ROUND_BYTES) + announced * ANNOUNCED_ROUND_BYTES
-                         + n * min(announced, DRAW_BATCH))
+                         + n * min(announced, DRAW_BATCH) + transcript * TRANSCRIPT_PIECE_BYTES * block_pieces)
 
     def check_budget(self, hash_key: bool = False, transcript: bool = False) -> None:
         """Raise ``ValueError`` when a run with these outputs would pass ``ARRAY_BYTE_BUDGET``."""

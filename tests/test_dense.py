@@ -1,5 +1,6 @@
 """Dense backend: basis vectors, twirl operators, traces and measurements."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -9,10 +10,14 @@ from nqkd.dense import (
     DENSE_CAP,
     DenseState,
     GhzBasisIndex,
+    apply_cnot,
     apply_twirl_operator,
+    cnot_permutation,
     ghz_basis_vector,
     ghz_state,
     product_basis_probabilities,
+    qubit_bits,
+    replace_with_mixed,
 )
 
 RT2 = 1 / np.sqrt(2.0)
@@ -28,6 +33,28 @@ def partial_trace(rho: np.ndarray, n_qubits: int, keep: tuple[int, ...]) -> np.n
     m, r = len(keep), len(traced)
     t = t.reshape(1 << m, 1 << r, 1 << m, 1 << r)
     return np.einsum("aibi->ab", t)
+
+
+def cnot_reference(rho: np.ndarray, n_qubits: int, control: int, target: int) -> np.ndarray:
+    """CNOT by a permutation built for this call and indexed on both axes at once."""
+    idx = np.arange(1 << n_qubits)
+    p = np.where(qubit_bits(idx, control, n_qubits) == 1, idx ^ (1 << (n_qubits - 1 - target)), idx)
+    return rho[np.ix_(p, p)]
+
+
+def mixed_reference(rho: np.ndarray, n_qubits: int, qubits: tuple[int, ...]) -> np.ndarray:
+    """Trace out ``qubits`` and tensor the maximally mixed state back in, as the broadcast
+    product of the reduced matrix with I/2^r, transposed back to the original qubit order."""
+    keep = [q for q in range(n_qubits) if q not in qubits]
+    order = keep + list(qubits)
+    m, r = len(keep), len(qubits)
+    t = rho.reshape((2,) * (2 * n_qubits)).transpose(order + [n_qubits + q for q in order])
+    sub = np.einsum("aibi->ab", t.reshape(1 << m, 1 << r, 1 << m, 1 << r))
+    mixed = np.eye(1 << r, dtype=rho.dtype) / (1 << r)
+    full = (sub[:, None, :, None] * mixed[None, :, None, :]).reshape((2,) * (2 * n_qubits))
+    inverse = list(np.argsort(order))
+    full = full.transpose(inverse + [n_qubits + q for q in inverse])
+    return full.reshape(1 << n_qubits, 1 << n_qubits)
 
 
 def test_bell_state_is_j0_plus():
@@ -171,3 +198,26 @@ def test_product_basis_probabilities_mixed_matches_pure():
             product_basis_probabilities(mixed, bases),
             atol=1e-12,
         )
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_cached_gate_maps_equal_the_uncached_formulas_bit_for_bit(n):
+    rng = np.random.default_rng(100 + n)
+    dim = 1 << n
+    real = rng.normal(size=(dim, dim))
+    complex_ = real + 1j * rng.normal(size=(dim, dim))
+    for a, b in itertools.permutations(range(n), 2):
+        for rho in (real, complex_):
+            out = apply_cnot(rho, n, a, b)
+            assert out.dtype == rho.dtype and np.array_equal(out, cnot_reference(rho, n, a, b))
+            out = replace_with_mixed(rho, n, (a, b))
+            assert out.dtype == rho.dtype and np.array_equal(out, mixed_reference(rho, n, (a, b)))
+
+
+def test_cnot_permutation_is_cached_read_only():
+    p = cnot_permutation(4, 0, 2)
+    assert cnot_permutation(4, 0, 2) is p
+    with pytest.raises(ValueError):
+        p[0] = 1
+    with pytest.raises(ValueError):
+        cnot_permutation(4, 1, 1)

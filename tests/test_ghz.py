@@ -6,7 +6,19 @@ from math import comb
 import numpy as np
 import pytest
 
-from nqkd.dense import DenseState, GhzBasisIndex, ghz_state, qubit_bits
+from nqkd import ghz
+from nqkd.dense import (
+    TWIRL_FLIP_ALL,
+    TWIRL_PHASE_PAIR,
+    TWIRL_QUARTER,
+    DenseState,
+    GhzBasisIndex,
+    _phase_pair_diagonal,
+    _quarter_phase_diagonal,
+    apply_twirl_operator,
+    ghz_state,
+    qubit_bits,
+)
 from nqkd.ghz import (
     ARRAY_BYTE_BUDGET,
     GhzDiagonalState,
@@ -79,6 +91,62 @@ def test_twirl_leaves_j0_coefficients_untouched():
     after = ghz_diagonal_from_dense(state)
     assert after.lam_plus[0] == pytest.approx(before_plus[0], abs=1e-12)
     assert after.lam_minus[0] == pytest.approx(before_minus[0], abs=1e-12)
+
+
+def sequential_twirl(state: DenseState) -> np.ndarray:
+    """The twirl as its definition composes it: the flip average, then each diagonal
+    operator's average (rho + U rho U^dag)/2 in turn, on full matrices."""
+    rho = state.density().astype(complex)
+    rho = 0.5 * (rho + apply_twirl_operator(DenseState.from_matrix(rho), TWIRL_FLIP_ALL).data)
+    for k in range(1, state.n_qubits):
+        for op in (TWIRL_PHASE_PAIR, TWIRL_QUARTER):
+            rho = 0.5 * (rho + apply_twirl_operator(DenseState.from_matrix(rho), op, k).data)
+    return rho
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_twirl_equals_the_sequential_averages_bit_for_bit(n):
+    rng = np.random.default_rng(700 + n)
+    dim = 1 << n
+    real = rng.normal(size=(dim, dim))
+    states = [DenseState(n, real, False), DenseState.from_matrix(real + 1j * rng.normal(size=(dim, dim))),
+              DenseState.from_vector(rng.normal(size=dim) + 1j * rng.normal(size=dim)), random_density(n, rng)]
+    for state in states:
+        out = twirl_dense(state).data
+        assert out.dtype == complex and np.array_equal(out, sequential_twirl(state))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_twirl_product_is_cached_read_only_and_holds_2n_plus_2_entries(n):
+    ghz._twirl_phase_product.cache_clear()
+    flat, values = ghz._twirl_phase_product(n)
+    assert ghz._twirl_phase_product(n)[0] is flat
+    dim = 1 << n
+    assert flat.size == values.size == dim + 2 and np.all(values == 1.0)
+    for array in (flat, values):
+        with pytest.raises(ValueError):
+            array[0] = 0
+    # the full product over every entry, one 4^N factor per diagonal operator
+    product = np.ones((dim, dim), dtype=complex)
+    for k in range(1, n):
+        for d in (_phase_pair_diagonal(n, k), _quarter_phase_diagonal(n, k)):
+            product *= 0.5 * (1.0 + np.outer(d, d.conj()))
+    assert np.array_equal(np.flatnonzero(product), np.sort(flat))
+    assert np.array_equal(product.flat[flat], values)
+
+
+def test_cold_twirl_at_ten_holds_the_output_and_little_more():
+    n = 10
+    state = random_density(n, np.random.default_rng(10))
+    ghz._twirl_phase_product.cache_clear()
+    tracemalloc.start()
+    try:
+        twirl_dense(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the 16 MiB output and O(2^N) more; the averages on full matrices peaked at 32.3 MiB
+    assert peak < 17 << 20
 
 
 def test_twirl_preserves_trace_and_positivity():

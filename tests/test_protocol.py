@@ -729,6 +729,9 @@ def test_run_protocol_peak_memory_within_peak_bytes(tmp_path):
     # bits of DRAW_BATCH rows are held while they are counted
     configs.append((ProtocolConfig(200, 1 << 16, _every_round_flipped(200, True), p_estimation=1e-4, seed=1,
                                    announced_z_rounds=1 << 16), False))
+    # at large N the transcript writer's piece buffers of one block dominate: one block, and sixteen
+    configs += [(ProtocolConfig(n, rounds, depolarized_state(n, 0.1), seed=1), True)
+                for n, rounds in ((2000, 1 << 12), (1000, 1 << 16))]
     ratios = []
     for config, transcript in configs:
         tracemalloc.start()
