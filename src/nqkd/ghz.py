@@ -29,14 +29,7 @@ from math import comb
 
 import numpy as np
 
-from .dense import (
-    DenseState,
-    STATE_ATOL,
-    _phase_pair_diagonal,
-    _quarter_phase_diagonal,
-    check_cap,
-    qubit_bits,
-)
+from .dense import DenseState, STATE_ATOL, check_cap, qubit_bits
 
 COEFF_ATOL = 1e-12
 
@@ -149,28 +142,17 @@ class WeightClassState:
                                 (self.minus_by_weight / branches)[weight])
 
 
-@lru_cache(maxsize=16)
-def _twirl_phase_product(n_qubits: int) -> tuple[np.ndarray, np.ndarray]:
-    """Nonzero entries of the product of the averaging factors (1 + d[x] conj(d[y]))/2
-    of the twirl set's 2(N-1) diagonal operators diag(d), as flat indices and values
-    (read-only).
+def _twirl_kept_entries(rho: np.ndarray) -> tuple[np.ndarray, complex]:
+    """The entries of the twirl of ``rho`` that can be nonzero: the diagonal
+    averaged with its reverse, and c = 0.5 (rho[0, ~0] + rho[~0, 0]) at the
+    corners (0, ~0) and (~0, 0).
 
-    A phase-pair factor is 0 unless d[x] = d[y], which holds for all N-1 pairs
-    only at y = x and y = ~x, so the product is evaluated on those 2^(N+1)
-    entries.  It is 1 on the diagonal and at the two corners: 2^N + 2 entries.
+    The flip of every qubit averages entry (x, y) with (~x, ~y).  A diagonal
+    operator diag(d) multiplies it by (1 + d[x] conj(d[y]))/2: 1 where
+    d[x] = d[y], else 0.  All 2(N-1) agree only at y = x and at the corners.
     """
-    dim = 1 << n_qubits
-    x = np.arange(dim)
-    rows, cols = np.concatenate([x, x]), np.concatenate([x, x[::-1]])  # (x, x) and (x, ~x)
-    product = np.ones(2 * dim, dtype=complex)
-    for k in range(1, n_qubits):
-        for d in (_phase_pair_diagonal(n_qubits, k), _quarter_phase_diagonal(n_qubits, k)):
-            product *= 0.5 * (1.0 + d[rows] * d[cols].conj())
-    kept = np.flatnonzero(product)
-    flat, values = rows[kept] * dim + cols[kept], product[kept]
-    flat.flags.writeable = False
-    values.flags.writeable = False
-    return flat, values
+    diagonal = np.diagonal(rho)
+    return 0.5 * (diagonal + diagonal[::-1]), 0.5 * (rho[0, -1] + rho[-1, 0])
 
 
 def twirl_dense(state: DenseState) -> DenseState:
@@ -178,17 +160,30 @@ def twirl_dense(state: DenseState) -> DenseState:
 
     Applying each operator independently with probability 1/2 equals the
     sequential averaging rho -> (rho + U rho U^dag)/2 over the 2N-1
-    operators (deterministically, no sampling).  The flip of every qubit
-    averages rho with rho[::-1, ::-1], and the diagonal operators together
-    multiply it by ``_twirl_phase_product``, whose nonzero entries are the
-    only ones computed: O(2^N) work beyond the output's allocation.
+    operators (deterministically, no sampling).  Only the 2^N + 2 entries
+    of ``_twirl_kept_entries`` survive it: O(2^N) work beyond the output's
+    allocation.
     """
     rho = state.density()
-    flat, values = _twirl_phase_product(state.n_qubits)
+    diagonal, corner = _twirl_kept_entries(rho)
     twirled = np.zeros(rho.shape, dtype=complex)
-    # the flip of every qubit sends flat index (x, y) to (~x, ~y), i.e. rho.size - 1 - flat
-    twirled.flat[flat] = 0.5 * (rho.flat[flat] + rho.flat[rho.size - 1 - flat]) * values
+    np.fill_diagonal(twirled, diagonal)
+    twirled[0, -1] = twirled[-1, 0] = corner
     return DenseState.from_matrix(twirled)
+
+
+def twirled_coefficients(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(lambda^+, lambda^-) of the twirl of the 2^N x 2^N matrix ``rho``, in
+    O(2^N) time and memory: lambda_0^+- = d_0 +- Re c and lambda_j^+- = d_j
+    for j > 0, with d and c the averaged diagonal and the corner of
+    ``_twirl_kept_entries``.  The bits of ``coefficients_from_dense(twirl_dense(.))``.
+    """
+    diagonal, corner = _twirl_kept_entries(rho)
+    plus = diagonal[: diagonal.size // 2].real.copy()
+    minus = plus.copy()
+    plus[0] += corner.real
+    minus[0] -= corner.real
+    return plus, minus
 
 
 def coefficients_from_dense(state: DenseState) -> tuple[np.ndarray, np.ndarray]:
@@ -206,9 +201,10 @@ def coefficients_from_dense(state: DenseState) -> tuple[np.ndarray, np.ndarray]:
 
 def ghz_diagonal_from_dense(state: DenseState) -> GhzDiagonalState:
     """Twirl a dense state and return its diagonal coefficients."""
+    if state.n_qubits < 2:
+        raise ValueError("need at least 2 parties")
     state.validate(check_psd=state.n_qubits <= 8 and not state.pure)
-    twirled = twirl_dense(state)
-    lam_plus, lam_minus = coefficients_from_dense(twirled)
+    lam_plus, lam_minus = twirled_coefficients(state.density())
     return GhzDiagonalState(state.n_qubits, np.maximum(lam_plus, 0.0), np.maximum(lam_minus, 0.0))
 
 
@@ -364,6 +360,7 @@ __all__ = [
     "WeightClassState",
     "binomial_shares",
     "twirl_dense",
+    "twirled_coefficients",
     "coefficients_from_dense",
     "ghz_diagonal_from_dense",
     "dense_from_ghz_diagonal",

@@ -38,7 +38,7 @@ from functools import lru_cache
 import numpy as np
 
 from .dense import DenseState, apply_cnot, check_cap, replace_with_mixed
-from .ghz import GhzDiagonalState, WeightClassState, binomial_shares, coefficients_from_dense, twirl_dense
+from .ghz import GhzDiagonalState, WeightClassState, binomial_shares, twirled_coefficients
 
 STAR = "star"
 ROUTER = "router"
@@ -303,11 +303,11 @@ def _pattern_tables(n_parties: int, alice: str) -> tuple[np.ndarray, np.ndarray]
     gated: ``layer[S][w]`` is the dense state after the gates on S, with
     w successes, summed over every order of S.  Gating one more Bob k
     sends it to S+{k} with w+1 (CNOT) or w (both qubits replaced by the
-    maximally mixed state).  Every step, the twirl and the coefficient
-    read are linear, so the full set's sums divided by (N-1)! are the
-    order averages; the twirl runs once per w.  Only two sizes of S are
-    held at once: C(N-1, |S|) (|S|+1) dense matrices each, real ones,
-    since the initial states, CNOTs and failures have real entries.
+    maximally mixed state).  Every step and the twirled coefficient read
+    are linear, so the full set's sums divided by (N-1)! are the order
+    averages, read once per w.  Only two sizes of S are held at once:
+    C(N-1, |S|) (|S|+1) dense matrices each, real ones, since the
+    initial states, CNOTs and failures have real entries.
     """
     n_gates = n_parties - 1
     dim = 1 << n_parties
@@ -326,11 +326,11 @@ def _pattern_tables(n_parties: int, alice: str) -> tuple[np.ndarray, np.ndarray]
                     sums[w] += replace_with_mixed(rho, n_parties, (0, bob))
         layer = grown
     (by_weight,) = layer.values()
-    orders = math.factorial(n_gates)
+    by_weight /= math.factorial(n_gates)
     plus = np.empty((n_gates + 1, 1 << n_gates))
     minus = np.empty((n_gates + 1, 1 << n_gates))
     for w, rho in enumerate(by_weight):
-        plus[w], minus[w] = coefficients_from_dense(twirl_dense(DenseState.from_matrix(rho / orders)))
+        plus[w], minus[w] = twirled_coefficients(rho)
     return plus, minus
 
 
@@ -338,9 +338,9 @@ def simulate_prep_circuit(n_parties: int, f_g: float, topology: str = STAR) -> G
     """Brute-force gate-noise oracle.
 
     All 2^(N-1) gate patterns are summed, weighted by their
-    probabilities, averaged over every gate order, twirled, and returned
-    as a coefficient vector; ``prep_circuit_output`` gives the dense
-    output of one pattern in one order.  ``_pattern_tables`` reaches the
+    probabilities and averaged over every gate order, and the sum's
+    twirled coefficients are returned; ``prep_circuit_output`` gives the
+    dense output of one pattern in one order.  ``_pattern_tables`` reaches the
     same sums with one pair of dense gates per (set of gated Bobs, next
     Bob, success count), N (N-1) 2^(N-3) pairs in all, instead of one
     circuit per pattern and order.  Each gate is O(4^N), so the oracle

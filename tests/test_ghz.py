@@ -6,15 +6,12 @@ from math import comb
 import numpy as np
 import pytest
 
-from nqkd import ghz
 from nqkd.dense import (
     TWIRL_FLIP_ALL,
     TWIRL_PHASE_PAIR,
     TWIRL_QUARTER,
     DenseState,
     GhzBasisIndex,
-    _phase_pair_diagonal,
-    _quarter_phase_diagonal,
     apply_twirl_operator,
     ghz_state,
     qubit_bits,
@@ -34,6 +31,7 @@ from nqkd.ghz import (
     qber_x,
     qber_z,
     twirl_dense,
+    twirled_coefficients,
     uniform_split,
 )
 from nqkd.noise import depolarized_state
@@ -117,28 +115,22 @@ def test_twirl_equals_the_sequential_averages_bit_for_bit(n):
 
 
 @pytest.mark.parametrize("n", range(2, 9))
-def test_twirl_product_is_cached_read_only_and_holds_2n_plus_2_entries(n):
-    ghz._twirl_phase_product.cache_clear()
-    flat, values = ghz._twirl_phase_product(n)
-    assert ghz._twirl_phase_product(n)[0] is flat
+def test_twirled_coefficients_equal_the_read_of_the_sequential_twirl_bit_for_bit(n):
+    # the states of the test above: real non-Hermitian, complex non-Hermitian, unnormalised pure, physical
+    rng = np.random.default_rng(700 + n)
     dim = 1 << n
-    assert flat.size == values.size == dim + 2 and np.all(values == 1.0)
-    for array in (flat, values):
-        with pytest.raises(ValueError):
-            array[0] = 0
-    # the full product over every entry, one 4^N factor per diagonal operator
-    product = np.ones((dim, dim), dtype=complex)
-    for k in range(1, n):
-        for d in (_phase_pair_diagonal(n, k), _quarter_phase_diagonal(n, k)):
-            product *= 0.5 * (1.0 + np.outer(d, d.conj()))
-    assert np.array_equal(np.flatnonzero(product), np.sort(flat))
-    assert np.array_equal(product.flat[flat], values)
+    real = rng.normal(size=(dim, dim))
+    states = [DenseState(n, real, False), DenseState.from_matrix(real + 1j * rng.normal(size=(dim, dim))),
+              DenseState.from_vector(rng.normal(size=dim) + 1j * rng.normal(size=dim)), random_density(n, rng)]
+    for state in states:
+        plus, minus = twirled_coefficients(state.density())
+        ref_plus, ref_minus = coefficients_from_dense(DenseState.from_matrix(sequential_twirl(state)))
+        assert np.array_equal(plus, ref_plus) and np.array_equal(minus, ref_minus)
 
 
 def test_cold_twirl_at_ten_holds_the_output_and_little_more():
     n = 10
     state = random_density(n, np.random.default_rng(10))
-    ghz._twirl_phase_product.cache_clear()
     tracemalloc.start()
     try:
         twirl_dense(state)
@@ -149,12 +141,31 @@ def test_cold_twirl_at_ten_holds_the_output_and_little_more():
     assert peak < 17 << 20
 
 
+def test_twirled_coefficients_at_ten_hold_no_matrix():
+    rho = random_density(10, np.random.default_rng(10)).data
+    tracemalloc.start()
+    try:
+        twirled_coefficients(rho)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # about 0.03 MiB; reading the coefficients off twirl_dense's output traced 16.1 MiB
+    assert peak < 1 << 20
+
+
 def test_twirl_preserves_trace_and_positivity():
     rng = np.random.default_rng(3)
     state = random_density(4, rng)
     out = twirl_dense(state)
     assert np.trace(out.data).real == pytest.approx(1.0, abs=1e-12)
     assert np.linalg.eigvalsh(out.data).min() > -1e-10
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_ghz_diagonal_from_dense_rejects_too_few_parties(n):
+    for state in (DenseState.from_matrix(np.eye(1 << n) / (1 << n)), DenseState.from_vector(np.eye(1 << n)[0])):
+        with pytest.raises(ValueError, match="need at least 2 parties"):
+            ghz_diagonal_from_dense(state)
 
 
 def test_twirl_rejects_unphysical_input():
