@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import functools
 import json
 import math
 import sys
@@ -242,11 +241,9 @@ SUBCOMMANDS = {
 }
 
 
-@functools.cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The parser for ``nqkd command``'s arguments alone, or for ``nqkd`` with
-    every subcommand when ``command`` is None; built once per command, and
-    each parse returns a fresh namespace.
+    every subcommand when ``command`` is None.
     """
     if command is not None:
         _, run, add_arguments = SUBCOMMANDS[command]

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from functools import partial
 
 import numpy as np
@@ -103,20 +103,11 @@ class RateReport:
     r_clamped: float
     rate: float
     t_rep: float
-    components: dict[str, float] = field(default_factory=dict)
     limiting_bob: int | None = None
+    components: dict[str, float] = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "r_inf": self.r_inf,
-                "r_clamped": self.r_clamped,
-                "rate": self.rate,
-                "t_rep": self.t_rep,
-                "limiting_bob": self.limiting_bob,
-                "components": self.components,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 TERM_NAMES = ("parity_plus_term", "parity_minus_term", "z_agreement_term", "error_correction_term")

@@ -19,8 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -212,7 +211,6 @@ class GraphFlows(NamedTuple):
         return common.pop()
 
 
-@lru_cache(maxsize=128)
 def graph_flows(network: NetworkModel, n_parties: int | None = None) -> GraphFlows:
     """Multicast capacity, relay rate and hop counts of one graph of ``n_parties`` parties, if given.
 
@@ -411,8 +409,8 @@ def compare_rates(
 
 def comparison_to_json(result: dict) -> str:
     out = dict(result)
-    out["nqkd"] = json.loads(result["nqkd"].to_json())
-    out["twoqkd"] = json.loads(result["twoqkd"].to_json())
+    out["nqkd"] = asdict(result["nqkd"])
+    out["twoqkd"] = asdict(result["twoqkd"])
     if isinstance(out.get("ratio"), float) and not math.isfinite(out["ratio"]):
         out["ratio"] = str(out["ratio"])
     return json.dumps(out, indent=2)

@@ -356,7 +356,6 @@ def simulate_prep_circuit(n_parties: int, f_g: float, topology: str = STAR) -> G
         raise ValueError("need at least 2 parties")
     if n_parties > 7:
         raise ValueError("the dense gate-noise oracle is capped at N=7; use the closed forms beyond")
-    check_cap(n_parties)
     n_gates = n_parties - 1
     w = np.arange(n_gates + 1)
     weight_probs = f_g ** (n_gates - w) * (1.0 - f_g) ** w

@@ -79,7 +79,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 
 import numpy as np
@@ -536,22 +536,6 @@ def sample_xy_bits(state: GhzDiagonalState | WeightClassState, bases: np.ndarray
 
 
 # ---------------------------------------------------------------------------
-# Post-processing
-# ---------------------------------------------------------------------------
-
-def classical_depolarize(z_bits: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Flip a random half of the Z rounds identically for all parties.
-
-    Returns (flipped bits, announced flip mask); the bits keep the
-    (rounds, N) shape of ``z_bits``.  Agreement patterns, and therefore
-    every estimator, are unchanged; Alice's marginal key becomes uniform.
-    """
-    by_party = np.asarray(z_bits, dtype=np.uint8).T
-    mask = _uniform_bits(rng, by_party.shape[1])
-    return (by_party ^ mask).T, mask
-
-
-# ---------------------------------------------------------------------------
 # Accounting and the full run
 # ---------------------------------------------------------------------------
 
@@ -653,13 +637,7 @@ class ProtocolResult:
                     "xy_rounds_total": self.estimate.xy_rounds_total,
                     "xy_rounds_kept": self.estimate.xy_rounds_kept,
                 },
-                "ledger": {
-                    "n_rounds": self.ledger.n_rounds,
-                    "preshared_key_bits": self.ledger.preshared_key_bits,
-                    "second_type_rounds": self.ledger.second_type_rounds,
-                    "announced_z_rounds": self.ledger.announced_z_rounds,
-                    "key_rounds": self.ledger.key_rounds,
-                },
+                "ledger": asdict(self.ledger),
                 "secret_fraction": self.rate_report.r_inf,
                 "secret_fraction_clamped": self.rate_report.r_clamped,
                 "key_length_estimate": self.key_length_estimate,
@@ -682,12 +660,10 @@ class ProtocolRun:
     is + (``n_plus``) or - (``n_minus``).  With kappa even the outcome
     product is sigma f(kappa) (-1)^{|j AND y|}, so ``n_minus`` counts the
     kept rounds whose product differs from f(kappa); the outcome bits are
-    not drawn.  The run's bytes, and with ``hash_key`` those of the key's
-    hash, count against the byte budget before anything is sampled.
+    not drawn.
     """
 
-    def __init__(self, config: ProtocolConfig, hash_key: bool = False):
-        config.check_budget(hash_key)
+    def __init__(self, config: ProtocolConfig):
         self.config = config
         schedule_rng, z_rng, xy_rng, subset_rng, self._post_rng = _streams(config.seed)
         xy_count = sum(positions.size for positions in _schedule(config, schedule_rng))
@@ -711,8 +687,8 @@ class ProtocolRun:
         The mask is ``post_rng``'s first draw, so a hash of the key reads it first.
         """
         key = np.delete(np.unpackbits(self.z_alice, count=self.z_count), self.announced_rows)
-        flipped, mask = classical_depolarize(key[:, None], self._post_rng)
-        return flipped[:, 0], mask
+        mask = _uniform_bits(self._post_rng, key.size)
+        return key ^ mask, mask
 
 
 def run_protocol(config: ProtocolConfig, hash_key: bool = False) -> ProtocolResult:
@@ -723,10 +699,12 @@ def run_protocol(config: ProtocolConfig, hash_key: bool = False) -> ProtocolResu
     h(max Q_AB) bits of correction information per key bit and the
     corresponding amplification subtraction.  With ``hash_key`` the
     corrected string is additionally compressed through a seeded
-    Toeplitz hash to the estimated length.  ``write_transcript`` prints
+    Toeplitz hash to the estimated length, whose bytes count against the
+    byte budget before anything is sampled.  ``write_transcript`` prints
     the rounds of ``result.run``, drawing them again from its streams.
     """
-    run = ProtocolRun(config, hash_key)
+    config.check_budget(hash_key)
+    run = ProtocolRun(config)
     if run.z_count == 0:
         raise ValueError("no Z rounds were scheduled; lower p_estimation or raise n_rounds")
     ledger = run.ledger
@@ -916,7 +894,7 @@ def protocol_config_from_json(obj: dict | str) -> ProtocolConfig:
         n_parties=n,
         n_rounds=_json_number(obj["n_rounds"], "n_rounds", integer=True),
         state=state,
-        p_estimation=_json_number(obj.get("p_estimation", 0.05), "p_estimation"),
-        seed=_json_number(obj.get("seed", 0), "seed", integer=True),
+        p_estimation=_json_number(obj.get("p_estimation", ProtocolConfig.p_estimation), "p_estimation"),
+        seed=_json_number(obj.get("seed", ProtocolConfig.seed), "seed", integer=True),
         announced_z_rounds=None if announced is None else _json_number(announced, "announced_z_rounds", integer=True),
     )

@@ -768,8 +768,6 @@ def test_main_prints_what_the_full_parser_prints(monkeypatch, capsys, argv):
 def test_a_known_command_builds_one_parser(monkeypatch, tmp_path):
     import argparse
 
-    import nqkd.cli as cli
-
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -778,11 +776,7 @@ def test_a_known_command_builds_one_parser(monkeypatch, tmp_path):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
-    cli.build_parser.cache_clear()
-    try:
-        assert main(["thresholds", "--kind", "qber", "--n", "3", "--out", str(tmp_path / "t.csv")]) == 0
-    finally:
-        cli.build_parser.cache_clear()
+    assert main(["thresholds", "--kind", "qber", "--n", "3", "--out", str(tmp_path / "t.csv")]) == 0
     assert built == ["nqkd thresholds"]
 
 

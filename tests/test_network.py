@@ -445,3 +445,5 @@ def test_comparison_json():
     assert obj["nqkd"]["r_inf"] == pytest.approx(1.0)
     assert obj["ratio"] == pytest.approx(2.0)
     assert math.isfinite(obj["rate_twoqkd"])
+    fields = ["r_inf", "r_clamped", "rate", "t_rep", "limiting_bob", "components"]
+    assert list(obj["nqkd"]) == list(obj["twoqkd"]) == fields

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import time
 import tracemalloc
 from statistics import NormalDist
 
@@ -18,7 +19,6 @@ from nqkd.protocol import (
     ProtocolConfig,
     ProtocolRun,
     RoundRecord,
-    classical_depolarize,
     f_sign,
     preshared_key_accounting,
     protocol_config_from_json,
@@ -570,25 +570,6 @@ def test_estimate_qz_orders_asymmetric_bobs():
         assert abs(est - ref) < three_sigma(ref, 20000)
 
 
-def test_classical_depolarize_properties():
-    rng = np.random.default_rng(13)
-    bits = np.zeros((5000, 3), dtype=np.uint8)  # all-zero outcomes
-    flipped, mask = classical_depolarize(bits, rng)
-    # all parties show exactly the announced mask
-    for col in range(3):
-        assert np.array_equal(flipped[:, col], mask)
-    # Alice's marginal is uniform
-    share = flipped[:, 0].mean()
-    assert abs(share - 0.5) < three_sigma(0.5, 5000)
-    # estimates are flip-invariant
-    noisy = draw_z_bits(depolarized_state(3, 0.2), 5000, rng)
-    flipped, _ = classical_depolarize(noisy, rng)
-    q1, ab1 = estimate_qz(noisy)
-    q2, ab2 = estimate_qz(flipped)
-    assert q1 == q2
-    assert np.array_equal(ab1, ab2)
-
-
 def test_accounting_formulas():
     state = depolarized_state(3, 0.0)
     config = ProtocolConfig(3, 100000, state, p_estimation=0.5, seed=0)
@@ -764,6 +745,16 @@ def test_hashed_run_peak_memory_within_its_budget():
     assert result.ledger.key_rounds > 1 << 19 and result.hashed_key.size == result.ledger.key_rounds
     counted = config.peak_bytes() + protocol.HASH_BIT_BYTES * n_rounds
     assert 0.85 * counted < peak <= counted
+
+
+def test_hashed_run_over_the_budget_fails_before_sampling(monkeypatch):
+    # 1e8 rounds fit the plain budget, but not with HASH_BIT_BYTES more per round
+    config = ProtocolConfig(3, 10**8, depolarized_state(3, 0.1))
+    monkeypatch.setattr(protocol, "ProtocolRun", None)  # building the run would raise TypeError
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=r"with a hashed key need about \d+ bytes, over the \d+-byte budget"):
+        run_protocol(config, hash_key=True)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_basis_rule_equivalence():
