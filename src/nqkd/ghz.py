@@ -142,17 +142,17 @@ class WeightClassState:
                                 (self.minus_by_weight / branches)[weight])
 
 
-def _twirl_kept_entries(rho: np.ndarray) -> tuple[np.ndarray, complex]:
-    """The entries of the twirl of ``rho`` that can be nonzero: the diagonal
-    averaged with its reverse, and c = 0.5 (rho[0, ~0] + rho[~0, 0]) at the
-    corners (0, ~0) and (~0, 0).
+def _twirl_kept_entries(diagonal: np.ndarray, top_right: complex, bottom_left: complex) -> tuple[np.ndarray, complex]:
+    """The entries of the twirl of a matrix rho that can be nonzero, from its
+    ``diagonal``, ``top_right`` = rho[0, ~0] and ``bottom_left`` = rho[~0, 0]:
+    the diagonal averaged with its reverse, and c = 0.5 (rho[0, ~0] +
+    rho[~0, 0]) at the corners (0, ~0) and (~0, 0).
 
     The flip of every qubit averages entry (x, y) with (~x, ~y).  A diagonal
     operator diag(d) multiplies it by (1 + d[x] conj(d[y]))/2: 1 where
     d[x] = d[y], else 0.  All 2(N-1) agree only at y = x and at the corners.
     """
-    diagonal = np.diagonal(rho)
-    return 0.5 * (diagonal + diagonal[::-1]), 0.5 * (rho[0, -1] + rho[-1, 0])
+    return 0.5 * (diagonal + diagonal[::-1]), 0.5 * (top_right + bottom_left)
 
 
 def twirl_dense(state: DenseState) -> DenseState:
@@ -165,7 +165,7 @@ def twirl_dense(state: DenseState) -> DenseState:
     allocation.
     """
     rho = state.density()
-    diagonal, corner = _twirl_kept_entries(rho)
+    diagonal, corner = _twirl_kept_entries(np.diagonal(rho), rho[0, -1], rho[-1, 0])
     twirled = np.zeros(rho.shape, dtype=complex)
     np.fill_diagonal(twirled, diagonal)
     twirled[0, -1] = twirled[-1, 0] = corner
@@ -178,7 +178,13 @@ def twirled_coefficients(rho: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     for j > 0, with d and c the averaged diagonal and the corner of
     ``_twirl_kept_entries``.  The bits of ``coefficients_from_dense(twirl_dense(.))``.
     """
-    diagonal, corner = _twirl_kept_entries(rho)
+    return _coefficients_of_entries(np.diagonal(rho), rho[0, -1], rho[-1, 0])
+
+
+def _coefficients_of_entries(diagonal: np.ndarray, top_right: complex,
+                             bottom_left: complex) -> tuple[np.ndarray, np.ndarray]:
+    """``twirled_coefficients`` of the matrix with these entries (``_twirl_kept_entries``)."""
+    diagonal, corner = _twirl_kept_entries(diagonal, top_right, bottom_left)
     plus = diagonal[: diagonal.size // 2].real.copy()
     minus = plus.copy()
     plus[0] += corner.real
@@ -200,11 +206,21 @@ def coefficients_from_dense(state: DenseState) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ghz_diagonal_from_dense(state: DenseState) -> GhzDiagonalState:
-    """Twirl a dense state and return its diagonal coefficients."""
+    """Twirl a dense state and return its diagonal coefficients.
+
+    A pure state's kept entries come off its vector in O(2^N), with the
+    bits of the outer product's: the diagonal psi conj(psi), and the
+    corners from the outer product of the two end amplitudes.
+    """
     if state.n_qubits < 2:
         raise ValueError("need at least 2 parties")
     state.validate(check_psd=state.n_qubits <= 8 and not state.pure)
-    lam_plus, lam_minus = twirled_coefficients(state.density())
+    if state.pure:
+        psi = state.data
+        ends = np.outer(psi[[0, -1]], psi[[0, -1]].conj())
+        lam_plus, lam_minus = _coefficients_of_entries(psi * psi.conj(), ends[0, 1], ends[1, 0])
+    else:
+        lam_plus, lam_minus = twirled_coefficients(state.data)
     return GhzDiagonalState(state.n_qubits, np.maximum(lam_plus, 0.0), np.maximum(lam_minus, 0.0))
 
 

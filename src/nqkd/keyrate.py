@@ -184,7 +184,20 @@ def six_state_rate(q):
 
 
 def bisect_root(f, lo: float, hi: float, xtol: float = 1e-9, max_iter: int = 200) -> float:
-    """Bracketed bisection; raises SolverError without a sign change."""
+    """Plain bisection's root of f on [lo, hi] at ``xtol``, from fewer calls.
+
+    Whenever f changes sign once in the bracket, the float returned is
+    exactly that of plain bisection, which halves [lo, hi] until it is
+    narrower than ``xtol`` and returns its midpoint (or a midpoint where f
+    is 0).  Beside lo and hi it keeps a sign bracket [a, b], with f(a) of
+    f(lo)'s sign and f(b) of f(hi)'s, which Illinois regula falsi steps
+    narrow (Dowell and Jarratt, BIT 11, 168 (1971)) whenever a midpoint
+    falls inside it; a midpoint outside it is decided without a call.  So
+    f is called only at Illinois points and at midpoints inside the
+    bracket, never twice at one point.  A zero at an Illinois point ends
+    the steps, and f is called at the floats beside it to tell whether it
+    is the only zero.  Raises SolverError without a sign change.
+    """
     f_lo, f_hi = f(lo), f(hi)
     if f_lo == 0.0:
         return lo
@@ -192,17 +205,50 @@ def bisect_root(f, lo: float, hi: float, xtol: float = 1e-9, max_iter: int = 200
         return hi
     if f_lo * f_hi > 0.0:
         raise SolverError(f"no sign change on [{lo}, {hi}] ({f_lo} .. {f_hi})")
+    lo_negative = f_lo < 0.0
+    a, f_a, b, f_b = lo, f_lo, hi, f_hi
+    zeros, steps, last_moved = set(), max_iter, None
+
+    def call(x):
+        """f(x), with x made the bracket's end of its sign or added to ``zeros``."""
+        nonlocal a, f_a, b, f_b
+        f_x = f(x)
+        if f_x == 0.0:
+            zeros.add(x)
+        elif (f_x < 0.0) == lo_negative:
+            a, f_a = x, f_x
+        else:
+            b, f_b = x, f_x
+        return f_x
+
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
         if hi - lo < xtol:
             return mid
-        f_mid = f(mid)
-        if f_mid == 0.0:
+        while steps and a < mid < b:
+            x = a - f_a * (b - a) / (f_b - f_a)
+            if not a < x < b or x == mid:
+                break
+            steps -= 1
+            if call(x) == 0.0:
+                steps = 0
+                for y in (math.nextafter(x, a), math.nextafter(x, b)):
+                    if a < y < b:
+                        call(y)
+                break
+            moved = a == x
+            if moved == last_moved:  # Illinois: halve the end kept twice running
+                if moved:
+                    f_b *= 0.5
+                else:
+                    f_a *= 0.5
+            last_moved = moved
+        if mid in zeros or a < mid < b and call(mid) == 0.0:
             return mid
-        if f_lo * f_mid < 0.0:
-            hi, f_hi = mid, f_mid
+        if mid <= a:
+            lo = mid
         else:
-            lo, f_lo = mid, f_mid
+            hi = mid
     return 0.5 * (lo + hi)
 
 

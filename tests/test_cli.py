@@ -222,6 +222,8 @@ NETWORK_SHA256 = {
         "cf14d3599d9ec157da835e6e7aa6c007305c2076c892f2fdd4d820d362b68df3",
     ("thresholds", "--kind", "channel", "--n", "3..18"):
         "c39ff90baf51f121c75cc88d15e914ed918134c719904905e5e150e6b63bc3ad",
+    ("thresholds", "--kind", "gate", "--n", "3..40"):
+        "c4509f02aac8ca8d6b29e887d1f37ba8c1867e47468657598a129e8eecdc613a",
     # as printed when the QBER threshold bisected the white-noise closed form
     ("thresholds", "--kind", "qber", "--n", "2..40,inf"):
         "ae9c87c2ad4d8ff2b43a06a82a0a7cf7ab710e093cff2e6939873b195c4d4ef7",

@@ -153,6 +153,30 @@ def test_twirled_coefficients_at_ten_hold_no_matrix():
     assert peak < 1 << 20
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_pure_state_twirl_read_off_its_vector_equals_the_density_path(n):
+    rng = np.random.default_rng(900 + n)
+    for _ in range(3):
+        psi = rng.normal(size=1 << n) + 1j * rng.normal(size=1 << n)
+        state = DenseState.from_vector(psi / np.linalg.norm(psi))
+        out = ghz_diagonal_from_dense(state)
+        plus, minus = twirled_coefficients(state.density())
+        np.testing.assert_array_equal(out.lam_plus, np.maximum(plus, 0.0))
+        np.testing.assert_array_equal(out.lam_minus, np.maximum(minus, 0.0))
+
+
+def test_pure_state_twirl_at_eleven_holds_no_matrix():
+    state = ghz_state(11)
+    tracemalloc.start()
+    try:
+        ghz_diagonal_from_dense(state)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # reading the coefficients off the outer product traced 64.3 MiB
+    assert peak < 1 << 20
+
+
 def test_twirl_preserves_trace_and_positivity():
     rng = np.random.default_rng(3)
     state = random_density(4, rng)

@@ -206,7 +206,8 @@ def test_bisect_root_requires_sign_change():
 
 
 def former_bisect_root(f, lo, hi, xtol=1e-9, max_iter=200):
-    """The former bisection loop, which evaluated f at the midpoint it then returned."""
+    """Plain bisection: the loop bisect_root ran before its sign bracket, which
+    calls f at every midpoint until the interval is narrower than xtol."""
     f_lo, f_hi = f(lo), f(hi)
     if f_lo == 0.0:
         return lo
@@ -216,8 +217,10 @@ def former_bisect_root(f, lo, hi, xtol=1e-9, max_iter=200):
         raise SolverError(f"no sign change on [{lo}, {hi}] ({f_lo} .. {f_hi})")
     for _ in range(max_iter):
         mid = 0.5 * (lo + hi)
+        if hi - lo < xtol:
+            return mid
         f_mid = f(mid)
-        if f_mid == 0.0 or hi - lo < xtol:
+        if f_mid == 0.0:
             return mid
         if f_lo * f_mid < 0.0:
             hi, f_hi = mid, f_mid
@@ -226,21 +229,78 @@ def former_bisect_root(f, lo, hi, xtol=1e-9, max_iter=200):
     return 0.5 * (lo + hi)
 
 
+def counted(solver, points):
+    """``solver`` with every point it evaluates f at appended to ``points``."""
+    def solve(f, *args, **kwargs):
+        def g(x):
+            points.append(x)
+            return f(x)
+        return solver(g, *args, **kwargs)
+    return solve
+
+
+THRESHOLD_CASES = [
+    (threshold_qber, [*range(2, 201), math.inf]),
+    (nqkd_gate_threshold, [*range(3, 201), 1100, 2000]),
+    (nqkd_channel_threshold, range(3, 201)),
+]
+
+
 def test_thresholds_equal_those_of_the_former_bisection_loop(monkeypatch):
-    # bisect_root no longer evaluates the midpoint it returns; every root stays the same float
-    cases = [(threshold_qber, range(2, 18)), (nqkd_gate_threshold, range(3, 23)), (nqkd_channel_threshold, range(3, 11))]
-    now = [[solve(n) for n in ns] for solve, ns in cases]
-    monkeypatch.setattr(keyrate, "bisect_root", former_bisect_root)
-    assert now == [[solve(n) for n in ns] for solve, ns in cases]
-    evaluated = []
+    # the same float from each threshold solve, never from more calls of its objective
+    for solve, ns in THRESHOLD_CASES:
+        for n in ns:
+            now, former = [], []
+            monkeypatch.setattr(keyrate, "bisect_root", counted(bisect_root, now))
+            root = solve(n)
+            monkeypatch.setattr(keyrate, "bisect_root", counted(former_bisect_root, former))
+            assert root == solve(n), (solve.__name__, n)
+            assert len(set(now)) == len(now) <= len(former), (solve.__name__, n)
 
-    def f(x):
-        evaluated.append(x)
-        return x - 0.3
 
-    # both ends, then one midpoint per halving of [0, 1] down to a width below 1e-3
-    assert bisect_root(f, 0.0, 1.0, xtol=1e-3) == former_bisect_root(lambda x: x - 0.3, 0.0, 1.0, xtol=1e-3)
-    assert len(evaluated) == 2 + 10 and len(set(evaluated)) == len(evaluated)
+def _random_objective(rng):
+    """A monotone cubic or exponential with a random root and slope sign."""
+    root, sign = rng.uniform(-1.0, 1.0), rng.choice([-1.0, 1.0])
+    if rng.random() < 0.5:
+        c3, c1 = 10.0 ** rng.uniform(-2, 2), 10.0 ** rng.uniform(-2, 2)
+        f = lambda x: sign * (c3 * (x - root) ** 3 + c1 * (x - root))  # noqa: E731
+    else:
+        k = 10.0 ** rng.uniform(-1, 1)
+        f = lambda x: sign * math.expm1(k * (x - root))  # noqa: E731
+    lo, hi = root - 10.0 ** rng.uniform(-3, 0.5), root + 10.0 ** rng.uniform(-3, 0.5)
+    return f, lo, hi, 10.0 ** rng.uniform(-12, -3)
+
+
+def test_bisect_root_returns_plain_bisections_float_on_random_objectives():
+    rng = np.random.default_rng(29)
+    for case in range(200):
+        f, lo, hi, xtol = _random_objective(rng)
+        points = []
+        assert counted(bisect_root, points)(f, lo, hi, xtol=xtol) == former_bisect_root(f, lo, hi, xtol=xtol), case
+        assert len(set(points)) == len(points), case
+
+
+@pytest.mark.parametrize("f, lo, hi, xtol", [
+    (lambda x: (x - 0.5) * (1.0 + 3.0 * x * x), 0.0, 1.0, 1e-9),  # a zero at the first midpoint
+    (lambda x: x - 0.25, 0.0, 1.0, 1e-9),  # the first secant point: an exact zero and a later midpoint
+    (lambda x: 3.0 * x - 1.0, 0.0, 1.0, 1e-12),  # exact zeros at a secant point and the float beside it
+    (lambda x: np.sign(x - 0.3) * max(abs(x - 0.3) - 1e-3, 0.0), 0.0, 1.0, 1e-9),  # zero on [0.299, 0.301]
+    (lambda x: x, 0.0, 1.0, 1e-9),  # a zero at an endpoint
+    (lambda x: x - 1.0, 0.0, 1.0, 1e-9),
+])
+def test_bisect_root_edge_cases_equal_plain_bisection(f, lo, hi, xtol):
+    points = []
+    assert counted(bisect_root, points)(f, lo, hi, xtol=xtol) == former_bisect_root(f, lo, hi, xtol=xtol)
+    assert len(set(points)) == len(points)
+
+
+def test_linear_objective_takes_fewer_calls_than_plain_bisection():
+    now, former = [], []
+    assert counted(bisect_root, now)(lambda x: x - 0.3, 0.0, 1.0, xtol=1e-3) == \
+        counted(former_bisect_root, former)(lambda x: x - 0.3, 0.0, 1.0, xtol=1e-3)
+    # plain bisection: both ends, then one midpoint per halving of [0, 1] down to a width below 1e-3
+    assert len(former) == 2 + 10
+    assert len(now) < len(former) and len(set(now)) == len(now)
 
 
 def test_twoqkd_conference_rate():
